@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (AugmentConfig, ensure_disjoint_split, generate_mit_shading,
-                   load_dataset, load_sample, parse_manifest, resynthesize)
+                   load_dataset, load_sample, parse_manifest, resynthesize,
+                   to_nchw)
 from .losses import LossConfig
 from .metrics import PredictionRecord, evaluate_report
 from .network import NetworkConfig, build_network
@@ -124,12 +125,6 @@ def load_run_config(path) -> RunConfig:
                      out_dir=out.get("out_dir", "run"))
 
 
-def _image_to_nchw(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim == 2:
-        arr = np.stack([arr] * 3, axis=-1)
-    return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
-
-
 def _nchw_to_image(t: np.ndarray) -> np.ndarray:
     return t[0].transpose(1, 2, 0)
 
@@ -173,7 +168,7 @@ def cmd_train(args) -> int:
 def cmd_decompose(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     net = network_from_checkpoint(ck)
-    image = _image_to_nchw(read_png(args.input))
+    image = to_nchw(read_png(args.input))
     albedo, shading = decompose_image(net, image)
     write_png(args.out_albedo, _nchw_to_image(albedo), bit_depth=16)
     write_png(args.out_shading, _nchw_to_image(shading), bit_depth=16)
@@ -198,7 +193,7 @@ def cmd_eval(args) -> int:
             continue
         records.append(PredictionRecord(
             entry.id, sample.albedo, sample.shading,
-            _image_to_nchw(read_png(pa)), _image_to_nchw(read_png(ps)),
+            to_nchw(read_png(pa)), to_nchw(read_png(ps)),
             sample.mask))
     if not records and not missing:
         raise ValueError("eval: manifest has no samples")

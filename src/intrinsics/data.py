@@ -112,7 +112,7 @@ def ensure_disjoint_split(train: Manifest, test: Manifest) -> None:
                          "in both train and test splits")
 
 
-def _to_nchw(arr: np.ndarray) -> np.ndarray:
+def to_nchw(arr: np.ndarray) -> np.ndarray:
     """(H,W) or (H,W,3) float image -> (1,3,H,W)."""
     if arr.ndim == 2:
         arr = np.stack([arr] * 3, axis=-1)
@@ -127,9 +127,9 @@ def load_sample(entry: ManifestEntry, base_dir: str = ".") -> Sample:
         except OSError as e:
             raise ValueError(f"sample {entry.id}: cannot read {full}: {e}") from e
 
-    image = _to_nchw(load(entry.image_path))
-    albedo = _to_nchw(load(entry.albedo_path))
-    shading = _to_nchw(load(entry.shading_path))
+    image = to_nchw(load(entry.image_path))
+    albedo = to_nchw(load(entry.albedo_path))
+    shading = to_nchw(load(entry.shading_path))
     if albedo.shape != image.shape or shading.shape != image.shape:
         raise ValueError(
             f"sample {entry.id}: extents differ between image "

@@ -94,14 +94,3 @@ class Rng:
         """Deterministic permutation of range(n) by sorting random keys."""
         keys = self._raw(n)
         return np.argsort(keys, kind="stable")
-
-    def spawn(self, *keys) -> "Rng":
-        """Independent child stream keyed off this generator's seed."""
-        return Rng(derive_seed(self.seed, *keys))
-
-    def state(self) -> tuple[int, int]:
-        return (self.seed, self.counter)
-
-    @classmethod
-    def from_state(cls, seed: int, counter: int) -> "Rng":
-        return cls(seed, counter)

@@ -6,8 +6,9 @@ theta <- theta + v, with lr = base_lr times the longest-prefix match of the
 parameter name in the multiplier map (multiplier 0 freezes a layer).
 
 Every stochastic choice in a run derives from (seed, iteration) alone:
-epoch shuffles, per-slot augmentation draws, and dropout streams all come
-from independent spawned generators.  Combined with float32 parameters
+epoch shuffles, per-slot augmentation draws, and dropout streams each get
+their own generator, seeded by ``derive_seed`` from the run seed, a purpose
+key and the epoch or iteration.  Combined with float32 parameters
 (matching the checkpoint payload precision), a run resumed from a
 checkpoint reproduces the uninterrupted run bit-exactly.
 """
@@ -296,6 +297,9 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
         if resume.fingerprint != fingerprint:
             raise ValueError("resume: checkpoint was written with a different "
                              "configuration (fingerprint mismatch)")
+        if resume.iteration > cfg.max_iterations:
+            raise ValueError(f"resume: checkpoint is at iteration {resume.iteration}, "
+                             f"past max_iterations {cfg.max_iterations}")
         resume.apply_to(net)
         start = resume.iteration
     rng_state = (cfg.seed, 0, 0, 0)

