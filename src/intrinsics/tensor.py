@@ -9,9 +9,55 @@ bit-exact resume).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
+AXIS = {"N": 0, "C": 1, "H": 2, "W": 3}
+
 LOG_EPS = 1e-4
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Validated (N, C, H, W) extents."""
+
+    n: int
+    c: int
+    h: int
+    w: int
+
+    def __post_init__(self):
+        for name in ("n", "c", "h", "w"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ValueError(f"Shape.{name} must be >= 1, got {v}")
+
+    @property
+    def size(self) -> int:
+        return self.n * self.c * self.h * self.w
+
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        return (self.n, self.c, self.h, self.w)
+
+
+def elementwise_map(t: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
+    """Apply a scalar function to every entry; output shape equals input shape."""
+    out = np.empty_like(t, dtype=np.float64)
+    flat_in = t.reshape(-1)
+    flat_out = out.reshape(-1)
+    for k in range(flat_in.shape[0]):
+        flat_out[k] = f(flat_in[k])
+    return out
+
+
+def reduce_sum(t: np.ndarray, axes) -> np.ndarray:
+    """Sum over a non-empty subset of {"N","C","H","W"}; reduced axes keep extent 1."""
+    if not axes:
+        raise ValueError("reduce_sum: axes must be non-empty")
+    ax = tuple(sorted(AXIS[a] for a in axes))
+    return np.sum(t, axis=ax, keepdims=True)
 
 
 def log_guarded(x: np.ndarray, eps: float = LOG_EPS) -> np.ndarray:

@@ -140,7 +140,7 @@ def _full_mask(shape):
     return np.ones((shape[0], 1, shape[2], shape[3]))
 
 
-def _check_all(checks, h):
+def check_all(checks, h):
     """Run (label, f, x) gradient checks; fail once, naming every bad label."""
     failures = []
     for label, f, x in checks:
@@ -161,7 +161,7 @@ def _probe(label, x, dy, forward, grad):
     return label, lambda v: (float((forward(v) * dy).sum()), grad), x
 
 
-def _conv_probes(rng, kind, n, spec, hw):
+def conv_probes(rng, kind, n, spec, hw):
     """x, w and b probes of conv or of deconv (which maps out -> in channels)."""
     def fwd(x, w, b):
         return getattr(layers, f"{kind}_forward")(x, w, b, spec)
@@ -181,7 +181,7 @@ def _conv_probes(rng, kind, n, spec, hw):
             _probe(f"{kind} backward (b, {tag})", b, dy, lambda v: fwd(x, w, v), db)]
 
 
-def _pool_probe(rng, hw):
+def pool_probe(rng, hw):
     # distinct values 10h apart: no finite-difference step moves an argmax
     x = (rng.permutation(2 * hw[0] * hw[1]) * 10 * LAYER_H).reshape(1, 2, *hw)
     y, idx = layers.max_pool_forward(x, 3, 2)
@@ -191,7 +191,7 @@ def _pool_probe(rng, hw):
                   layers.max_pool_backward(dy, idx, x.shape))
 
 
-def _bilinear_probe(rng, factor, hw):
+def bilinear_probe(rng, factor, hw):
     x = rng.normal((1, 2, *hw))
     dy = rng.normal((1, 2, hw[0] * factor, hw[1] * factor))
     return _probe(f"bilinear backward (factor {factor}, {hw[0]}x{hw[1]})", x, dy,
@@ -199,7 +199,7 @@ def _bilinear_probe(rng, factor, hw):
                   layers.bilinear_upsample_backward(dy, factor, x.shape))
 
 
-def _prelu_probes(rng, n):
+def prelu_probes(rng, n):
     x = rng.normal((n, 3, 4, 4))
     x[np.abs(x) < 1e-2] = 0.5  # keep clear of the kink
     slopes = rng.uniform((3,)) * 0.5 + 0.1
@@ -211,7 +211,7 @@ def _prelu_probes(rng, n):
                    lambda v: layers.prelu_forward(x, v), da)]
 
 
-def _dropout_probe(rng, shape):
+def dropout_probe(rng, shape):
     x = rng.normal(shape)
     _, mask = layers.dropout_forward(x, 0.5, Rng(9), True)
     dy = rng.normal(shape)
@@ -219,7 +219,7 @@ def _dropout_probe(rng, shape):
                   lambda v: v * mask, layers.dropout_backward(dy, mask))
 
 
-def _concat_probe(rng, cb):
+def concat_probe(rng, cb):
     a = rng.normal((1, 2, 3, 3))
     b = rng.normal((1, cb, 3, 3))
     dy = rng.normal((1, 2 + cb, 3, 3))
@@ -232,21 +232,21 @@ def _layer_probes():
     rng = Rng(1)
     probes = []
     for n, stride, pad_h in ((1, 1, 0), (2, 2, 1), (1, 2, 1)):
-        probes += _conv_probes(rng, "conv", n,
-                               ConvSpec(2, 3, 3, 3, stride, stride, pad_h, 1), (6, 6))
+        probes += conv_probes(rng, "conv", n,
+                              ConvSpec(2, 3, 3, 3, stride, stride, pad_h, 1), (6, 6))
     for h in (4, 5, 6):
-        probes += _conv_probes(rng, "deconv", 1, ConvSpec(2, 3, 4, 4, 2, 2, 1, 1), (h, 5))
-    probes += [_pool_probe(rng, hw) for hw in ((6, 6), (7, 6), (8, 6), (7, 7))]
-    probes += [_bilinear_probe(rng, factor, hw) for factor, hw in
+        probes += conv_probes(rng, "deconv", 1, ConvSpec(2, 3, 4, 4, 2, 2, 1, 1), (h, 5))
+    probes += [pool_probe(rng, hw) for hw in ((6, 6), (7, 6), (8, 6), (7, 7))]
+    probes += [bilinear_probe(rng, factor, hw) for factor, hw in
                ((2, (3, 4)), (3, (4, 4)), (4, (3, 4)), (2, (4, 4)), (3, (3, 4)))]
-    probes += _prelu_probes(rng, 1) + _prelu_probes(rng, 2)
-    probes += [_dropout_probe(rng, shape) for shape in ((1, 2, 5, 5), (1, 1, 8, 8))]
-    probes += [_concat_probe(rng, cb) for cb in (1, 2, 3)]
+    probes += prelu_probes(rng, 1) + prelu_probes(rng, 2)
+    probes += [dropout_probe(rng, shape) for shape in ((1, 2, 5, 5), (1, 1, 8, 8))]
+    probes += [concat_probe(rng, cb) for cb in (1, 2, 3)]
     return probes
 
 
 def _suite_layer_gradients():
-    _check_all(_layer_probes(), LAYER_H)
+    check_all(_layer_probes(), LAYER_H)
 
 
 # -- oracles and invariants ------------------------------------------------------
@@ -321,6 +321,14 @@ def _suite_loss_algebra():
                 f"{name}: masked perturbation leaked into loss/gradients"
             assert np.all(g0[0, :, 1, 2] == 0.0), f"{name}: gradient at a masked pixel"
 
+
+def _suite_loss_gradients():
+    rng = Rng(17)
+    for shape in ((1, 3, 5, 5), (2, 3, 4, 4)):
+        t, p = rng.normal(shape), rng.normal(shape)
+        mask = _full_mask(shape)
+        holed = mask.copy()
+        holed[0, 0, 1, 2] = holed[0, 0, 3, 0] = 0.0
         sparse = (rng.uniform(holed.shape) > 0.2).astype(float)
         sparse[0, 0, 0, 0] = 1.0
         checks = [(f"sil2 gradient (lambda={lam}, {kind} mask, {shape})",
@@ -330,7 +338,7 @@ def _suite_loss_algebra():
         checks += [(f"gradient-loss gradient ({kind} mask, {shape})",
                     lambda v, m=m: gradient_loss(t, v, m), p)
                    for kind, m in (("full", mask), ("sparse", sparse))]
-        _check_all(checks, LAYER_H)
+        check_all(checks, LAYER_H)
 
 
 def _suite_alpha_grid():
@@ -453,44 +461,51 @@ def _suite_topology_audit():
             == (8, 8, 4, 4), f"{head} deconv spec not 8x8 stride 4"
 
 
-def _suite_whole_network_gradient():
+def whole_network_gradient(hc: bool, deconv: bool) -> list[str]:
+    """Finite differences of the total loss through one network variant at
+    the input and at every parameter tensor; returns the failing checks."""
     rng = Rng(14)
     x = rng.uniform((1, 3, 32, 32))
     ta = rng.normal((1, 3, 32, 32)) * 0.1
     ts = rng.normal((1, 3, 32, 32)) * 0.1
     mask = _full_mask(x.shape)
     cfg = LossConfig(lam=0.5, use_gradient_loss=True)
+    net = build_network(NetworkConfig(channel_scale=1 / 16, use_hypercolumn=hc,
+                                      use_deconv_head=deconv),
+                        Rng(13), dtype=np.float64)
+
+    def loss(v):
+        la, ls = net.forward(v)
+        return total_loss(ta, ts, la, ls, mask, cfg)[0]
+
+    # one backward gives every analytic gradient; the finite differences
+    # need only forward passes
+    la, ls = net.forward(x, keep_cache=True)
+    _, d_la, d_ls = total_loss(ta, ts, la, ls, mask, cfg)
+    net.zero_grads()
+    d_image = net.backward(d_la, d_ls)
+    checks = [("input", lambda v: (loss(v), d_image), x, 8)]
+    for name, p in net.params.items():
+        def f(v, p=p, grad=p.grad.copy()):
+            saved = p.value
+            p.value = v
+            try:
+                return loss(x), grad
+            finally:
+                p.value = saved
+
+        checks.append((name, f, p.value.copy(), 4))
     failures = []
-    for hc, deconv in ((False, True), (True, False)):
-        net = build_network(NetworkConfig(channel_scale=1 / 16, use_hypercolumn=hc,
-                                          use_deconv_head=deconv),
-                            Rng(13), dtype=np.float64)
+    for name, f, v, coords in checks:
+        err = check_gradient(f, v, h=NETWORK_H, max_coords=coords)
+        if err >= GRAD_TOL:
+            failures.append(f"hc={hc} deconv={deconv} {name}: {err:.2e}")
+    return failures
 
-        def loss(v):
-            la, ls = net.forward(v)
-            return total_loss(ta, ts, la, ls, mask, cfg)[0]
 
-        # one backward gives every analytic gradient; the finite differences
-        # need only forward passes
-        la, ls = net.forward(x, keep_cache=True)
-        _, d_la, d_ls = total_loss(ta, ts, la, ls, mask, cfg)
-        net.zero_grads()
-        d_image = net.backward(d_la, d_ls)
-        checks = [("input", lambda v: (loss(v), d_image), x, 8)]
-        for name, p in net.params.items():
-            def f(v, p=p, grad=p.grad.copy()):
-                saved = p.value
-                p.value = v
-                try:
-                    return loss(x), grad
-                finally:
-                    p.value = saved
-
-            checks.append((name, f, p.value.copy(), 4))
-        for name, f, v, coords in checks:
-            err = check_gradient(f, v, h=NETWORK_H, max_coords=coords)
-            if err >= GRAD_TOL:
-                failures.append(f"hc={hc} deconv={deconv} {name}: {err:.2e}")
+def _suite_whole_network_gradient():
+    failures = [f for hc, deconv in ((False, True), (True, False))
+                for f in whole_network_gradient(hc, deconv)]
     assert not failures, "whole-network gradient: " + "; ".join(failures)
 
 
@@ -528,6 +543,7 @@ def _suite_trainer():
 
 SUITES = [
     ("layer-gradients", _suite_layer_gradients),
+    ("loss-gradients", _suite_loss_gradients),
     ("conv-oracle", _suite_conv_oracle),
     ("deconv-adjoint", _suite_deconv_adjoint),
     ("loss-algebra", _suite_loss_algebra),

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from intrinsics.data import (AugmentConfig, Manifest, ManifestEntry, Sample,
-                             augment, ensure_disjoint_split, fit_alpha,
-                             generate_mit_shading, load_dataset,
+                             augment, crop_to, ensure_disjoint_split,
+                             fit_alpha, generate_mit_shading, load_dataset,
+                             make_synthetic_sample,
                              pad_to_multiple, parse_manifest, resynthesize)
 from intrinsics.png_io import read_png, write_png
 from intrinsics.rng import Rng
+from intrinsics.verify import alpha_grid_oracle
 
 
 def make_sample(seed=0, h=24, w=32, sid="s0"):
@@ -192,8 +194,28 @@ class TestFitAlpha:
         with pytest.raises(ValueError, match="identically zero"):
             fit_alpha(np.ones((1, 3, 2, 2)), np.zeros((1, 3, 2, 2)))
 
+    def test_matches_grid_search_oracle(self):
+        for seed in range(100):
+            rng = Rng(1000 + seed)
+            p = rng.uniform((1, 3, 5, 5)) + 0.05
+            target = (0.2 + 4.0 * rng.uniform()) * p + 0.05 * rng.normal(p.shape)
+            best, grid_loss = alpha_grid_oracle(target, p, np.ones((1, 1, 5, 5)))
+            a = fit_alpha(target, p)
+            assert abs(a - best) <= 1e-3
+            assert float(((target - a * p) ** 2).sum()) <= grid_loss + 1e-6
+
 
 class TestMitShading:
+    def test_recovers_exact_factorization(self):
+        rng = Rng(6)
+        albedo = 0.2 + 0.7 * rng.uniform((1, 3, 10, 10))
+        s_true = 0.2 + 0.7 * rng.uniform((1, 1, 10, 10))
+        image = albedo * s_true
+        shading, alpha, valid = generate_mit_shading(image, albedo)
+        assert np.max(np.abs(shading - s_true)) < 1e-8
+        assert abs(alpha - 1.0) < 1e-8
+        assert np.all(valid == 1.0)
+
     def test_constant_gray_case(self):
         albedo = np.full((1, 3, 4, 4), 0.5)
         image = np.full((1, 3, 4, 4), 0.25)
@@ -221,6 +243,25 @@ class TestResynthesize:
         a = np.zeros((1, 3, 3, 3))
         s = Rng(9).uniform((1, 3, 3, 3))
         assert np.all(resynthesize(a, s) == 0.0)
+
+    def test_exact_intrinsic_identity(self):
+        rng = Rng(10)
+        a = rng.uniform((1, 3, 16, 16))
+        s = rng.uniform((1, 1, 16, 16))
+        image = resynthesize(a, s)
+        assert np.max(np.abs(image - a * s)) < 1e-6
+
+    def test_png_roundtrip_identity(self, tmp_path):
+        rng = Rng(11)
+        a = rng.uniform((1, 3, 12, 12))
+        s = rng.uniform((1, 1, 12, 12)) * np.ones((1, 3, 1, 1))
+        image = resynthesize(a, s)
+        for name, t in (("i", image), ("a", a), ("s", s)):
+            write_png(tmp_path / f"{name}.png", t[0].transpose(1, 2, 0), bit_depth=16)
+        i2 = read_png(tmp_path / "i.png").transpose(2, 0, 1)[None]
+        a2 = read_png(tmp_path / "a.png").transpose(2, 0, 1)[None]
+        s2 = read_png(tmp_path / "s.png").transpose(2, 0, 1)[None]
+        assert np.max(np.abs(i2 - a2 * s2)) < 2.0 / 65535.0
 
 
 class TestAugment:
@@ -262,6 +303,17 @@ class TestAugment:
         out = augment(s, cfg, Rng(2))
         assert np.allclose(out.image, s.image[:, :, :, ::-1])
 
+    def test_preserves_intrinsic_identity_at_valid_pixels(self):
+        # piecewise-constant albedo x slow shading: per-cell interpolation
+        # cross-terms stay inside the bilinear tolerance
+        cfg = AugmentConfig(crop_h=32, crop_w=32, mirror_prob=0.5,
+                            enable_rotate_zoom=True)
+        for seed in range(5):
+            s = make_synthetic_sample(seed, h=48, w=48)
+            out = augment(s, cfg, Rng(seed))
+            gap = np.abs(out.image - out.albedo * out.shading) * out.mask
+            assert gap.max() < 1e-3
+
     def test_impossible_crop_rejected(self):
         s = make_sample(seed=17, h=16, w=16)
         cfg = AugmentConfig(crop_h=32, crop_w=32, enable_rotate_zoom=False)
@@ -275,6 +327,12 @@ class TestPadToMultiple:
         padded, extents = pad_to_multiple(t, 32)
         assert padded is t
         assert extents == (64, 64)
+
+    def test_pad_and_crop_roundtrip(self):
+        t = Rng(19).uniform((1, 3, 70, 65))
+        padded, extents = pad_to_multiple(t, 32)
+        assert padded.shape == (1, 3, 96, 96)
+        assert np.array_equal(crop_to(padded, extents), t)
 
     def test_replicates_edges(self):
         t = np.full((1, 1, 5, 7), 0.3)

@@ -3,6 +3,7 @@ import pytest
 
 from intrinsics.losses import LossConfig, gradient_loss, sil2_loss, total_loss
 from intrinsics.rng import Rng
+from intrinsics.tensor import check_gradient
 
 
 def full_mask(shape):
@@ -23,6 +24,39 @@ class TestSil2:
         loss, _ = sil2_loss(target, pred, full_mask(target.shape), 0.5)
         assert abs(loss - 0.5) < 1e-15
 
+    def test_lambda_one_offset_invariant(self):
+        rng = Rng(2)
+        target = rng.normal((1, 3, 5, 5))
+        pred = rng.normal((1, 3, 5, 5))
+        mask = full_mask(target.shape)
+        base, _ = sil2_loss(target, pred, mask, 1.0)
+        for c in (-3.0, 0.7, 42.0):
+            shifted, _ = sil2_loss(target, pred + c, mask, 1.0)
+            assert abs(shifted - base) < 1e-10
+
+    def test_lambda_zero_is_plain_mse(self):
+        rng = Rng(3)
+        target = rng.normal((2, 3, 4, 4))
+        pred = rng.normal((2, 3, 4, 4))
+        loss, _ = sil2_loss(target, pred, full_mask(target.shape), 0.0)
+        assert abs(loss - float(((target - pred) ** 2).mean())) < 1e-12
+
+    def test_masked_pixels_have_no_influence(self):
+        rng = Rng(4)
+        target = rng.normal((1, 3, 4, 4))
+        pred = rng.normal((1, 3, 4, 4))
+        mask = full_mask(target.shape)
+        mask[0, 0, 1, 2] = 0.0
+        mask[0, 0, 3, 0] = 0.0
+        loss0, grad0 = sil2_loss(target, pred, mask, 0.5)
+        poked = pred.copy()
+        poked[0, :, 1, 2] = 99.0
+        poked[0, :, 3, 0] = -99.0
+        loss1, grad1 = sil2_loss(target, poked, mask, 0.5)
+        assert abs(loss0 - loss1) < 1e-12
+        assert np.max(np.abs(grad0 - grad1)) < 1e-12
+        assert np.all(grad0[0, :, 1, 2] == 0.0)
+
     def test_nonnegative(self):
         rng = Rng(5)
         for _ in range(1000):
@@ -36,6 +70,30 @@ class TestSil2:
         t = np.zeros((1, 3, 2, 2))
         with pytest.raises(ValueError, match="no valid pixels"):
             sil2_loss(t, t, np.zeros((1, 1, 2, 2)), 0.5)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_gradient(self, lam):
+        rng = Rng(6)
+        target = rng.normal((1, 3, 4, 4))
+        pred = rng.normal((1, 3, 4, 4))
+        mask = full_mask(target.shape)
+        mask[0, 0, 0, 0] = 0.0
+
+        def f(p):
+            loss, grad = sil2_loss(target, p, mask, lam)
+            return loss, grad
+
+        assert check_gradient(f, pred, 1e-3) < 1e-4
+
+    def test_gradient_on_random_pair_1x3x4x4(self):
+        rng = Rng(7)
+        target = rng.normal((1, 3, 4, 4))
+        pred = rng.normal((1, 3, 4, 4))
+
+        def f(p):
+            return sil2_loss(target, p, full_mask(target.shape), 0.5)
+
+        assert check_gradient(f, pred, 1e-3) < 1e-4
 
 
 class TestGradientLoss:
@@ -61,6 +119,20 @@ class TestGradientLoss:
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient(self, seed):
+        rng = Rng(20 + seed)
+        target = rng.normal((1, 3, 5, 5))
+        pred = rng.normal((1, 3, 5, 5))
+        mask = (rng.uniform((1, 1, 5, 5)) > 0.2).astype(float)
+        if mask.sum() == 0:
+            mask[0, 0, 0, 0] = 1.0
+
+        def f(p):
+            return gradient_loss(target, p, mask)
+
+        assert check_gradient(f, pred, 1e-3) < 1e-4
+
 
 class TestTotalLoss:
     def _random_case(self, seed):
@@ -76,6 +148,16 @@ class TestTotalLoss:
         loss, da, ds = total_loss(a, s, a, s, full_mask(a.shape), cfg)
         assert loss == 0.0
         assert np.all(da == 0.0) and np.all(ds == 0.0)
+
+    def test_composition_identity(self):
+        at, st, ap, sp, mask = self._random_case(32)
+        for use_grad in (False, True):
+            cfg = LossConfig(lam=0.5, use_gradient_loss=use_grad)
+            loss, _, _ = total_loss(at, st, ap, sp, mask, cfg)
+            want = sil2_loss(at, ap, mask, 0.5)[0] + sil2_loss(st, sp, mask, 0.5)[0]
+            if use_grad:
+                want += gradient_loss(at, ap, mask)[0]
+            assert abs(loss - want) < 1e-12
 
     def test_gradient_term_touches_only_albedo(self):
         at, st, ap, sp, mask = self._random_case(33)

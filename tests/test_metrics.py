@@ -3,8 +3,9 @@ import pytest
 
 from intrinsics.metrics import (LmseConfig, PredictionRecord, dssim,
                                 evaluate_report, lmse, lmse_window_sums,
-                                mit_total_lmse, si_mse)
+                                mit_total_lmse, si_mse, ssim_map)
 from intrinsics.rng import Rng
+from intrinsics.verify import alpha_grid_oracle, lmse_oracle, ssim_oracle
 
 
 def full_mask(shape):
@@ -32,6 +33,17 @@ class TestSiMse:
         got = si_mse(target, np.zeros_like(target), full_mask(target.shape))
         assert abs(got - float((target ** 2).mean())) < 1e-15
 
+    def test_against_grid_oracle(self):
+        for seed in range(20):
+            rng = Rng(100 + seed)
+            pred = rng.uniform((1, 3, 6, 6)) + 0.05
+            target = (0.3 + 3.0 * rng.uniform()) * pred + 0.1 * rng.normal(pred.shape)
+            mask = full_mask(target.shape)
+            got = si_mse(target, pred, mask)
+            want = alpha_grid_oracle(target, pred, mask)[1] / (mask.sum() * 3)
+            assert got <= want + 1e-12          # closed form beats the grid
+            assert abs(got - want) < 1e-6       # and by at most grid resolution
+
     def test_empty_mask_rejected(self):
         t = np.ones((1, 3, 2, 2))
         with pytest.raises(ValueError, match="no valid"):
@@ -48,6 +60,16 @@ class TestLmse:
     def test_global_scale_absorbed(self):
         t = Rng(5).uniform((1, 3, 40, 40)) + 0.1
         assert lmse(t, 2.5 * t, full_mask(t.shape)) < 1e-14
+
+    @pytest.mark.parametrize("hw", [(30, 30), (40, 40), (47, 33), (80, 64)])
+    def test_against_window_enumeration_oracle(self, hw):
+        rng = Rng(6)
+        target = rng.uniform((1, 3, *hw))
+        pred = rng.uniform((1, 3, *hw))
+        mask = (rng.uniform((1, 1, *hw)) > 0.1).astype(float)
+        got = lmse(target, pred, mask)
+        want = lmse_oracle(target, pred, mask)
+        assert abs(got - want) < 1e-10
 
     def test_window_too_large_rejected(self):
         # window sized off the larger dimension exceeds the smaller one
@@ -109,6 +131,17 @@ class TestDssim:
         a = rng.uniform((1, 3, 14, 14))
         b = rng.uniform((1, 3, 14, 14))
         assert abs(dssim(a, b, align=False) - dssim(b, a, align=False)) < 1e-12
+
+    def test_against_direct_sum_oracle(self):
+        rng = Rng(13)
+        target = rng.uniform((1, 3, 16, 16))
+        pred = rng.uniform((1, 3, 16, 16))
+        got = ssim_map(target, pred)
+        want = ssim_oracle(target, pred)
+        assert got.shape == want.shape == (1, 3, 6, 6)
+        assert np.max(np.abs(got - want)) < 1e-8
+        assert abs(dssim(target, pred, align=False)
+                   - float((1 - want.mean()) / 2)) < 1e-8
 
     def test_too_small_rejected(self):
         t = np.ones((1, 3, 8, 8))

@@ -3,6 +3,7 @@ import pytest
 
 from intrinsics.network import NetworkConfig, build_network
 from intrinsics.rng import Rng
+from intrinsics.verify import whole_network_gradient
 
 
 def tiny_net(seed=0, dtype=np.float64, **kw):
@@ -23,6 +24,25 @@ class TestBuild:
         b = tiny_net(seed=6)
         assert not np.array_equal(a.params["s1.conv1.weight"].value,
                                   b.params["s1.conv1.weight"].value)
+
+    def test_full_scale_registry_widths(self):
+        net = build_network(NetworkConfig(channel_scale=1.0, use_deconv_head=True),
+                            Rng(0))
+        p = {name: v.shape for name, v in net.named_parameters()}
+        assert p["s1.conv1.weight"] == (96, 3, 11, 11)
+        assert p["s1.conv2.weight"] == (256, 96, 5, 5)
+        assert p["s1.conv3.weight"] == (384, 256, 3, 3)
+        assert p["s1.conv4.weight"] == (384, 384, 3, 3)
+        assert p["s1.conv5.weight"] == (256, 384, 3, 3)
+        assert p["s1.conv6.weight"] == (64, 256, 1, 1)
+        assert p["s2.conv1.weight"] == (96, 3, 9, 9)
+        for name in ("s2.conv2", "s2.conv3", "s2.conv4"):
+            assert p[f"{name}.weight"][2:] == (5, 5)
+        for head in ("albedo", "shading"):
+            assert p[f"{head}.deconv.weight"] == (64, 3, 8, 8)
+            spec = net.specs[f"{head}.deconv"]
+            assert (spec.kernel_h, spec.kernel_w) == (8, 8)
+            assert (spec.stride_h, spec.stride_w) == (4, 4)
 
     def test_scale2_identical_across_variants(self):
         plain = tiny_net(seed=1, use_hypercolumn=False)
@@ -45,6 +65,23 @@ class TestBuild:
 
 
 class TestForward:
+    @pytest.mark.parametrize("hc", [False, True])
+    @pytest.mark.parametrize("deconv", [False, True])
+    def test_shape_contract(self, hc, deconv):
+        net = tiny_net(seed=2, use_hypercolumn=hc, use_deconv_head=deconv,
+                       dtype=np.float32)
+        for h in (32, 64, 96):
+            for w in (32, 64):
+                x = Rng(3).uniform((1, 3, h, w))
+                la, ls = net.forward(x)
+                assert la.shape == (1, 3, h, w)
+                assert ls.shape == (1, 3, h, w)
+
+    def test_nonsquare_input(self):
+        net = tiny_net(seed=2, dtype=np.float32)
+        la, ls = net.forward(Rng(4).uniform((1, 3, 96, 160)))
+        assert la.shape == (1, 3, 96, 160)
+
     def test_non_multiple_rejected_with_padding_amount(self):
         net = tiny_net(seed=2)
         with pytest.raises(ValueError, match=r"pad by \(26, 31\)"):
@@ -105,3 +142,11 @@ class TestBackward:
         net.backward(2 * da, 2 * ds)
         for n, p in net.params.items():
             assert np.allclose(twice[n], p.grad, rtol=1e-10, atol=1e-12), n
+
+
+@pytest.mark.slow
+class TestWholeNetworkGradient:
+    @pytest.mark.parametrize("hc,deconv", [(False, True), (True, False)])
+    def test_finite_differences_over_total_loss(self, hc, deconv):
+        failures = whole_network_gradient(hc, deconv)
+        assert not failures, "; ".join(failures)

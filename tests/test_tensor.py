@@ -2,13 +2,79 @@ import numpy as np
 import pytest
 
 from intrinsics.rng import Rng, derive_seed
-from intrinsics.tensor import check_gradient, log_guarded
+from intrinsics.tensor import (Shape, check_gradient, elementwise_map,
+                               log_guarded, reduce_sum)
 
 
-class TestLogGuarded:
-    def test_values(self):
-        x = np.array([0.0, 1.0, 2.0]).reshape(1, 1, 1, 3)
-        assert np.allclose(log_guarded(x).ravel(), [np.log(1e-4), 0.0, np.log(2.0)])
+class TestShape:
+    def test_valid(self):
+        s = Shape(2, 3, 4, 5)
+        assert s.size == 120
+        assert s.as_tuple() == (2, 3, 4, 5)
+
+    @pytest.mark.parametrize("bad", [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1)])
+    def test_rejects_nonpositive(self, bad):
+        with pytest.raises(ValueError):
+            Shape(*bad)
+
+
+class TestElementwiseMap:
+    def test_identity_is_copy(self):
+        x = Rng(1).normal((1, 2, 3, 3))
+        out = elementwise_map(x, lambda v: v)
+        assert np.array_equal(out, x)
+        assert out is not x
+
+    def test_doubling(self):
+        x = np.array([1.0, -3.0]).reshape(1, 1, 1, 2)
+        assert np.array_equal(elementwise_map(x, lambda v: 2 * v),
+                              np.array([2.0, -6.0]).reshape(1, 1, 1, 2))
+
+    def test_guarded_log(self):
+        x = np.array([0.0, 1.0]).reshape(1, 1, 1, 2)
+        out = elementwise_map(x, lambda v: np.log(max(v, 1e-4)))
+        assert np.allclose(out.ravel(), [np.log(1e-4), 0.0])
+        assert np.array_equal(out, log_guarded(x))
+
+    def test_commutes_with_reshape(self):
+        x = Rng(2).normal((2, 3, 4, 4))
+        f = lambda v: v * v - 1.0
+        a = elementwise_map(x, f).ravel()
+        b = elementwise_map(x.reshape(1, 1, 1, -1), f).ravel()
+        assert np.array_equal(a, b)
+
+
+class TestReduceSum:
+    def test_all_axes(self):
+        t = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+        out = reduce_sum(t, "NCHW")
+        assert out.shape == (1, 1, 1, 1)
+        assert out.ravel()[0] == 10.0
+
+    def test_channel_sum(self):
+        t = np.ones((1, 3, 1, 1))
+        out = reduce_sum(t, "C")
+        assert out.shape == (1, 1, 1, 1)
+        assert out.ravel()[0] == 3.0
+
+    def test_empty_axes_rejected(self):
+        with pytest.raises(ValueError):
+            reduce_sum(np.ones((1, 1, 1, 1)), "")
+
+    def test_matches_scalar_loop(self):
+        for seed in range(3):
+            t = Rng(seed).normal((2, 3, 16, 16))
+            total = 0.0
+            for v in t.ravel():
+                total += v
+            out = float(reduce_sum(t, "NCHW").ravel()[0])
+            assert abs(out - total) <= 1e-12 * max(1.0, abs(total))
+
+    def test_partial_axes_extents(self):
+        t = Rng(3).normal((2, 3, 4, 5))
+        out = reduce_sum(t, "HW")
+        assert out.shape == (2, 3, 1, 1)
+        assert np.allclose(out, t.sum(axis=(2, 3), keepdims=True))
 
 
 class TestCheckGradient:
@@ -68,7 +134,7 @@ class TestRng:
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
 
-    def test_seed_and_counter_resume_stream(self):
+    def test_state_roundtrip(self):
         r = Rng(9)
         r.uniform((13,))
         resumed = Rng(r.seed, r.counter)

@@ -107,6 +107,13 @@ class TestCheckpointIO:
             assert n0 == n1
             assert np.array_equal(a0, a1)
 
+    def test_save_load_save_byte_identical(self, tmp_path):
+        net = build_network(tiny_cfg(), Rng(2))
+        path, back = self._roundtrip(tmp_path, net)
+        path2 = tmp_path / "ck2.bin"
+        save_checkpoint(back, path2)
+        assert path.read_bytes() == path2.read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -166,6 +173,15 @@ class TestTrainLoop:
         net = build_network(tiny_cfg(), Rng(7))
         with pytest.raises(ValueError, match="empty"):
             train_loop(net, [], small_train_cfg())
+
+    def test_fixed_seed_identical_trace(self):
+        samples = fixture_samples()
+        traces = []
+        for _ in range(2):
+            net = build_network(tiny_cfg(dropout=0.5), Rng(8))
+            _, trace = train_loop(net, samples, small_train_cfg(max_iterations=3))
+            traces.append(trace)
+        assert traces[0] == traces[1]
 
     def test_loss_finite_everywhere(self):
         net = build_network(tiny_cfg(), Rng(9))
