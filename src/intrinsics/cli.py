@@ -24,7 +24,7 @@ from .data import (AugmentConfig, ensure_disjoint_split, generate_mit_shading,
 from .losses import LossConfig
 from .metrics import PredictionRecord, evaluate_report
 from .network import NetworkConfig, build_network
-from .png_io import read_png, write_png
+from .png_io import read_png, write_atomic, write_png
 from .rng import Rng, derive_seed
 from .trainer import (TrainConfig, decompose_image, load_checkpoint,
                       network_from_checkpoint, train_loop)
@@ -156,10 +156,8 @@ def cmd_train(args) -> int:
     _, trace = train_loop(net, samples, run.train, checkpoint_path=ck_path,
                           resume=resume)
     trace_path = os.path.join(run.out_dir, "loss_trace.csv")
-    with open(trace_path, "w") as f:
-        f.write("iteration,loss\n")
-        for it, loss in trace:
-            f.write(f"{it},{loss!r}\n")
+    write_atomic(trace_path, "".join(
+        ["iteration,loss\n"] + [f"{it},{loss!r}\n" for it, loss in trace]).encode())
     if args.verbose and trace:
         print(f"final loss {trace[-1][1]:.6g} -> {trace_path}")
     return 0
@@ -200,9 +198,7 @@ def cmd_eval(args) -> int:
     report = (evaluate_report(records, include_mit_total=args.mit_total)
               if records else {"per_sample": [], "errors": []})
     report["errors"] = missing + report.get("errors", [])
-    with open(args.out, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(args.out, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     if args.verbose and "mean" in report:
         m = report["mean"]
         print(f"mse_a={m['mse_a']:.6f} mse_s={m['mse_s']:.6f} "
@@ -253,9 +249,8 @@ def cmd_synth(args) -> int:
         lines.append("\t".join([sid, names["image"], names["albedo"],
                                 names["shading"], names["mask"], entry.scene]))
     out_manifest = os.path.join(args.out_dir, "manifest.tsv")
-    with open(out_manifest, "w") as f:
-        f.write(f"# generated by intrinsics synth --mode {args.mode}\n")
-        f.write("\n".join(lines) + "\n")
+    write_atomic(out_manifest, (f"# generated by intrinsics synth --mode {args.mode}\n"
+                                + "\n".join(lines) + "\n").encode())
     if args.verbose:
         print(f"wrote {len(lines)} samples -> {out_manifest}")
     return 0

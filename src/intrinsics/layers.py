@@ -63,20 +63,35 @@ class ConvSpec:
         return oh, ow
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Padded input (N,C,Hp,Wp) -> columns (N, C*kh*kw, Ho*Wo)."""
-    n, c, hp, wp = xp.shape
+def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Zero-pad (N,C,H,W) per spec, then im2col -> columns (N, C*kh*kw, Ho*Wo)."""
+    n, c = x.shape[:2]
+    kh, kw = spec.kernel_h, spec.kernel_w
+    xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw, :, :]              # (N, C, Ho, Wo, kh, kw)
+    win = win[:, :, ::spec.stride_h, ::spec.stride_w, :, :]  # (N, C, Ho, Wo, kh, kw)
     ho, wo = win.shape[2], win.shape[3]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
     return np.ascontiguousarray(cols)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back into an (N,C,H,W) image."""
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * ph, w + 2 * pw
+def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.ndarray:
+    """Conv weight gradient from output gradient dy and input x; with the
+    two swapped it is the deconv weight gradient."""
+    dy2d = dy.reshape(dy.shape[0], spec.out_channels, -1)
+    return np.einsum("nop,nkp->ok", dy2d, _columns(x, spec), optimize=True).reshape(w_shape)
+
+
+def _input_grad(dy: np.ndarray, w: np.ndarray, spec: ConvSpec, x_shape) -> np.ndarray:
+    """Conv input gradient of extents x_shape (also the deconv forward):
+    weight-times-dy columns scattered back by the adjoint of _columns."""
+    n, c, h, wd = x_shape
+    kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
+    ph, pw = spec.pad_h, spec.pad_w
+    w2d = w.reshape(spec.out_channels, -1)
+    dy2d = dy.reshape(dy.shape[0], spec.out_channels, -1)
+    cols = np.einsum("ok,nop->nkp", w2d, dy2d, optimize=True)
+    hp, wp = h + 2 * ph, wd + 2 * pw
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
     xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
@@ -85,7 +100,7 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw) -> np.ndarray:
         for v in range(kw):
             xp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += cols[:, :, u, v]
     if ph or pw:
-        return xp[:, :, ph:ph + h, pw:pw + w]
+        return xp[:, :, ph:ph + h, pw:pw + wd]
     return xp
 
 
@@ -105,10 +120,8 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     _check_conv_input(x, w, spec, spec.in_channels)
     n = x.shape[0]
     oh, ow = spec.out_extent(x.shape[2], x.shape[3])
-    xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
-    cols = _im2col(xp, spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w)
     w2d = w.reshape(spec.out_channels, -1)
-    y = np.einsum("ok,nkp->nop", w2d, cols, optimize=True)
+    y = np.einsum("ok,nkp->nop", w2d, _columns(x, spec), optimize=True)
     y = y.reshape(n, spec.out_channels, oh, ow)
     if b is not None:
         y = y + b.reshape(1, -1, 1, 1)
@@ -117,18 +130,8 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 
 def conv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec):
     """Gradients of conv_forward w.r.t. input, weights, and bias."""
-    n = x.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
-    cols = _im2col(xp, spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w)
-    dy2d = dy.reshape(n, spec.out_channels, -1)
-    w2d = w.reshape(spec.out_channels, -1)
-
-    db = dy2d.sum(axis=(0, 2))
-    dw = np.einsum("nop,nkp->ok", dy2d, cols, optimize=True).reshape(w.shape)
-    dcols = np.einsum("ok,nop->nkp", w2d, dy2d, optimize=True)
-    dx = _col2im(dcols, x.shape, spec.kernel_h, spec.kernel_w,
-                 spec.stride_h, spec.stride_w, spec.pad_h, spec.pad_w)
-    return dx, dw, db
+    db = dy.reshape(x.shape[0], spec.out_channels, -1).sum(axis=(0, 2))
+    return _input_grad(dy, w, spec, x.shape), _weight_grad(dy, x, spec, w.shape), db
 
 
 def deconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -141,11 +144,7 @@ def deconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     _check_conv_input(x, w, spec, spec.out_channels)
     n, _, h, w_in = x.shape
     oh, ow = spec.deconv_out_extent(h, w_in)
-    w2d = w.reshape(spec.out_channels, -1)
-    x2d = x.reshape(n, spec.out_channels, -1)
-    cols = np.einsum("ok,nop->nkp", w2d, x2d, optimize=True)
-    y = _col2im(cols, (n, spec.in_channels, oh, ow), spec.kernel_h, spec.kernel_w,
-                spec.stride_h, spec.stride_w, spec.pad_h, spec.pad_w)
+    y = _input_grad(x, w, spec, (n, spec.in_channels, oh, ow))
     if b is not None:
         y = y + b.reshape(1, -1, 1, 1)
     return y
@@ -153,14 +152,8 @@ def deconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 
 def deconv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec):
     """Gradients of deconv_forward; dx reuses conv_forward (mutual adjoints)."""
-    n = x.shape[0]
     dx = conv_forward(dy, w, None, spec)
-    dyp = np.pad(dy, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
-    cols = _im2col(dyp, spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w)
-    x2d = x.reshape(n, spec.out_channels, -1)
-    dw = np.einsum("nop,nkp->ok", x2d, cols, optimize=True).reshape(w.shape)
-    db = dy.sum(axis=(0, 2, 3))
-    return dx, dw, db
+    return dx, _weight_grad(x, dy, spec, w.shape), dy.sum(axis=(0, 2, 3))
 
 
 def max_pool_forward(x: np.ndarray, kernel: int, stride: int):

@@ -54,32 +54,36 @@ def si_mse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
     return float((diff * diff).sum()) / n
 
 
-def _window_starts(extent: int, k: int, stride: int) -> list[int]:
-    starts = list(range(0, extent - k + 1, stride))
-    if starts[-1] != extent - k:
-        starts.append(extent - k)  # final window flush to the border
-    return starts
+def _windows(target: np.ndarray, pred: np.ndarray, mask: np.ndarray, cfg: LmseConfig):
+    """Yield the (target, pred, mask) crops of every window holding a valid
+    pixel: square windows of cfg.window_size, cfg.stride_fraction of a window
+    apart, with the last window of each row and column flush to the border."""
+    h, w = target.shape[2:]
+    k = cfg.window_size(h, w)
+    if k > h or k > w:
+        raise ValueError(f"lmse: window {k} exceeds image extents {h}x{w}")
+    stride = max(1, int(k * cfg.stride_fraction))
+
+    def starts(extent):
+        out = list(range(0, extent - k + 1, stride))
+        return out if out[-1] == extent - k else out + [extent - k]
+
+    for i in starts(h):
+        for j in starts(w):
+            m = mask[:, :, i:i + k, j:j + k]
+            if m.sum() != 0:
+                yield target[:, :, i:i + k, j:j + k], pred[:, :, i:i + k, j:j + k], m
 
 
 def lmse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray,
          cfg: LmseConfig = LmseConfig()) -> float:
     """Mean of per-window si_mse over overlapping square windows sized
     window_fraction of the larger image dimension, stride half a window."""
-    h, w = target.shape[2:]
-    k = cfg.window_size(h, w)
-    if k > h or k > w:
-        raise ValueError(f"lmse: window {k} exceeds image extents {h}x{w}")
-    stride = max(1, int(k * cfg.stride_fraction))
     total = 0.0
     count = 0
-    for i in _window_starts(h, k, stride):
-        for j in _window_starts(w, k, stride):
-            m = mask[:, :, i:i + k, j:j + k]
-            if m.sum() == 0:
-                continue
-            total += si_mse(target[:, :, i:i + k, j:j + k],
-                            pred[:, :, i:i + k, j:j + k], m)
-            count += 1
+    for t, p, m in _windows(target, pred, mask, cfg):
+        total += si_mse(t, p, m)
+        count += 1
     if count == 0:
         raise ValueError("lmse: no window contains a valid pixel")
     return total / count
@@ -89,24 +93,13 @@ def lmse_window_sums(target: np.ndarray, pred: np.ndarray, mask: np.ndarray,
                      cfg: LmseConfig = LmseConfig()) -> tuple[float, float]:
     """Windowed squared-error sums for the reweighted total score:
     (sum of per-window aligned errors, same sums for the zero predictor)."""
-    h, w = target.shape[2:]
-    k = cfg.window_size(h, w)
-    if k > h or k > w:
-        raise ValueError(f"lmse: window {k} exceeds image extents {h}x{w}")
-    stride = max(1, int(k * cfg.stride_fraction))
     ssq = 0.0
     zero_ssq = 0.0
-    for i in _window_starts(h, k, stride):
-        for j in _window_starts(w, k, stride):
-            t = target[:, :, i:i + k, j:j + k]
-            p = pred[:, :, i:i + k, j:j + k]
-            m = mask[:, :, i:i + k, j:j + k]
-            if m.sum() == 0:
-                continue
-            a = _alpha_or_zero(t, p, m)
-            diff = (t - a * p) * m
-            ssq += float((diff * diff).sum())
-            zero_ssq += float((t * t * m).sum())
+    for t, p, m in _windows(target, pred, mask, cfg):
+        a = _alpha_or_zero(t, p, m)
+        diff = (t - a * p) * m
+        ssq += float((diff * diff).sum())
+        zero_ssq += float((t * t * m).sum())
     return ssq, zero_ssq
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,12 +76,32 @@ class Param:
         self.grad.fill(0.0)
 
 
+class _Var(NamedTuple):
+    """A forward value, the tape that recorded it (None when not recording)
+    and the tape position of the step that produced it."""
+    value: np.ndarray
+    tape: list | None
+    slot: int
+
+
+def _record(y, backward, *inputs) -> _Var:
+    """Append one step to its inputs' tape.  ``backward`` maps the gradient
+    of ``y`` to the gradients of ``inputs``, routed by tape position."""
+    tape = inputs[0].tape
+    if tape is None:
+        return _Var(y, None, -1)
+    tape.append((backward, tuple(v.slot for v in inputs)))
+    return _Var(y, tape, len(tape) - 1)
+
+
 class Network:
     """Built topology plus the named parameter registry.
 
     ``forward`` runs eval- or train-mode inference; with ``keep_cache=True``
-    it records the activations ``backward`` needs.  Parameter gradients
-    accumulate across backward calls until ``zero_grads``.
+    it records a tape: one entry per step, holding what that step's
+    backward needs.  ``backward`` replays the tape once, in reverse.
+    Parameter gradients accumulate across backward calls until
+    ``zero_grads``.
     """
 
     def __init__(self, cfg: NetworkConfig, rng: Rng, dtype=np.float32,
@@ -89,8 +110,7 @@ class Network:
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Param] = {}
         self.specs: dict[str, ConvSpec] = {}
-        self._prelu_layers: set[str] = set()
-        self._cache = None
+        self._tape = None
         w = cfg.width
         self.widths = dict(widths) if widths else {
             "c1": w(96), "c2": w(256), "c3": w(384), "c4": w(384),
@@ -119,7 +139,6 @@ class Network:
         self.params[f"{name}.bias"] = Param(f"{name}.bias",
                                             np.zeros(bias_ch, dtype=self.dtype))
         if prelu:
-            self._prelu_layers.add(name)
             slopes = np.full(act_ch, PRELU_INIT, dtype=self.dtype)
             self.params[f"{name}.slope"] = Param(f"{name}.slope", slopes)
 
@@ -162,79 +181,50 @@ class Network:
         for p in self.params.values():
             p.zero_grad()
 
-    # -- primitive steps (forward caches what backward consumes) ----------
+    # -- steps: each runs one layer and records its backward on the tape ---
 
-    def _conv(self, name, x, cache):
-        y = conv_forward(x, self.params[f"{name}.weight"].value,
-                         self.params[f"{name}.bias"].value, self.specs[name])
-        if cache is not None:
-            cache[f"{name}.x"] = x
-        return y
+    def _conv(self, name, x, deconv=False):
+        w, b = self.params[f"{name}.weight"], self.params[f"{name}.bias"]
+        spec, xv = self.specs[name], x.value
+        y = (deconv_forward if deconv else conv_forward)(xv, w.value, b.value, spec)
 
-    def _conv_bwd(self, name, dy, cache):
-        x = cache[f"{name}.x"]
-        dx, dw, db = conv_backward(dy, x, self.params[f"{name}.weight"].value,
-                                   self.specs[name])
-        self.params[f"{name}.weight"].grad += dw
-        self.params[f"{name}.bias"].grad += db
-        return dx
+        def backward(dy):
+            dx, dw, db = (deconv_backward if deconv else conv_backward)(dy, xv, w.value, spec)
+            w.grad += dw
+            b.grad += db
+            return (dx,)
+        return _record(y, backward, x)
 
-    def _deconv(self, name, x, cache):
-        y = deconv_forward(x, self.params[f"{name}.weight"].value,
-                           self.params[f"{name}.bias"].value, self.specs[name])
-        if cache is not None:
-            cache[f"{name}.x"] = x
-        return y
+    def _prelu(self, name, x):
+        a, xv = self.params[f"{name}.slope"], x.value
 
-    def _deconv_bwd(self, name, dy, cache):
-        x = cache[f"{name}.x"]
-        dx, dw, db = deconv_backward(dy, x, self.params[f"{name}.weight"].value,
-                                     self.specs[name])
-        self.params[f"{name}.weight"].grad += dw
-        self.params[f"{name}.bias"].grad += db
-        return dx
+        def backward(dy):
+            dx, da = prelu_backward(dy, xv, a.value)
+            a.grad += da
+            return (dx,)
+        return _record(prelu_forward(xv, a.value), backward, x)
 
-    def _prelu(self, name, x, cache):
-        y = prelu_forward(x, self.params[f"{name}.slope"].value)
-        if cache is not None:
-            cache[f"{name}.pre"] = x
-        return y
+    def _dropout(self, x, train_mode, rng):
+        y, mask = dropout_forward(x.value, self.cfg.dropout_prob, rng, train_mode)
+        return _record(y, lambda dy: (dropout_backward(dy, mask),), x)
 
-    def _prelu_bwd(self, name, dy, cache):
-        x = cache[f"{name}.pre"]
-        dx, da = prelu_backward(dy, x, self.params[f"{name}.slope"].value)
-        self.params[f"{name}.slope"].grad += da
-        return dx
+    @staticmethod
+    def _pool(x, kernel, stride):
+        y, idx = max_pool_forward(x.value, kernel, stride)
+        shape = x.value.shape
+        return _record(y, lambda dy: (max_pool_backward(dy, idx, shape),), x)
 
-    def _pool(self, name, x, kernel, stride, cache):
-        y, idx = max_pool_forward(x, kernel, stride)
-        if cache is not None:
-            cache[f"{name}.idx"] = idx
-            cache[f"{name}.shape"] = x.shape
-        return y
+    @staticmethod
+    def _upsample(x, factor):
+        shape = x.value.shape
+        return _record(bilinear_upsample_forward(x.value, factor),
+                       lambda dy: (bilinear_upsample_backward(dy, factor, shape),), x)
 
-    def _pool_bwd(self, name, dy, cache):
-        return max_pool_backward(dy, cache[f"{name}.idx"], cache[f"{name}.shape"])
-
-    def _dropout(self, name, x, train_mode, rng, cache):
-        y, mask = dropout_forward(x, self.cfg.dropout_prob, rng, train_mode)
-        if cache is not None:
-            cache[f"{name}.mask"] = mask
-        return y
-
-    def _dropout_bwd(self, name, dy, cache):
-        return dropout_backward(dy, cache[f"{name}.mask"])
-
-    def _upsample(self, name, x, factor, cache):
-        y = bilinear_upsample_forward(x, factor)
-        if cache is not None:
-            cache[f"{name}.shape"] = x.shape
-            cache[f"{name}.factor"] = factor
-        return y
-
-    def _upsample_bwd(self, name, dy, cache):
-        return bilinear_upsample_backward(dy, cache[f"{name}.factor"],
-                                          cache[f"{name}.shape"])
+    @staticmethod
+    def _concat(a, b):
+        channels = a.value.shape[1]
+        return _record(concat_channels(a.value, b.value),
+                       lambda dy: concat_backward(dy, channels), a, b)
 
     # -- inference ---------------------------------------------------------
 
@@ -254,125 +244,67 @@ class Network:
         if train_mode and self.cfg.dropout_prob > 0 and rng is None:
             raise ValueError("forward: train_mode with dropout needs an rng")
 
-        x = np.ascontiguousarray(image, dtype=self.dtype)
-        cache = {} if keep_cache else None
-        tm = train_mode
+        self._tape = None
+        tape = [(None, ())] if keep_cache else None  # position 0: the image
+        x = _Var(np.ascontiguousarray(image, dtype=self.dtype), tape, 0)
+
+        def conv_prelu(name, v):
+            return self._prelu(name, self._conv(name, v))
+
+        def drop(v):
+            return self._dropout(v, train_mode, rng)
 
         # scale 1
-        a1 = self._prelu("s1.conv1", self._conv("s1.conv1", x, cache), cache)
-        p1 = self._pool("s1.pool1", a1, 3, 2, cache)
-        a2 = self._prelu("s1.conv2", self._conv("s1.conv2", p1, cache), cache)
-        p2 = self._pool("s1.pool2", a2, 3, 2, cache)
-        a3 = self._prelu("s1.conv3", self._conv("s1.conv3", p2, cache), cache)
-        a4 = self._prelu("s1.conv4", self._conv("s1.conv4", a3, cache), cache)
-        a5 = self._prelu("s1.conv5", self._conv("s1.conv5", a4, cache), cache)
-        p5 = self._pool("s1.pool5", a5, 3, 2, cache)
-        up5 = self._upsample("s1.up5", p5, 8, cache)
+        p1 = self._pool(conv_prelu("s1.conv1", x), 3, 2)
+        p2 = self._pool(conv_prelu("s1.conv2", p1), 3, 2)
+        a5 = conv_prelu("s1.conv5", conv_prelu("s1.conv4", conv_prelu("s1.conv3", p2)))
+        feat = self._upsample(self._pool(a5, 3, 2), 8)
         if self.cfg.use_hypercolumn:
-            t1 = self._upsample("s1.hc1", p1, 2, cache)
-            t2 = self._upsample("s1.hc2", p2, 4, cache)
-            feat = concat_channels(concat_channels(t1, t2), up5)
-        else:
-            feat = up5
-        assert feat.shape[2:] == (h // 4, w // 4), "scale-1 path missed quarter resolution"
-        h6 = self._prelu("s1.conv6", self._conv("s1.conv6", feat, cache), cache)
-        s1_out = self._dropout("s1.conv6.drop", h6, tm, rng, cache)
+            taps = self._concat(self._upsample(p1, 2), self._upsample(p2, 4))
+            feat = self._concat(taps, feat)
+        assert feat.value.shape[2:] == (h // 4, w // 4), "scale-1 path missed quarter resolution"
+        s1_out = drop(conv_prelu("s1.conv6", feat))
 
         # scale 2
-        b1 = self._prelu("s2.conv1", self._conv("s2.conv1", x, cache), cache)
-        q1 = self._pool("s2.pool1", b1, 2, 2, cache)
-        q1 = self._dropout("s2.conv1.drop", q1, tm, rng, cache)
-        assert q1.shape[2:] == (h // 4, w // 4), "scale-2 path missed quarter resolution"
-        cat = concat_channels(q1, s1_out)
-        b2 = self._dropout("s2.conv2.drop",
-                           self._prelu("s2.conv2", self._conv("s2.conv2", cat, cache), cache),
-                           tm, rng, cache)
-        b3 = self._dropout("s2.conv3.drop",
-                           self._prelu("s2.conv3", self._conv("s2.conv3", b2, cache), cache),
-                           tm, rng, cache)
-        b4 = self._dropout("s2.conv4.drop",
-                           self._prelu("s2.conv4", self._conv("s2.conv4", b3, cache), cache),
-                           tm, rng, cache)
+        q1 = drop(self._pool(conv_prelu("s2.conv1", x), 2, 2))
+        assert q1.value.shape[2:] == (h // 4, w // 4), "scale-2 path missed quarter resolution"
+        b = self._concat(q1, s1_out)
+        for name in ("s2.conv2", "s2.conv3", "s2.conv4"):
+            b = drop(conv_prelu(name, b))
 
-        outs = {}
+        outs = []
         for head in ("albedo", "shading"):
             if self.cfg.use_deconv_head:
-                t = self._prelu(f"{head}.conv", self._conv(f"{head}.conv", b4, cache), cache)
-                t = self._dropout(f"{head}.conv.drop", t, tm, rng, cache)
-                outs[head] = self._deconv(f"{head}.deconv", t, cache)
+                out = self._conv(f"{head}.deconv", drop(conv_prelu(f"{head}.conv", b)),
+                                 deconv=True)
             else:
-                t = self._conv(f"{head}.conv", b4, cache)
-                t = self._dropout(f"{head}.conv.drop", t, tm, rng, cache)
-                outs[head] = self._upsample(f"{head}.up", t, 4, cache)
-            assert outs[head].shape == (image.shape[0], 3, h, w)
+                out = self._upsample(drop(self._conv(f"{head}.conv", b)), 4)
+            assert out.value.shape == (image.shape[0], 3, h, w)
+            outs.append(out)
 
-        if cache is not None:
-            cache["q1.channels"] = q1.shape[1]
-            cache["hc.channels"] = (
-                (p1.shape[1], p2.shape[1]) if self.cfg.use_hypercolumn else None)
-            self._cache = cache
-        return outs["albedo"], outs["shading"]
+        if tape is not None:
+            # last entry: backward seeds it with (d_log_albedo, d_log_shading)
+            dtype = self.dtype
+            _record(None, lambda d: [g.astype(dtype, copy=False) for g in d], *outs)
+            self._tape = tape
+        return outs[0].value, outs[1].value
 
     def backward(self, d_log_albedo: np.ndarray, d_log_shading: np.ndarray):
-        """Accumulate parameter gradients; returns the input-image gradient."""
-        if self._cache is None:
+        """Accumulate parameter gradients; returns the input-image gradient.
+
+        Replays the tape of the last ``forward(keep_cache=True)`` in reverse
+        and consumes it, freeing each step's activations as it goes.  A
+        step's output gradient is the sum of what its consumers returned.
+        """
+        tape, self._tape = self._tape, None
+        if tape is None:
             raise ValueError("backward: no cached forward (run forward with keep_cache)")
-        cache = self._cache
-
-        d_b4 = None
-        for head, dy in (("albedo", d_log_albedo), ("shading", d_log_shading)):
-            dy = dy.astype(self.dtype, copy=False)
-            if self.cfg.use_deconv_head:
-                dt = self._deconv_bwd(f"{head}.deconv", dy, cache)
-                dt = self._dropout_bwd(f"{head}.conv.drop", dt, cache)
-                dt = self._prelu_bwd(f"{head}.conv", dt, cache)
-                dh = self._conv_bwd(f"{head}.conv", dt, cache)
-            else:
-                dt = self._upsample_bwd(f"{head}.up", dy, cache)
-                dt = self._dropout_bwd(f"{head}.conv.drop", dt, cache)
-                dh = self._conv_bwd(f"{head}.conv", dt, cache)
-            d_b4 = dh if d_b4 is None else d_b4 + dh
-
-        d = self._dropout_bwd("s2.conv4.drop", d_b4, cache)
-        d = self._conv_bwd("s2.conv4", self._prelu_bwd("s2.conv4", d, cache), cache)
-        d = self._dropout_bwd("s2.conv3.drop", d, cache)
-        d = self._conv_bwd("s2.conv3", self._prelu_bwd("s2.conv3", d, cache), cache)
-        d = self._dropout_bwd("s2.conv2.drop", d, cache)
-        d_cat = self._conv_bwd("s2.conv2", self._prelu_bwd("s2.conv2", d, cache), cache)
-        d_q1, d_s1out = concat_backward(d_cat, cache["q1.channels"])
-
-        # scale-2 trunk back to the image
-        d_q1 = self._dropout_bwd("s2.conv1.drop", d_q1, cache)
-        d_b1 = self._pool_bwd("s2.pool1", d_q1, cache)
-        d_image_s2 = self._conv_bwd("s2.conv1", self._prelu_bwd("s2.conv1", d_b1, cache), cache)
-
-        # scale-1 trunk
-        d_h6 = self._dropout_bwd("s1.conv6.drop", d_s1out, cache)
-        d_feat = self._conv_bwd("s1.conv6", self._prelu_bwd("s1.conv6", d_h6, cache), cache)
-        if self.cfg.use_hypercolumn:
-            c1, c2 = cache["hc.channels"]
-            d_t12, d_up5 = concat_backward(d_feat, c1 + c2)
-            d_t1, d_t2 = concat_backward(d_t12, c1)
-            d_p1_tap = self._upsample_bwd("s1.hc1", d_t1, cache)
-            d_p2_tap = self._upsample_bwd("s1.hc2", d_t2, cache)
-        else:
-            d_up5 = d_feat
-            d_p1_tap = d_p2_tap = None
-        d_p5 = self._upsample_bwd("s1.up5", d_up5, cache)
-        d_a5 = self._pool_bwd("s1.pool5", d_p5, cache)
-        d = self._conv_bwd("s1.conv5", self._prelu_bwd("s1.conv5", d_a5, cache), cache)
-        d = self._conv_bwd("s1.conv4", self._prelu_bwd("s1.conv4", d, cache), cache)
-        d_p2 = self._conv_bwd("s1.conv3", self._prelu_bwd("s1.conv3", d, cache), cache)
-        if d_p2_tap is not None:
-            d_p2 = d_p2 + d_p2_tap
-        d_a2 = self._pool_bwd("s1.pool2", d_p2, cache)
-        d_p1 = self._conv_bwd("s1.conv2", self._prelu_bwd("s1.conv2", d_a2, cache), cache)
-        if d_p1_tap is not None:
-            d_p1 = d_p1 + d_p1_tap
-        d_a1 = self._pool_bwd("s1.pool1", d_p1, cache)
-        d_image_s1 = self._conv_bwd("s1.conv1", self._prelu_bwd("s1.conv1", d_a1, cache), cache)
-
-        return d_image_s1 + d_image_s2
+        grads = [None] * (len(tape) - 1) + [(d_log_albedo, d_log_shading)]
+        while len(tape) > 1:
+            step, inputs = tape.pop()
+            for slot, g in zip(inputs, step(grads.pop())):
+                grads[slot] = g if grads[slot] is None else grads[slot] + g
+        return grads[0]
 
 
 def build_network(cfg: NetworkConfig, rng: Rng, dtype=np.float32) -> Network:

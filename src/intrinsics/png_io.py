@@ -5,16 +5,34 @@ maximum; no gamma handling.  The writer always emits non-interlaced,
 filter-0 scanlines; the reader understands all five standard filters so it
 can ingest files produced elsewhere.  Palette, alpha, and interlaced
 images are out of scope and rejected with a clear message.
+
+``write_atomic`` is the one way the package writes an output file: PNGs,
+checkpoints, eval reports, loss traces and synth manifests all go through
+it, so no crash leaves a truncated file at an output path.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
 import numpy as np
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``: a crash or a failed write leaves the previous file intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
 
 
 def _chunk(kind: bytes, data: bytes) -> bytes:
@@ -52,8 +70,7 @@ def write_png(path, image: np.ndarray, bit_depth: int = 16) -> None:
     payload = (_SIGNATURE + _chunk(b"IHDR", ihdr)
                + _chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 6))
                + _chunk(b"IEND", b""))
-    with open(path, "wb") as f:
-        f.write(payload)
+    write_atomic(path, payload)
 
 
 def _paeth(a: int, b: int, c: int) -> int:

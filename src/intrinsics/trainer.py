@@ -25,6 +25,7 @@ import numpy as np
 from .data import AugmentConfig, Sample, augment, crop_to, pad_to_multiple
 from .losses import LossConfig, total_loss
 from .network import Network, NetworkConfig, Param
+from .png_io import write_atomic
 from .rng import Rng, derive_seed
 from .tensor import log_guarded
 
@@ -187,8 +188,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     if len(ck.fingerprint) != 32:
         raise ValueError("checkpoint: fingerprint must be 32 bytes")
     out.append(ck.fingerprint)
-    with open(path, "wb") as f:
-        f.write(b"".join(out))
+    write_atomic(path, b"".join(out))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -504,7 +504,7 @@ def whole_network_gradient(hc: bool, deconv: bool) -> list[str]:
 
 
 def _suite_whole_network_gradient():
-    failures = [f for hc, deconv in ((False, True), (True, False))
+    failures = [f for hc in (False, True) for deconv in (True, False)
                 for f in whole_network_gradient(hc, deconv)]
     assert not failures, "whole-network gradient: " + "; ".join(failures)
 

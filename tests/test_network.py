@@ -116,6 +116,14 @@ class TestBackward:
         with pytest.raises(ValueError, match="cached forward"):
             net.backward(np.zeros((1, 3, 32, 32)), np.zeros((1, 3, 32, 32)))
 
+    def test_backward_consumes_the_tape(self):
+        net = tiny_net(seed=9)
+        net.forward(Rng(10).uniform((1, 3, 32, 32)), keep_cache=True)
+        zeros = np.zeros((1, 3, 32, 32))
+        net.backward(zeros, zeros)
+        with pytest.raises(ValueError, match="no cached forward"):
+            net.backward(zeros, zeros)
+
     def test_zero_upstream_zero_grads(self):
         net = tiny_net(seed=9)
         x = Rng(10).uniform((1, 3, 32, 32))

@@ -1,3 +1,6 @@
+import builtins
+import os
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,38 @@ class TestCheckpointIO:
         path2 = tmp_path / "ck2.bin"
         save_checkpoint(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_failed_overwrite_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path, _ = self._roundtrip(tmp_path, build_network(tiny_cfg(), Rng(4)))
+        before = path.read_bytes()
+        real_open = builtins.open
+
+        class DiesHalfway:  # a write cut short, as by a crash or a full disk
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError("write interrupted")
+
+        def open_dying(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return DiesHalfway(f) if "w" in mode else f
+
+        ck = Checkpoint.from_network(build_network(tiny_cfg(), Rng(5)), 13,
+                                     (3, 4, 0, 0), b"\x07" * 32)
+        monkeypatch.setattr(builtins, "open", open_dying)
+        with pytest.raises(OSError, match="write interrupted"):
+            save_checkpoint(ck, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
