@@ -64,44 +64,45 @@ class ConvSpec:
 
 
 def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Zero-pad (N,C,H,W) per spec, then im2col -> columns (N, C*kh*kw, Ho*Wo)."""
-    n, c = x.shape[:2]
+    """Zero-pad (N,C,H,W) per spec, then im2col -> columns (C*kh*kw, N*Ho*Wo):
+    the batch is folded into the pixel axis, so one GEMM serves the batch."""
+    c = x.shape[1]
     kh, kw = spec.kernel_h, spec.kernel_w
     xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::spec.stride_h, ::spec.stride_w, :, :]  # (N, C, Ho, Wo, kh, kw)
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
-    return np.ascontiguousarray(cols)
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
+
+
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    """(N, O, H, W) -> (O, N*H*W), the row layout of a column GEMM."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
 
 
 def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.ndarray:
     """Conv weight gradient from output gradient dy and input x; with the
     two swapped it is the deconv weight gradient."""
-    dy2d = dy.reshape(dy.shape[0], spec.out_channels, -1)
-    return np.einsum("nop,nkp->ok", dy2d, _columns(x, spec), optimize=True).reshape(w_shape)
+    return (_channel_major(dy) @ _columns(x, spec).T).reshape(w_shape)
 
 
 def _input_grad(dy: np.ndarray, w: np.ndarray, spec: ConvSpec, x_shape) -> np.ndarray:
     """Conv input gradient of extents x_shape (also the deconv forward):
-    weight-times-dy columns scattered back by the adjoint of _columns."""
+    weight-times-dy columns scattered back by the adjoint of _columns.
+
+    The weights are permuted to (kh, kw, C, O) so that the columns of each
+    kernel tap form one contiguous (C, N, Ho, Wo) block; the padded input
+    gradient is accumulated in that channel-major layout too."""
     n, c, h, wd = x_shape
     kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
     ph, pw = spec.pad_h, spec.pad_w
-    w2d = w.reshape(spec.out_channels, -1)
-    dy2d = dy.reshape(dy.shape[0], spec.out_channels, -1)
-    cols = np.einsum("ok,nop->nkp", w2d, dy2d, optimize=True)
-    hp, wp = h + 2 * ph, wd + 2 * pw
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
+    w_taps = w.transpose(2, 3, 1, 0).reshape(-1, spec.out_channels)
+    ho, wo = dy.shape[2:]
+    cols = (w_taps @ _channel_major(dy)).reshape(kh, kw, c, n, ho, wo)
+    xp = np.zeros((c, n, h + 2 * ph, wd + 2 * pw), dtype=cols.dtype)
     for u in range(kh):
         for v in range(kw):
-            xp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += cols[:, :, u, v]
-    if ph or pw:
-        return xp[:, :, ph:ph + h, pw:pw + wd]
-    return xp
+            xp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += cols[u, v]
+    return np.ascontiguousarray(xp[:, :, ph:ph + h, pw:pw + wd].transpose(1, 0, 2, 3))
 
 
 def _check_conv_input(x: np.ndarray, w: np.ndarray, spec: ConvSpec, channels: int):
@@ -120,11 +121,10 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     _check_conv_input(x, w, spec, spec.in_channels)
     n = x.shape[0]
     oh, ow = spec.out_extent(x.shape[2], x.shape[3])
-    w2d = w.reshape(spec.out_channels, -1)
-    y = np.einsum("ok,nkp->nop", w2d, _columns(x, spec), optimize=True)
-    y = y.reshape(n, spec.out_channels, oh, ow)
+    y = w.reshape(spec.out_channels, -1) @ _columns(x, spec)
+    y = np.ascontiguousarray(y.reshape(-1, n, oh, ow).transpose(1, 0, 2, 3))
     if b is not None:
-        y = y + b.reshape(1, -1, 1, 1)
+        y += b.reshape(1, -1, 1, 1)
     return y
 
 

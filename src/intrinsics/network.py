@@ -101,10 +101,11 @@ class Network:
     it records a tape: one entry per step, holding what that step's
     backward needs.  ``backward`` replays the tape once, in reverse.
     Parameter gradients accumulate across backward calls until
-    ``zero_grads``.
+    ``zero_grads``.  With ``rng`` None the weights are left zero, for a
+    caller that installs its own (a checkpoint).
     """
 
-    def __init__(self, cfg: NetworkConfig, rng: Rng, dtype=np.float32,
+    def __init__(self, cfg: NetworkConfig, rng: Rng | None, dtype=np.float32,
                  widths: dict[str, int] | None = None):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
@@ -120,7 +121,7 @@ class Network:
 
     # -- construction -----------------------------------------------------
 
-    def _add_conv(self, name: str, spec: ConvSpec, rng: Rng, prelu: bool = True,
+    def _add_conv(self, name: str, spec: ConvSpec, rng: Rng | None, prelu: bool = True,
                   deconv: bool = False):
         self.specs[name] = spec
         w_shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
@@ -133,8 +134,10 @@ class Network:
             fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
             bias_ch = spec.out_channels
             act_ch = spec.out_channels
-        std = math.sqrt(2.0 / fan_in)
-        w = (rng.normal(w_shape) * std).astype(self.dtype)
+        if rng is None:
+            w = np.zeros(w_shape, dtype=self.dtype)
+        else:
+            w = (rng.normal(w_shape) * math.sqrt(2.0 / fan_in)).astype(self.dtype)
         self.params[f"{name}.weight"] = Param(f"{name}.weight", w)
         self.params[f"{name}.bias"] = Param(f"{name}.bias",
                                             np.zeros(bias_ch, dtype=self.dtype))
@@ -142,7 +145,7 @@ class Network:
             slopes = np.full(act_ch, PRELU_INIT, dtype=self.dtype)
             self.params[f"{name}.slope"] = Param(f"{name}.slope", slopes)
 
-    def _build(self, rng: Rng):
+    def _build(self, rng: Rng | None):
         cfg = self.cfg
         wd = self.widths
         self._add_conv("s1.conv1", ConvSpec(3, wd["c1"], 11, 11, 4, 4, 5, 5), rng)

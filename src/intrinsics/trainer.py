@@ -104,7 +104,7 @@ class Checkpoint:
                     raise ValueError(
                         f"checkpoint: tensor {name!r} shape {arr.shape} does not "
                         f"match network shape {p.value.shape}")
-                setattr(p, attr, arr.astype(net.dtype).copy())
+                setattr(p, attr, arr.astype(net.dtype))
                 seen.add(name)
             missing = set(net.params) - seen
             if missing:
@@ -237,7 +237,7 @@ def network_from_checkpoint(ck: Checkpoint, dropout_prob: float = 0.5,
                          "neither plain nor hypercolumn wiring")
     cfg = NetworkConfig(channel_scale=1.0, use_hypercolumn=use_hc,
                         use_deconv_head=use_deconv, dropout_prob=dropout_prob)
-    net = Network(cfg, Rng(0), dtype=dtype, widths=widths)
+    net = Network(cfg, None, dtype=dtype, widths=widths)
     ck.apply_to(net)
     return net
 

@@ -4,9 +4,9 @@ This module is the one home of the package's oracles and invariant suites;
 the acceptance gate and the CLI both run them from here.  ``run_all``
 executes the suites and returns (name, passed, detail) rows; the CLI turns
 those into a pass/fail listing and exit status.  Each suite re-derives its
-expected values from an independent oracle (nested-loop convolution,
-grid-search alpha, window enumeration, direct-sum SSIM) rather than
-trusting the implementation under test.
+expected values from an independent oracle (nested-loop convolution and
+its direct-sum gradients, grid-search alpha, window enumeration, direct-sum
+SSIM) rather than trusting the implementation under test.
 
 ``corrupt`` deliberately breaks one layer's backward pass for the duration
 of the run; it exists so the meta-test "a broken backward is caught and
@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import layers
+from . import layers, network
 from .data import (AugmentConfig, augment, crop_to, fit_alpha,
                    generate_mit_shading, make_synthetic_sample,
                    pad_to_multiple, resynthesize)
@@ -64,6 +64,29 @@ def conv_oracle(x, w, b, spec):
                                     acc += w[o, ci, ky, kx] * x[ni, ci, iy, ix]
                     out[ni, o, oy, ox] = acc
     return out
+
+
+def conv_backward_oracle(dy, x, w, spec):
+    """Direct-sum gradients of the nested-loop cross-correlation: every
+    (output pixel, weight tap) product pushed back onto dx, dw and db."""
+    n, c, h, wd = x.shape
+    oh, ow = dy.shape[2:]
+    dx, dw, db = np.zeros(x.shape), np.zeros(w.shape), np.zeros(spec.out_channels)
+    for ni in range(n):
+        for o in range(spec.out_channels):
+            for oy in range(oh):
+                for ox in range(ow):
+                    g = dy[ni, o, oy, ox]
+                    db[o] += g
+                    for ci in range(c):
+                        for ky in range(spec.kernel_h):
+                            for kx in range(spec.kernel_w):
+                                iy = oy * spec.stride_h + ky - spec.pad_h
+                                ix = ox * spec.stride_w + kx - spec.pad_w
+                                if 0 <= iy < h and 0 <= ix < wd:
+                                    dx[ni, ci, iy, ix] += w[o, ci, ky, kx] * g
+                                    dw[o, ci, ky, kx] += x[ni, ci, iy, ix] * g
+    return dx, dw, db
 
 
 def alpha_grid_oracle(target, pred, mask):
@@ -269,6 +292,13 @@ def _suite_conv_oracle():
         assert got.shape == want.shape, f"conv extents {got.shape} != {want.shape}"
         gap = np.max(np.abs(got - want))
         assert gap < 1e-10, f"conv vs nested loop oracle ({spec}): {gap:.2e}"
+        # backward at N=2: the weight and bias gradients sum over the batch
+        x2 = rng.normal((2, *x.shape[1:]))
+        dy = rng.normal((2, *want.shape[1:]))
+        grads = layers.conv_backward(dy, x2, w, spec)
+        for label, g, o in zip(("dx", "dw", "db"), grads, conv_backward_oracle(dy, x2, w, spec)):
+            gap = np.max(np.abs(g - o))
+            assert gap < 1e-10, f"conv backward {label} vs direct-sum oracle ({spec}): {gap:.2e}"
 
 
 def _suite_deconv_adjoint():
@@ -573,7 +603,10 @@ CORRUPTIBLE = tuple(_BACKWARDS)
 
 
 def _install_corruption(kind: str):
-    """Break one layer's backward by scaling its input gradient."""
+    """Break one layer's backward by scaling its input gradient.
+
+    ``network`` binds the layer functions at import, so the broken function
+    replaces both its ``layers`` and its ``network`` binding."""
     if kind not in _BACKWARDS:
         raise ValueError(f"verify: unknown corruption target {kind!r} "
                          f"(choose from {', '.join(CORRUPTIBLE)})")
@@ -584,8 +617,12 @@ def _install_corruption(kind: str):
         out = orig(*args)
         return (out[0] * 1.01, *out[1:]) if tupled else out * 1.01
 
-    setattr(layers, name, bad)
-    return lambda: setattr(layers, name, orig)
+    def install(fn):
+        for module in (layers, network):
+            setattr(module, name, fn)
+
+    install(bad)
+    return lambda: install(orig)
 
 
 def run_suite(name: str):

@@ -3,7 +3,8 @@ import pytest
 
 from intrinsics.layers import (ConvSpec, bilinear_upsample_backward,
                                bilinear_upsample_forward, concat_backward,
-                               concat_channels, conv_forward, deconv_forward,
+                               concat_channels, conv_backward, conv_forward,
+                               deconv_backward, deconv_forward,
                                dropout_forward, max_pool_backward,
                                max_pool_forward, prelu_forward)
 from intrinsics.rng import Rng
@@ -96,6 +97,29 @@ class TestDeconv:
         spec = ConvSpec(2, 3, 4, 4, stride_h=2, stride_w=2, pad_h=1, pad_w=1)
         check_all(conv_probes(Rng(300 + seed), "deconv", 1, spec, (4 + seed % 3, 5)),
                   LAYER_H)
+
+
+@pytest.mark.parametrize("n,spec,hw", [
+    (2, ConvSpec(3, 4, 3, 3, pad_h=1, pad_w=1), (8, 7)),
+    (2, ConvSpec(3, 2, 8, 8, stride_h=4, stride_w=4, pad_h=2, pad_w=2), (16, 16)),
+    (1, ConvSpec(4, 2, 1, 1), (5, 6)),
+])
+def test_float32_in_contiguous_float32_out(n, spec, hw):
+    # an upcast or a strided view would double memory or force a copy downstream
+    rng = Rng(9)
+
+    def f32(shape):
+        return rng.normal(shape).astype(np.float32)
+
+    w = f32((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
+    x = f32((n, spec.in_channels, *hw))
+    y = conv_forward(x, w, f32((spec.out_channels,)), spec)
+    outs = [y, *conv_backward(f32(y.shape), x, w, spec)]
+    z = deconv_forward(y, w, f32((spec.in_channels,)), spec)
+    outs += [z, *deconv_backward(f32(z.shape), y, w, spec)]
+    for i, out in enumerate(outs):
+        assert out.dtype == np.float32, f"output {i}: {out.dtype}"
+        assert out.flags.c_contiguous, f"output {i} is a strided view"
 
 
 class TestMaxPool:
