@@ -3,8 +3,14 @@
 Pixel values map linearly to floats in [0, 1] by dividing by the bit-depth
 maximum; no gamma handling.  The writer always emits non-interlaced,
 filter-0 scanlines; the reader understands all five standard filters so it
-can ingest files produced elsewhere.  Palette, alpha, and interlaced
-images are out of scope and rejected with a clear message.
+can ingest files produced elsewhere.  Files whose rows use only None, Sub
+and Up (everything ``write_png`` writes) are unfiltered row by row, each
+row one vectorized step.  Average and Paeth need each byte's left
+neighbour first, so a file with any such row is unfiltered as one
+anti-diagonal wavefront over the whole image: h + w - 1 numpy steps, rows
+of every filter type in the same loop.  The reader checks every chunk's
+CRC and rejects nonzero compression or filter methods.  Palette, alpha,
+and interlaced images are out of scope and rejected with a clear message.
 
 ``write_atomic`` is the one way the package writes an output file: PNGs,
 checkpoints, eval reports, loss traces and synth manifests all go through
@@ -73,48 +79,65 @@ def write_png(path, image: np.ndarray, bit_depth: int = 16) -> None:
     write_atomic(path, payload)
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
-
-
 def _unfilter(data: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     """Undo per-scanline PNG filtering; data is h rows of (1 + stride) bytes."""
     rows = data.reshape(h, 1 + stride)
+    ftypes = rows[:, 0]
+    bad = np.flatnonzero(ftypes > 4)
+    if bad.size:
+        r = int(bad[0])
+        raise ValueError(f"read_png: unknown filter type {ftypes[r]} on row {r}")
+    if np.any(ftypes >= 3):
+        return _unfilter_wavefront(rows[:, 1:], ftypes, bpp)
     out = np.zeros((h, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     for r in range(h):
-        ftype = int(rows[r, 0])
         line = rows[r, 1:].astype(np.int32)
-        if ftype == 0:
-            recon = line
-        elif ftype == 1:  # Sub: prefix sums per byte lane
+        if ftypes[r] == 1:  # Sub: prefix sums per byte lane
             recon = line.copy()
             for lane in range(bpp):
                 recon[lane::bpp] = np.cumsum(recon[lane::bpp]) & 0xFF
-        elif ftype == 2:  # Up
+        elif ftypes[r] == 2:  # Up
             recon = (line + prev) & 0xFF
-        elif ftype == 3:  # Average
-            recon = np.zeros(stride, dtype=np.int32)
-            for i in range(stride):
-                left = recon[i - bpp] if i >= bpp else 0
-                recon[i] = (line[i] + (left + int(prev[i])) // 2) & 0xFF
-        elif ftype == 4:  # Paeth
-            recon = np.zeros(stride, dtype=np.int32)
-            for i in range(stride):
-                left = recon[i - bpp] if i >= bpp else 0
-                upleft = int(prev[i - bpp]) if i >= bpp else 0
-                recon[i] = (line[i] + _paeth(int(left), int(prev[i]), upleft)) & 0xFF
         else:
-            raise ValueError(f"read_png: unknown filter type {ftype} on row {r}")
+            recon = line
         out[r] = recon.astype(np.uint8)
         prev = out[r]
     return out
+
+
+def _unfilter_wavefront(lines: np.ndarray, ftypes: np.ndarray, bpp: int) -> np.ndarray:
+    """Undo filters of all five types at once, one anti-diagonal per step.
+
+    Pixel (r, j) depends only on its left (r, j-1), up (r-1, j) and up-left
+    (r-1, j-1) neighbours, so all pixels with r + j = t are decoded together
+    once diagonals t-1 and t-2 are done: h + w - 1 steps in all.  ``skew``
+    holds pixel (r, t - r) at [t + 2, r + 1]; its zero rows 0-1 and column 0
+    are the virtual row above and column to the left, and a pixel left of
+    column 0 is never written, so left, up and up-left are slices of rows
+    t + 1 and t.  Every step computes all five predictors and keeps, per
+    row, the one its filter type selects (``pick`` is one-hot).
+    """
+    h, stride = lines.shape
+    w = stride // bpp
+    x = lines.reshape(h * w, bpp)
+    pick = (ftypes == np.arange(5)[:, None]).astype(np.int16)[:, :, None]
+    skew = np.zeros((h + w + 1, h + 1, bpp), dtype=np.int16)
+    step = max(w - 1, 1)  # pixel (r, t - r) is x[r * (w - 1) + t]
+    for t in range(h + w - 1):
+        r0, r1 = max(0, t - w + 1), min(h, t + 1)
+        a = skew[t + 1, r0 + 1:r1 + 1]
+        b = skew[t + 1, r0:r1]
+        c = skew[t, r0:r1]
+        ab = a + b
+        pa, pb, pc = np.abs(b - c), np.abs(a - c), np.abs(ab - c - c)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        k = pick[:, r0:r1]
+        pred = k[1] * a + k[2] * b + k[3] * (ab >> 1) + k[4] * paeth
+        diag = x[r0 * (w - 1) + t:(r1 - 1) * (w - 1) + t + 1:step]
+        skew[t + 2, r0 + 1:r1 + 1] = (diag + pred) & 0xFF
+    r, j = np.ogrid[:h, :w]
+    return skew[r + j + 2, r + 1].astype(np.uint8).reshape(h, stride)
 
 
 def read_png(path) -> np.ndarray:
@@ -132,8 +155,12 @@ def read_png(path) -> np.ndarray:
         (length,) = struct.unpack(">I", blob[pos:pos + 4])
         kind = blob[pos + 4:pos + 8]
         data = blob[pos + 8:pos + 8 + length]
-        if len(data) != length:
+        crc = blob[pos + 8 + length:pos + 12 + length]
+        if len(data) != length or len(crc) != 4:
             raise ValueError(f"read_png: {path} is truncated")
+        if struct.unpack(">I", crc)[0] != zlib.crc32(data, zlib.crc32(kind)):
+            raise ValueError(f"read_png: {path}: CRC mismatch in "
+                             f"{kind.decode('latin-1')} chunk")
         pos += 12 + length
         if kind == b"IHDR":
             ihdr = struct.unpack(">IIBBBBB", data)
@@ -143,7 +170,13 @@ def read_png(path) -> np.ndarray:
             break
     if ihdr is None or not idat:
         raise ValueError(f"read_png: {path} has no image data")
-    w, h, depth, color_type, _comp, _filt, interlace = ihdr
+    w, h, depth, color_type, compression, filter_method, interlace = ihdr
+    if compression:
+        raise ValueError(f"read_png: {path}: compression method {compression} "
+                         "not supported")
+    if filter_method:
+        raise ValueError(f"read_png: {path}: filter method {filter_method} "
+                         "not supported")
     if interlace:
         raise ValueError(f"read_png: {path}: interlaced PNG not supported")
     if color_type not in (0, 2):
@@ -158,10 +191,6 @@ def read_png(path) -> np.ndarray:
     if raw.size != h * (stride + 1):
         raise ValueError(f"read_png: {path}: decompressed size mismatch")
     pixels = _unfilter(raw, h, stride, bpp)
-    if depth == 8:
-        arr = pixels.reshape(h, w, channels).astype(np.float64) / 255.0
-    else:
-        arr = (pixels.reshape(h, w * channels, 2).astype(np.uint16))
-        arr = (arr[:, :, 0].astype(np.float64) * 256 + arr[:, :, 1]) / 65535.0
-        arr = arr.reshape(h, w, channels)
+    samples = pixels if depth == 8 else pixels.view(">u2")
+    arr = samples.reshape(h, w, channels).astype(np.float64) / ((1 << depth) - 1)
     return arr[:, :, 0] if channels == 1 else arr

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from intrinsics.data import (AugmentConfig, Manifest, ManifestEntry, Sample,
                              fit_alpha, generate_mit_shading, load_dataset,
                              make_synthetic_sample,
                              pad_to_multiple, parse_manifest, resynthesize)
-from intrinsics.png_io import read_png, write_png
+from intrinsics.png_io import _SIGNATURE, _chunk, read_png, write_png
 from intrinsics.rng import Rng
 from intrinsics.verify import alpha_grid_oracle
 
@@ -53,54 +56,84 @@ class TestPng:
         with pytest.raises(ValueError, match="not a PNG"):
             read_png(path)
 
-    def test_reads_all_filter_types(self, tmp_path):
-        # exercise Sub/Up/Average/Paeth by round-tripping through a writer
-        # that uses them; emulate by hand-filtering a known image
-        import struct
-        import zlib
-
-        from intrinsics.png_io import _SIGNATURE, _chunk
-
+    @pytest.mark.parametrize("case", ["mix", "average", "paeth", "1xN", "Nx1", "1x1"])
+    @pytest.mark.parametrize("depth", [8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_reads_all_filter_types(self, tmp_path, case, depth, channels):
+        # bpp 1, 2, 3 and 6; every extent decodes once per filter mix in the case
+        h, w = {"mix": (9, 6), "average": (6, 5), "paeth": (6, 5),
+                "1xN": (1, 7), "Nx1": (7, 1), "1x1": (1, 1)}[case]
         rng = Rng(2)
-        img8 = (rng.uniform((6, 5, 3)) * 255).astype(np.uint8)
-        h, w = 6, 5
-        bpp = 3
-        rows = img8.reshape(h, w * bpp).astype(np.int32)
-        filtered = []
-        prev = np.zeros(w * bpp, dtype=np.int32)
-        for r in range(h):
-            ftype = r % 5
-            line = rows[r]
-            if ftype == 0:
-                enc = line
-            elif ftype == 1:
-                left = np.concatenate([np.zeros(bpp, np.int32), line[:-bpp]])
-                enc = (line - left) & 0xFF
-            elif ftype == 2:
-                enc = (line - prev) & 0xFF
-            elif ftype == 3:
-                left = np.concatenate([np.zeros(bpp, np.int32), line[:-bpp]])
-                enc = (line - (left + prev) // 2) & 0xFF
-            else:
-                enc = np.zeros(w * bpp, dtype=np.int32)
-                for i in range(w * bpp):
-                    a = line[i - bpp] if i >= bpp else 0
-                    b = prev[i]
-                    c = prev[i - bpp] if i >= bpp else 0
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                    enc[i] = (line[i] - pred) & 0xFF
-            filtered.append(np.concatenate([[ftype], enc]).astype(np.uint8))
-            prev = line
-        raw = np.concatenate(filtered).tobytes()
-        ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-        blob = (_SIGNATURE + _chunk(b"IHDR", ihdr)
-                + _chunk(b"IDAT", zlib.compress(raw)) + _chunk(b"IEND", b""))
-        path = tmp_path / "filtered.png"
-        path.write_bytes(blob)
-        back = read_png(path)
-        assert np.array_equal(np.rint(back * 255).astype(np.uint8), img8)
+        samples = np.rint(rng.uniform((h, w, channels)) * ((1 << depth) - 1))
+        every = [np.full(h, f) for f in range(5)]
+        mix = np.concatenate([[3, 0, 4, 1, 2], (rng.uniform((h,)) * 5).astype(int)])
+        mixes = {"mix": [mix[:h]], "average": [every[3]], "paeth": [every[4]],
+                 "Nx1": [mix[:h]] + every}.get(case, every)
+        color_type = 0 if channels == 1 else 2
+        for ftypes in mixes:
+            path = tmp_path / "filtered.png"
+            path.write_bytes(png_bytes(filter_scanlines(samples, depth, ftypes),
+                                       w, h, depth, color_type))
+            back = read_png(path).reshape(h, w, channels)
+            assert np.array_equal(back, samples / ((1 << depth) - 1)), ftypes
+
+    def test_unknown_filter_type_rejected(self, tmp_path):
+        samples = np.rint(Rng(3).uniform((6, 5, 3)) * 255)
+        scanlines = filter_scanlines(samples, 8, np.array([0, 1, 2, 3, 4, 0]))
+        scanlines[2, 0] = 5
+        scanlines[4, 0] = 7
+        path = tmp_path / "bad_filter.png"
+        path.write_bytes(png_bytes(scanlines, 5, 6, 8, 2))
+        with pytest.raises(ValueError, match="unknown filter type 5 on row 2"):
+            read_png(path)
+
+    def test_chunk_crc_mismatch_rejected(self, tmp_path):
+        blob = bytearray(png_bytes(filter_scanlines(np.zeros((4, 3, 1)), 8,
+                                                    np.zeros(4, int)), 3, 4, 8, 0))
+        blob[8 + 8 + 3] ^= 0x01  # low byte of the width, in IHDR's data
+        path = tmp_path / "bad_crc.png"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError) as err:
+            read_png(path)
+        assert str(path) in str(err.value) and "CRC mismatch in IHDR" in str(err.value)
+
+    @pytest.mark.parametrize("method", ["compression", "filter"])
+    def test_nonzero_ihdr_method_rejected(self, tmp_path, method):
+        scanlines = filter_scanlines(np.zeros((4, 3, 1)), 8, np.zeros(4, int))
+        path = tmp_path / "bad_method.png"
+        path.write_bytes(png_bytes(scanlines, 3, 4, 8, 0, **{f"{method}_method": 1}))
+        with pytest.raises(ValueError) as err:
+            read_png(path)
+        assert str(path) in str(err.value) and f"{method} method 1" in str(err.value)
+
+
+def filter_scanlines(samples, depth, ftypes):
+    """PNG scanlines of integer samples (H, W, C), row r filtered by type
+    ftypes[r], each filter's predictor taken from the unfiltered image."""
+    h = samples.shape[0]
+    raw = samples.astype(">u2" if depth == 16 else np.uint8).view(np.uint8).reshape(h, -1)
+    bpp = samples.shape[2] * depth // 8
+    x = raw.astype(np.int16)
+    left = np.zeros_like(x)
+    left[:, bpp:] = x[:, :-bpp]
+    up = np.zeros_like(x)
+    up[1:] = x[:-1]
+    upleft = np.zeros_like(x)
+    upleft[1:, bpp:] = x[:-1, :-bpp]
+    p = left + up - upleft
+    pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
+    predictors = np.stack([np.zeros_like(x), left, up, (left + up) // 2, paeth])
+    filtered = (x - predictors[ftypes, np.arange(h)]) & 0xFF
+    return np.concatenate([np.asarray(ftypes)[:, None], filtered], axis=1).astype(np.uint8)
+
+
+def png_bytes(scanlines, w, h, depth, color_type, compression_method=0, filter_method=0):
+    ihdr = struct.pack(">IIBBBBB", w, h, depth, color_type, compression_method,
+                       filter_method, 0)
+    return (_SIGNATURE + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", zlib.compress(scanlines.tobytes()))
+            + _chunk(b"IEND", b""))
 
 
 class TestManifest:
