@@ -16,9 +16,9 @@ samples = [make_synthetic_sample(i, h=64, w=64) for i in range(4)]
 print(f"fixture: {len(samples)} synthetic 64x64 samples "
       "(piecewise-constant albedo x smooth shading)")
 
-net_cfg = NetworkConfig(channel_scale=1 / 16, dropout_prob=0.0,
-                        use_deconv_head=False)
-net = build_network(net_cfg, Rng(derive_seed(0, "init")))
+network_cfg = NetworkConfig(channel_scale=1 / 16, dropout_prob=0.0,
+                            use_deconv_head=False)
+net = build_network(network_cfg, Rng(derive_seed(0, "init")))
 cfg = TrainConfig(
     base_lr=0.05, momentum=0.9, batch_size=4, max_iterations=400, seed=0,
     loss=LossConfig(lam=0.5),

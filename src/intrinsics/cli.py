@@ -137,10 +137,9 @@ def cmd_train(args) -> int:
         run.train.seed = args.seed
     if run.train_manifest is None:
         raise ValueError("config: [data] train_manifest is required to train")
-    manifest = parse_manifest(run.train_manifest, split="train",
-                              mode=run.split_mode)
+    manifest = parse_manifest(run.train_manifest, mode=run.split_mode)
     if run.test_manifest:
-        test = parse_manifest(run.test_manifest, split="test", mode=run.split_mode)
+        test = parse_manifest(run.test_manifest, mode=run.split_mode)
         ensure_disjoint_split(manifest, test)
     samples = load_dataset(manifest)
     os.makedirs(run.out_dir, exist_ok=True)

@@ -64,7 +64,6 @@ class ManifestEntry:
 @dataclass
 class Manifest:
     entries: list[ManifestEntry]
-    split: str = "train"
     mode: str = "scene-split"
     base_dir: str = "."
 
@@ -76,7 +75,7 @@ class Manifest:
         return {e.scene for e in self.entries}
 
 
-def parse_manifest(path, split: str = "train", mode: str = "scene-split") -> Manifest:
+def parse_manifest(path, mode: str = "scene-split") -> Manifest:
     entries = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -93,7 +92,7 @@ def parse_manifest(path, split: str = "train", mode: str = "scene-split") -> Man
                 raise ValueError(f"{path}:{lineno}: expected 5 or 6 tab-separated "
                                  f"fields, got {len(fields)}")
             entries.append(ManifestEntry(sid, img, alb, shd, mask, scene))
-    return Manifest(entries, split=split, mode=mode,
+    return Manifest(entries, mode=mode,
                     base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -197,7 +196,7 @@ def resynthesize(albedo: np.ndarray, shading: np.ndarray) -> np.ndarray:
 
 
 def make_synthetic_sample(seed: int, h: int = 64, w: int = 64,
-                          sid: str | None = None, regions: int = 6) -> Sample:
+                          sid: str | None = None) -> Sample:
     """Synthetic training/evaluation fixture: random piecewise-constant
     albedo times a slowly varying grayscale shading, with the image
     resynthesized as their exact pointwise product.
@@ -208,7 +207,7 @@ def make_synthetic_sample(seed: int, h: int = 64, w: int = 64,
     """
     rng = Rng(derive_seed(seed, "synthetic-sample"))
     albedo = np.ones((1, 3, h, w)) * (0.3 + 0.4 * rng.uniform((1, 3, 1, 1)))
-    for _ in range(regions):
+    for _ in range(6):
         r0 = rng.integers(0, max(0, h - 8))
         c0 = rng.integers(0, max(0, w - 8))
         r1 = min(h, r0 + 4 + rng.integers(0, max(1, h // 2)))

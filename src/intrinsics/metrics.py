@@ -17,21 +17,8 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-
-@dataclass
-class LmseConfig:
-    window_fraction: float = 0.1
-    stride_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.window_fraction <= 1:
-            raise ValueError("LmseConfig: window_fraction outside (0, 1]")
-        if not 0 < self.stride_fraction <= 1:
-            raise ValueError("LmseConfig: stride_fraction outside (0, 1]")
-
-    def window_size(self, h: int, w: int) -> int:
-        return max(1, int(self.window_fraction * max(h, w) + 0.5))
+LMSE_WINDOW_FRACTION = 0.1  # of the larger image side
+LMSE_STRIDE_FRACTION = 0.5  # of a window
 
 
 def _alpha_or_zero(target, pred, mask) -> float:
@@ -54,15 +41,16 @@ def si_mse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
     return float((diff * diff).sum()) / n
 
 
-def _windows(target: np.ndarray, pred: np.ndarray, mask: np.ndarray, cfg: LmseConfig):
+def _windows(target: np.ndarray, pred: np.ndarray, mask: np.ndarray):
     """Yield the (target, pred, mask) crops of every window holding a valid
-    pixel: square windows of cfg.window_size, cfg.stride_fraction of a window
-    apart, with the last window of each row and column flush to the border."""
+    pixel: square windows of LMSE_WINDOW_FRACTION of the larger side,
+    LMSE_STRIDE_FRACTION of a window apart, with the last window of each row
+    and column flush to the border."""
     h, w = target.shape[2:]
-    k = cfg.window_size(h, w)
+    k = max(1, int(LMSE_WINDOW_FRACTION * max(h, w) + 0.5))
     if k > h or k > w:
         raise ValueError(f"lmse: window {k} exceeds image extents {h}x{w}")
-    stride = max(1, int(k * cfg.stride_fraction))
+    stride = max(1, int(k * LMSE_STRIDE_FRACTION))
 
     def starts(extent):
         out = list(range(0, extent - k + 1, stride))
@@ -75,13 +63,12 @@ def _windows(target: np.ndarray, pred: np.ndarray, mask: np.ndarray, cfg: LmseCo
                 yield target[:, :, i:i + k, j:j + k], pred[:, :, i:i + k, j:j + k], m
 
 
-def lmse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray,
-         cfg: LmseConfig = LmseConfig()) -> float:
-    """Mean of per-window si_mse over overlapping square windows sized
-    window_fraction of the larger image dimension, stride half a window."""
+def lmse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
+    """Mean of per-window si_mse over overlapping square windows sized a
+    tenth of the larger image dimension, stride half a window."""
     total = 0.0
     count = 0
-    for t, p, m in _windows(target, pred, mask, cfg):
+    for t, p, m in _windows(target, pred, mask):
         total += si_mse(t, p, m)
         count += 1
     if count == 0:
@@ -89,13 +76,13 @@ def lmse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray,
     return total / count
 
 
-def lmse_window_sums(target: np.ndarray, pred: np.ndarray, mask: np.ndarray,
-                     cfg: LmseConfig = LmseConfig()) -> tuple[float, float]:
+def lmse_window_sums(target: np.ndarray, pred: np.ndarray,
+                     mask: np.ndarray) -> tuple[float, float]:
     """Windowed squared-error sums for the reweighted total score:
     (sum of per-window aligned errors, same sums for the zero predictor)."""
     ssq = 0.0
     zero_ssq = 0.0
-    for t, p, m in _windows(target, pred, mask, cfg):
+    for t, p, m in _windows(target, pred, mask):
         a = _alpha_or_zero(t, p, m)
         diff = (t - a * p) * m
         ssq += float((diff * diff).sum())
@@ -180,8 +167,7 @@ class PredictionRecord:
 _METRIC_KEYS = ("mse_a", "mse_s", "lmse_a", "lmse_s", "dssim_a", "dssim_s")
 
 
-def evaluate_report(records, lmse_cfg: LmseConfig = LmseConfig(),
-                    include_mit_total: bool = False) -> dict:
+def evaluate_report(records, include_mit_total: bool = False) -> dict:
     """Per-sample metrics plus dataset means and albedo/shading averages.
 
     Failing samples are reported in an ``errors`` list rather than silently
@@ -201,15 +187,15 @@ def evaluate_report(records, lmse_cfg: LmseConfig = LmseConfig(),
                 "id": rec.id,
                 "mse_a": si_mse(rec.albedo_true, rec.albedo_pred, rec.mask),
                 "mse_s": si_mse(rec.shading_true, rec.shading_pred, rec.mask),
-                "lmse_a": lmse(rec.albedo_true, rec.albedo_pred, rec.mask, lmse_cfg),
-                "lmse_s": lmse(rec.shading_true, rec.shading_pred, rec.mask, lmse_cfg),
+                "lmse_a": lmse(rec.albedo_true, rec.albedo_pred, rec.mask),
+                "lmse_s": lmse(rec.shading_true, rec.shading_pred, rec.mask),
                 "dssim_a": dssim(rec.albedo_true, rec.albedo_pred),
                 "dssim_s": dssim(rec.shading_true, rec.shading_pred),
             }
             if include_mit_total:
                 totals.append(mit_total_lmse(
-                    lmse_window_sums(rec.albedo_true, rec.albedo_pred, rec.mask, lmse_cfg),
-                    lmse_window_sums(rec.shading_true, rec.shading_pred, rec.mask, lmse_cfg)))
+                    lmse_window_sums(rec.albedo_true, rec.albedo_pred, rec.mask),
+                    lmse_window_sums(rec.shading_true, rec.shading_pred, rec.mask)))
             per_sample.append(row)
         except ValueError as e:
             errors.append({"id": rec.id, "error": str(e)})

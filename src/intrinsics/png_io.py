@@ -9,7 +9,8 @@ row one vectorized step.  Average and Paeth need each byte's left
 neighbour first, so a file with any such row is unfiltered as one
 anti-diagonal wavefront over the whole image: h + w - 1 numpy steps, rows
 of every filter type in the same loop.  The reader checks every chunk's
-CRC and rejects nonzero compression or filter methods.  Palette, alpha,
+CRC and rejects a malformed IHDR, zero extents, image data that does not
+inflate, and nonzero compression or filter methods.  Palette, alpha,
 and interlaced images are out of scope and rejected with a clear message.
 
 ``write_atomic`` is the one way the package writes an output file: PNGs,
@@ -163,6 +164,9 @@ def read_png(path) -> np.ndarray:
                              f"{kind.decode('latin-1')} chunk")
         pos += 12 + length
         if kind == b"IHDR":
+            if length != 13:
+                raise ValueError(f"read_png: {path}: IHDR chunk is {length} bytes, "
+                                 "not 13")
             ihdr = struct.unpack(">IIBBBBB", data)
         elif kind == b"IDAT":
             idat.append(data)
@@ -171,6 +175,8 @@ def read_png(path) -> np.ndarray:
     if ihdr is None or not idat:
         raise ValueError(f"read_png: {path} has no image data")
     w, h, depth, color_type, compression, filter_method, interlace = ihdr
+    if w == 0 or h == 0:
+        raise ValueError(f"read_png: {path}: zero image extent {w}x{h}")
     if compression:
         raise ValueError(f"read_png: {path}: compression method {compression} "
                          "not supported")
@@ -187,7 +193,10 @@ def read_png(path) -> np.ndarray:
     channels = 1 if color_type == 0 else 3
     stride = w * channels * (depth // 8)
     bpp = channels * (depth // 8)
-    raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
+    try:
+        raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
+    except zlib.error as e:
+        raise ValueError(f"read_png: {path}: corrupt image data ({e})") from e
     if raw.size != h * (stride + 1):
         raise ValueError(f"read_png: {path}: decompressed size mismatch")
     pixels = _unfilter(raw, h, stride, bpp)

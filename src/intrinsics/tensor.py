@@ -1,4 +1,4 @@
-"""Dense 4-D tensor conventions and the finite-difference gradient checker.
+"""The guarded log and the finite-difference gradient checker.
 
 Tensors throughout the package are plain numpy ndarrays laid out as
 (N, C, H, W): batch, channel, row, column.  Tests and gradient checks run
@@ -9,55 +9,9 @@ bit-exact resume).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-AXIS = {"N": 0, "C": 1, "H": 2, "W": 3}
-
 LOG_EPS = 1e-4
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Validated (N, C, H, W) extents."""
-
-    n: int
-    c: int
-    h: int
-    w: int
-
-    def __post_init__(self):
-        for name in ("n", "c", "h", "w"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"Shape.{name} must be >= 1, got {v}")
-
-    @property
-    def size(self) -> int:
-        return self.n * self.c * self.h * self.w
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.c, self.h, self.w)
-
-
-def elementwise_map(t: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to every entry; output shape equals input shape."""
-    out = np.empty_like(t, dtype=np.float64)
-    flat_in = t.reshape(-1)
-    flat_out = out.reshape(-1)
-    for k in range(flat_in.shape[0]):
-        flat_out[k] = f(flat_in[k])
-    return out
-
-
-def reduce_sum(t: np.ndarray, axes) -> np.ndarray:
-    """Sum over a non-empty subset of {"N","C","H","W"}; reduced axes keep extent 1."""
-    if not axes:
-        raise ValueError("reduce_sum: axes must be non-empty")
-    ax = tuple(sorted(AXIS[a] for a in axes))
-    return np.sum(t, axis=ax, keepdims=True)
 
 
 def log_guarded(x: np.ndarray, eps: float = LOG_EPS) -> np.ndarray:
@@ -65,8 +19,8 @@ def log_guarded(x: np.ndarray, eps: float = LOG_EPS) -> np.ndarray:
     return np.log(np.maximum(x, eps))
 
 
-def check_gradient(f, x: np.ndarray, h: float = 1e-3, max_coords: int | None = None,
-                   coord_seed: int = 0) -> float:
+def check_gradient(f, x: np.ndarray, h: float = 1e-3,
+                   max_coords: int | None = None) -> float:
     """Compare an analytic gradient against central finite differences.
 
     ``f(x)`` must return ``(value, grad)`` where ``grad`` has x's shape.
@@ -85,7 +39,7 @@ def check_gradient(f, x: np.ndarray, h: float = 1e-3, max_coords: int | None = N
     n = x.size
     if max_coords is not None and max_coords < n:
         from .rng import Rng
-        coords = Rng(coord_seed).permutation(n)[:max_coords]
+        coords = Rng(0).permutation(n)[:max_coords]
     else:
         coords = np.arange(n)
 

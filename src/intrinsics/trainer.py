@@ -120,7 +120,7 @@ class Checkpoint:
                    tuple(rng_state), fingerprint)
 
 
-def config_fingerprint(net_cfg: NetworkConfig, train_cfg: TrainConfig) -> bytes:
+def config_fingerprint(network_cfg: NetworkConfig, train_cfg: TrainConfig) -> bytes:
     """Hash of everything that shapes the training trajectory.
 
     Run length (max_iterations, checkpoint cadence) is excluded: iterations
@@ -131,7 +131,7 @@ def config_fingerprint(net_cfg: NetworkConfig, train_cfg: TrainConfig) -> bytes:
               "augment": vars(train_cfg.augment)}
     fields.pop("max_iterations")
     fields.pop("checkpoint_every")
-    blob = json.dumps({"network": vars(net_cfg), "train": fields},
+    blob = json.dumps({"network": vars(network_cfg), "train": fields},
                       sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).digest()
 
@@ -210,8 +210,7 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(iteration, params, momentum, rng_state, fingerprint)
 
 
-def network_from_checkpoint(ck: Checkpoint, dropout_prob: float = 0.5,
-                            dtype=np.float32) -> Network:
+def network_from_checkpoint(ck: Checkpoint) -> Network:
     """Rebuild the topology recorded in a checkpoint and install its weights."""
     shapes = {name: arr.shape for name, arr in ck.params}
     try:
@@ -235,9 +234,8 @@ def network_from_checkpoint(ck: Checkpoint, dropout_prob: float = 0.5,
     if not use_hc and conv6_in != widths["c5"]:
         raise ValueError(f"checkpoint: conv6 input width {conv6_in} matches "
                          "neither plain nor hypercolumn wiring")
-    cfg = NetworkConfig(channel_scale=1.0, use_hypercolumn=use_hc,
-                        use_deconv_head=use_deconv, dropout_prob=dropout_prob)
-    net = Network(cfg, None, dtype=dtype, widths=widths)
+    cfg = NetworkConfig(use_hypercolumn=use_hc, use_deconv_head=use_deconv)
+    net = Network(cfg, None, widths=widths)
     ck.apply_to(net)
     return net
 
@@ -281,8 +279,7 @@ def _assemble_batch(samples, cfg: TrainConfig, iteration: int, multiple: int):
 
 
 def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
-               checkpoint_path=None, resume: Checkpoint | None = None,
-               net_cfg: NetworkConfig | None = None):
+               checkpoint_path=None, resume: Checkpoint | None = None):
     """Run SGD training; returns (final Checkpoint, [(iteration, loss), ...]).
 
     ``checkpoint_path`` is a callable iteration -> path (or None to skip
@@ -291,7 +288,7 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     """
     if not samples:
         raise ValueError("train_loop: dataset is empty")
-    fingerprint = config_fingerprint(net_cfg or net.cfg, cfg)
+    fingerprint = config_fingerprint(net.cfg, cfg)
     start = 0
     if resume is not None:
         if resume.fingerprint != fingerprint:

@@ -101,11 +101,12 @@ def alpha_grid_oracle(target, pred, mask):
     return float(grid[best]), float(losses[best])
 
 
-def lmse_oracle(target, pred, mask, window_fraction=0.1):
-    """Window enumeration from scratch: flush-fit placement, per-window
-    least-squares alpha, mean over windows holding a valid pixel."""
+def lmse_oracle(target, pred, mask):
+    """Window enumeration from scratch: windows a tenth of the larger side,
+    half a window apart, flush-fit placement, per-window least-squares
+    alpha, mean over windows holding a valid pixel."""
     h, w = target.shape[2:]
-    k = max(1, int(window_fraction * max(h, w) + 0.5))
+    k = max(1, int(0.1 * max(h, w) + 0.5))
     stride = max(1, k // 2)
 
     def starts(extent):

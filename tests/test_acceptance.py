@@ -129,9 +129,9 @@ class TestCriterion7TrainingSanity:
         t0 = time.perf_counter()
         failures = []
         samples = [make_synthetic_sample(i, h=64, w=64) for i in range(4)]
-        net_cfg = NetworkConfig(channel_scale=1 / 16, dropout_prob=0.0,
-                                use_deconv_head=False)
-        net = build_network(net_cfg, Rng(derive_seed(0, "init")))
+        network_cfg = NetworkConfig(channel_scale=1 / 16, dropout_prob=0.0,
+                                    use_deconv_head=False)
+        net = build_network(network_cfg, Rng(derive_seed(0, "init")))
         cfg = TrainConfig(
             base_lr=0.05, momentum=0.9, batch_size=4, max_iterations=800,
             seed=0, loss=LossConfig(lam=0.5),

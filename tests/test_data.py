@@ -106,6 +106,26 @@ class TestPng:
             read_png(path)
         assert str(path) in str(err.value) and f"{method} method 1" in str(err.value)
 
+    @pytest.mark.parametrize("case", ["short_ihdr", "zero_width", "zero_height", "not_zlib"])
+    def test_malformed_file_rejected(self, tmp_path, case):
+        good = png_bytes(np.zeros((2, 3), np.uint8), 2, 2, 8, 0)  # IHDR data at [16:29]
+        blob, cause = {
+            "short_ihdr": (_SIGNATURE + _chunk(b"IHDR", good[16:28]) + good[33:],
+                           "IHDR chunk is 12 bytes"),
+            "zero_width": (png_bytes(np.zeros((2, 1), np.uint8), 0, 2, 8, 0),
+                           "zero image extent 0x2"),
+            "zero_height": (png_bytes(np.zeros((0, 3), np.uint8), 2, 0, 8, 0),
+                            "zero image extent 2x0"),
+            "not_zlib": (good[:33] + _chunk(b"IDAT", b"not zlib") + _chunk(b"IEND", b""),
+                         "corrupt image data"),
+        }[case]
+        path = tmp_path / "malformed.png"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as err:
+            read_png(path)
+        msg = str(err.value)
+        assert str(path) in msg and cause in msg and "\n" not in msg
+
 
 def filter_scanlines(samples, depth, ftypes):
     """PNG scanlines of integer samples (H, W, C), row r filtered by type
@@ -157,8 +177,8 @@ class TestManifest:
     def test_scene_split_overlap_rejected(self):
         e1 = ManifestEntry("a", "i", "a", "s", None, "sceneX")
         e2 = ManifestEntry("b", "i", "a", "s", None, "sceneX")
-        train = Manifest([e1], split="train", mode="scene-split")
-        test = Manifest([e2], split="test", mode="scene-split")
+        train = Manifest([e1], mode="scene-split")
+        test = Manifest([e2], mode="scene-split")
         with pytest.raises(ValueError, match="sceneX"):
             ensure_disjoint_split(train, test)
 
@@ -166,7 +186,7 @@ class TestManifest:
         e1 = ManifestEntry("a", "i", "a", "s", None, "sceneX")
         e2 = ManifestEntry("b", "i", "a", "s", None, "sceneX")
         ensure_disjoint_split(Manifest([e1], mode="image-split"),
-                              Manifest([e2], split="test", mode="image-split"))
+                              Manifest([e2], mode="image-split"))
 
 
 class TestLoading:

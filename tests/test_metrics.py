@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from intrinsics.metrics import (LmseConfig, PredictionRecord, dssim,
-                                evaluate_report, lmse, lmse_window_sums,
-                                mit_total_lmse, si_mse, ssim_map)
+from intrinsics.metrics import (PredictionRecord, dssim, evaluate_report,
+                                lmse, lmse_window_sums, mit_total_lmse,
+                                si_mse, ssim_map)
 from intrinsics.rng import Rng
 from intrinsics.verify import alpha_grid_oracle, lmse_oracle, ssim_oracle
 
@@ -73,9 +73,9 @@ class TestLmse:
 
     def test_window_too_large_rejected(self):
         # window sized off the larger dimension exceeds the smaller one
-        t = np.ones((1, 3, 5, 3))
-        with pytest.raises(ValueError, match="window"):
-            lmse(t, t, full_mask(t.shape), LmseConfig(window_fraction=1.0))
+        t = np.ones((1, 3, 5, 100))
+        with pytest.raises(ValueError, match="window 10 exceeds image extents 5x100"):
+            lmse(t, t, full_mask(t.shape))
 
 
 class TestMitTotal:
