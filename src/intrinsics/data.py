@@ -274,6 +274,9 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
     crop column offset, mirror flip (only when mirror_prob > 0).  The three
     images sample bilinearly, the mask by nearest neighbor; output pixels
     whose source coordinate falls outside the image are marked invalid.
+    Without rotate/zoom every source coordinate is an integer, where the
+    bilinear weights are exactly 0 and 1, so the crop is a slice.  Every
+    returned map is a fresh float64 array.
     """
     h, w = sample.image.shape[2:]
     if cfg.enable_rotate_zoom:
@@ -291,6 +294,12 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
     off_r = rng.integers(0, zh - cfg.crop_h)
     off_c = rng.integers(0, zw - cfg.crop_w)
     flip = cfg.mirror_prob > 0 and rng.uniform() < cfg.mirror_prob
+    if not cfg.enable_rotate_zoom:
+        def crop(t):
+            t = t[:, :, off_r:off_r + cfg.crop_h, off_c:off_c + cfg.crop_w]
+            return np.array(t[..., ::-1] if flip else t, dtype=np.float64, order="C")
+        return Sample(sample.id, crop(sample.image), crop(sample.albedo),
+                      crop(sample.shading), crop(sample.mask))
 
     rr, cc = np.meshgrid(np.arange(cfg.crop_h, dtype=np.float64),
                          np.arange(cfg.crop_w, dtype=np.float64), indexing="ij")

@@ -5,7 +5,9 @@ deconvolution is its exact transpose, so the pair satisfies the adjoint
 identity <conv(x, w), y> = <x, deconv(y, w)> for any weight tensor.
 Max pooling uses ceil-mode output extents with windows clipped to the
 input, which is what makes a stack of stride-2 pools halve extents exactly
-without pool padding.
+without pool padding.  Its forward keeps a running maximum over strided
+views and returns the output only; the backward rebuilds which tap of each
+window won from the pool's input and output.
 """
 
 from __future__ import annotations
@@ -128,10 +130,13 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return y
 
 
-def conv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec):
-    """Gradients of conv_forward w.r.t. input, weights, and bias."""
+def conv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec,
+                  input_grad: bool = True):
+    """Gradients of conv_forward w.r.t. input, weights, and bias; the input
+    gradient is None with ``input_grad=False``, which skips its GEMM."""
     db = dy.reshape(x.shape[0], spec.out_channels, -1).sum(axis=(0, 2))
-    return _input_grad(dy, w, spec, x.shape), _weight_grad(dy, x, spec, w.shape), db
+    dx = _input_grad(dy, w, spec, x.shape) if input_grad else None
+    return dx, _weight_grad(dy, x, spec, w.shape), db
 
 
 def deconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -156,42 +161,77 @@ def deconv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec
     return dx, _weight_grad(x, dy, spec, w.shape), dy.sum(axis=(0, 2, 3))
 
 
-def max_pool_forward(x: np.ndarray, kernel: int, stride: int):
-    """Ceil-mode max pooling; returns (output, argmax flat indices into x).
+def _pool_taps(xp: np.ndarray, kernel: int, stride: int, oh: int, ow: int):
+    """Strided views of the padded input, one per window tap in row-major
+    order: view (i, j) holds tap (i, j) of every window."""
+    for i in range(kernel):
+        for j in range(kernel):
+            yield xp[:, :, i:i + stride * (oh - 1) + 1:stride,
+                     j:j + stride * (ow - 1) + 1:stride]
 
-    Output extent is ceil((in - kernel)/stride) + 1; trailing windows are
-    clipped to the input. Ties break toward the lowest flat index.
-    """
+
+def _pool_pad(x: np.ndarray, kernel: int, stride: int):
+    """(x padded right/bottom with -inf to whole windows, oh, ow)."""
     if kernel < 1 or stride < 1:
         raise ValueError("max_pool: kernel and stride must be >= 1")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     oh = -(-(h - kernel) // stride) + 1
     ow = -(-(w - kernel) // stride) + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"max_pool: window {kernel} does not overlap input {h}x{w}")
-    # pad right/bottom with -inf so clipped windows never select a pad cell
+    # -inf padding: a clipped window never selects a pad cell
     hp = (oh - 1) * stride + kernel
     wp = (ow - 1) * stride + kernel
     xp = np.pad(x, ((0, 0), (0, 0), (0, hp - h), (0, wp - w)),
                 constant_values=-np.inf)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :].reshape(n, c, oh, ow, kernel * kernel)
-    arg = win.argmax(axis=4)
-    out = np.take_along_axis(win, arg[..., None], axis=4)[..., 0]
-    # window-local argmax -> absolute flat index into the unpadded input
-    rows = (np.arange(oh) * stride)[None, None, :, None] + arg // kernel
-    colz = (np.arange(ow) * stride)[None, None, None, :] + arg % kernel
-    flat = rows * w + colz
-    return np.ascontiguousarray(out), flat
+    return xp, oh, ow
 
 
-def max_pool_backward(dy: np.ndarray, argmax_flat: np.ndarray, x_shape) -> np.ndarray:
-    n, c, h, w = x_shape
-    dx = np.zeros((n, c, h * w), dtype=dy.dtype)
-    idx = argmax_flat.reshape(n, c, -1)
-    np.add.at(dx, (np.arange(n)[:, None, None], np.arange(c)[None, :, None], idx),
-              dy.reshape(n, c, -1))
-    return dx.reshape(x_shape)
+def max_pool_forward(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Ceil-mode max pooling; returns the output only.
+
+    Output extent is ceil((in - kernel)/stride) + 1; trailing windows are
+    clipped to the input.  The output is a running maximum over the
+    window taps; max_pool_backward rebuilds which tap won.
+    """
+    xp, oh, ow = _pool_pad(x, kernel, stride)
+    taps = _pool_taps(xp, kernel, stride, oh, ow)
+    out = np.array(next(taps))
+    for view in taps:
+        # numpy's maximum returns its second operand on a tie, so the
+        # earlier tap keeps its value (and the sign of a zero)
+        np.maximum(view, out, out=out)
+    return out
+
+
+def max_pool_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray,
+                      kernel: int, stride: int) -> np.ndarray:
+    """Route each window's dy to the tap that max_pool_forward(x) = y took.
+
+    Ties break toward the first tap in row-major order, i.e. the lowest
+    flat index; a window holding NaN routes to its first NaN.  Taps are
+    added in reverse order, so each input cell sums its windows in
+    row-major output order.
+    """
+    h, w = x.shape[2:]
+    xp, oh, ow = _pool_pad(x, kernel, stride)
+    y_nan = np.isnan(y) if np.isnan(y).any() else None
+    free = np.ones(y.shape, dtype=bool)
+    hits = []
+    for view in _pool_taps(xp, kernel, stride, oh, ow):
+        hit = view == y
+        if y_nan is not None:
+            hit |= np.isnan(view) & y_nan
+        hit &= free
+        free ^= hit
+        hits.append(hit)
+    # dy * 0 is NaN where dy is not finite, so such a dy is masked instead
+    finite = np.isfinite(dy).all()
+    dxp = np.zeros(xp.shape, dtype=dy.dtype)
+    for view, hit in zip(reversed(list(_pool_taps(dxp, kernel, stride, oh, ow))),
+                         reversed(hits)):
+        view += dy * hit if finite else np.where(hit, dy, 0)
+    return np.ascontiguousarray(dxp[:, :, :h, :w])
 
 
 @lru_cache(maxsize=256)

@@ -191,8 +191,11 @@ class Network:
         spec, xv = self.specs[name], x.value
         y = (deconv_forward if deconv else conv_forward)(xv, w.value, b.value, spec)
 
-        def backward(dy):
-            dx, dw, db = (deconv_backward if deconv else conv_backward)(dy, xv, w.value, spec)
+        def backward(dy, input_grad=True):
+            if deconv:
+                dx, dw, db = deconv_backward(dy, xv, w.value, spec)
+            else:
+                dx, dw, db = conv_backward(dy, xv, w.value, spec, input_grad=input_grad)
             w.grad += dw
             b.grad += db
             return (dx,)
@@ -213,9 +216,9 @@ class Network:
 
     @staticmethod
     def _pool(x, kernel, stride):
-        y, idx = max_pool_forward(x.value, kernel, stride)
-        shape = x.value.shape
-        return _record(y, lambda dy: (max_pool_backward(dy, idx, shape),), x)
+        xv = x.value
+        y = max_pool_forward(xv, kernel, stride)
+        return _record(y, lambda dy: (max_pool_backward(dy, xv, y, kernel, stride),), x)
 
     @staticmethod
     def _upsample(x, factor):
@@ -292,8 +295,10 @@ class Network:
             self._tape = tape
         return outs[0].value, outs[1].value
 
-    def backward(self, d_log_albedo: np.ndarray, d_log_shading: np.ndarray):
-        """Accumulate parameter gradients; returns the input-image gradient.
+    def backward(self, d_log_albedo: np.ndarray, d_log_shading: np.ndarray,
+                 image_grad: bool = True):
+        """Accumulate parameter gradients; returns the input-image gradient,
+        or None with ``image_grad=False``, which skips computing it.
 
         Replays the tape of the last ``forward(keep_cache=True)`` in reverse
         and consumes it, freeing each step's activations as it goes.  A
@@ -305,8 +310,12 @@ class Network:
         grads = [None] * (len(tape) - 1) + [(d_log_albedo, d_log_shading)]
         while len(tape) > 1:
             step, inputs = tape.pop()
-            for slot, g in zip(inputs, step(grads.pop())):
-                grads[slot] = g if grads[slot] is None else grads[slot] + g
+            dy = grads.pop()
+            # the image (slot 0) feeds convs only, which can decline its gradient
+            outs = step(dy) if image_grad or inputs != (0,) else step(dy, input_grad=False)
+            for slot, g in zip(inputs, outs):
+                if g is not None:
+                    grads[slot] = g if grads[slot] is None else grads[slot] + g
         return grads[0]
 
 

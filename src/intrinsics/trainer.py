@@ -318,7 +318,7 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
             raise ValueError(f"train_loop: non-finite loss at iteration {it} "
                              f"(batch samples: {', '.join(ids)})")
         net.zero_grads()
-        net.backward(d_la, d_ls)
+        net.backward(d_la, d_ls, image_grad=False)
         sgd_momentum_step(net.params, cfg, it)
         trace.append((it, float(loss)))
         done = it + 1

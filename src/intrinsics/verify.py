@@ -5,8 +5,9 @@ the acceptance gate and the CLI both run them from here.  ``run_all``
 executes the suites and returns (name, passed, detail) rows; the CLI turns
 those into a pass/fail listing and exit status.  Each suite re-derives its
 expected values from an independent oracle (nested-loop convolution and
-its direct-sum gradients, grid-search alpha, window enumeration, direct-sum
-SSIM) rather than trusting the implementation under test.
+its direct-sum gradients, per-window max pooling, grid-search alpha,
+window enumeration, direct-sum SSIM) rather than trusting the
+implementation under test.
 
 ``corrupt`` deliberately breaks one layer's backward pass for the duration
 of the run; it exists so the meta-test "a broken backward is caught and
@@ -21,8 +22,8 @@ import time
 import numpy as np
 
 from . import layers, network
-from .data import (AugmentConfig, augment, crop_to, fit_alpha,
-                   generate_mit_shading, make_synthetic_sample,
+from .data import (AugmentConfig, _bilinear_gather, augment, crop_to,
+                   fit_alpha, generate_mit_shading, make_synthetic_sample,
                    pad_to_multiple, resynthesize)
 from .layers import ConvSpec
 from .losses import LossConfig, gradient_loss, sil2_loss, total_loss
@@ -87,6 +88,28 @@ def conv_backward_oracle(dy, x, w, spec):
                                     dx[ni, ci, iy, ix] += w[o, ci, ky, kx] * g
                                     dw[o, ci, ky, kx] += x[ni, ci, iy, ix] * g
     return dx, dw, db
+
+
+def max_pool_oracle(x, dy, kernel, stride):
+    """Window by window: each clipped window's maximum, and dy scattered
+    with np.add.at onto the flat index of the window's first maximum (its
+    first NaN, if it holds one), in row-major output order."""
+    n, c, h, w = x.shape
+    oh = -(-(h - kernel) // stride) + 1
+    ow = -(-(w - kernel) // stride) + 1
+    y = np.empty((n, c, oh, ow), dtype=x.dtype)
+    flat = np.empty((n, c, oh, ow), dtype=np.intp)
+    for i in range(oh):
+        for j in range(ow):
+            win = x[:, :, i * stride:i * stride + kernel, j * stride:j * stride + kernel]
+            kw = win.shape[3]
+            arg = win.reshape(n, c, -1).argmax(axis=2)
+            y[:, :, i, j] = np.take_along_axis(win.reshape(n, c, -1), arg[..., None], 2)[..., 0]
+            flat[:, :, i, j] = (i * stride + arg // kw) * w + j * stride + arg % kw
+    dx = np.zeros((n, c, h * w), dtype=dy.dtype)
+    np.add.at(dx, (np.arange(n)[:, None, None], np.arange(c)[None, :, None],
+                   flat.reshape(n, c, -1)), dy.reshape(n, c, -1))
+    return y, dx.reshape(x.shape)
 
 
 def alpha_grid_oracle(target, pred, mask):
@@ -208,11 +231,11 @@ def conv_probes(rng, kind, n, spec, hw):
 def pool_probe(rng, hw):
     # distinct values 10h apart: no finite-difference step moves an argmax
     x = (rng.permutation(2 * hw[0] * hw[1]) * 10 * LAYER_H).reshape(1, 2, *hw)
-    y, idx = layers.max_pool_forward(x, 3, 2)
+    y = layers.max_pool_forward(x, 3, 2)
     dy = rng.normal(y.shape)
     return _probe(f"max_pool backward (3x3 stride 2, {hw[0]}x{hw[1]})", x, dy,
-                  lambda v: layers.max_pool_forward(v, 3, 2)[0],
-                  layers.max_pool_backward(dy, idx, x.shape))
+                  lambda v: layers.max_pool_forward(v, 3, 2),
+                  layers.max_pool_backward(dy, x, y, 3, 2))
 
 
 def bilinear_probe(rng, factor, hw):
@@ -300,6 +323,27 @@ def _suite_conv_oracle():
         for label, g, o in zip(("dx", "dw", "db"), grads, conv_backward_oracle(dy, x2, w, spec)):
             gap = np.max(np.abs(g - o))
             assert gap < 1e-10, f"conv backward {label} vs direct-sum oracle ({spec}): {gap:.2e}"
+
+
+def _suite_max_pool_oracle():
+    rng = Rng(18)
+    # 3x3/2 windows overlap, 2x2/2 tile; odd extents clip the last window
+    for kernel, stride, hw in ((3, 2, (8, 8)), (3, 2, (7, 9)), (3, 2, (13, 6)),
+                               (2, 2, (6, 8)), (2, 2, (7, 5)), (3, 2, (2, 2))):
+        for dtype in (np.float32, np.float64):
+            shape = (2, 3, *hw)
+            # real values, then small integers: most windows hold ties
+            for x in (rng.normal(shape), np.floor(rng.uniform(shape) * 3)):
+                x = x.astype(dtype)
+                y = layers.max_pool_forward(x, kernel, stride)
+                dy = rng.normal(y.shape).astype(dtype)
+                dx = layers.max_pool_backward(dy, x, y, kernel, stride)
+                want_y, want_dx = max_pool_oracle(x, dy, kernel, stride)
+                tag = f"{kernel}x{kernel}/{stride} {hw[0]}x{hw[1]} {np.dtype(dtype).name}"
+                assert y.dtype == dtype and np.array_equal(y, want_y), \
+                    f"max_pool forward vs window oracle ({tag})"
+                assert dx.dtype == dtype and np.array_equal(dx, want_dx), \
+                    f"max_pool backward vs first-max add.at oracle ({tag})"
 
 
 def _suite_deconv_adjoint():
@@ -444,6 +488,22 @@ def _suite_data_synthesis():
             assert gap < 2.0 / 65535.0, f"png round-trip identity: {gap:.2e}"
 
 
+def crop_oracle(sample, cfg, rng):
+    """augment's crop and mirror without rotate/zoom, through the bilinear
+    gather on the integer grid: same draws, same maps.  Returns the
+    offsets and the (image, albedo, shading, mask) maps."""
+    h, w = sample.image.shape[2:]
+    off_r = rng.integers(0, h - cfg.crop_h)
+    off_c = rng.integers(0, w - cfg.crop_w)
+    flip = cfg.mirror_prob > 0 and rng.uniform() < cfg.mirror_prob
+    cols = np.arange(cfg.crop_w, dtype=np.float64)
+    sy, sx = np.meshgrid(np.arange(cfg.crop_h, dtype=np.float64) + off_r,
+                         (cols[::-1] if flip else cols) + off_c, indexing="ij")
+    maps = [_bilinear_gather(t, sy, sx) for t in
+            (sample.image, sample.albedo, sample.shading, sample.mask)]
+    return (off_r, off_c), maps
+
+
 def _suite_augmentation():
     # piecewise-constant albedo x slow shading: per-cell interpolation
     # cross-terms stay inside the bilinear tolerance
@@ -454,6 +514,25 @@ def _suite_augmentation():
         out = augment(s, cfg, Rng(seed))
         gap = (np.abs(out.image - out.albedo * out.shading) * out.mask).max()
         assert gap < 1e-3, f"augment intrinsic identity: {gap:.2e}"
+    # without rotate/zoom the crop is a slice; it must equal the gather
+    offsets = set()
+    for crop in ((47, 46), (48, 48)):
+        for mirror in (0.0, 0.5, 1.0):
+            cfg = AugmentConfig(crop_h=crop[0], crop_w=crop[1], mirror_prob=mirror)
+            for seed in range(10):
+                s = make_synthetic_sample(seed, h=48, w=48)
+                s.mask = (Rng(seed).uniform(s.mask.shape) > 0.2).astype(np.float64)
+                out = augment(s, cfg, Rng(seed))
+                offs, want = crop_oracle(s, cfg, Rng(seed))
+                offsets |= {(crop, 0, offs[0]), (crop, 1, offs[1])}
+                for name, w in zip(("image", "albedo", "shading", "mask"), want):
+                    got = getattr(out, name)
+                    assert got.dtype == w.dtype and np.array_equal(got, w), \
+                        f"augment crop {name} vs gather (crop {crop}, mirror {mirror})"
+    for crop in ((47, 46), (48, 48)):
+        for axis in (0, 1):
+            for off in (0, 48 - crop[axis]):
+                assert (crop, axis, off) in offsets, f"crop {crop}: offset {off} not drawn"
     t = Rng(9).uniform((1, 3, 70, 65))
     padded, extents = pad_to_multiple(t, 32)
     assert padded.shape == (1, 3, 96, 96)
@@ -576,6 +655,7 @@ SUITES = [
     ("layer-gradients", _suite_layer_gradients),
     ("loss-gradients", _suite_loss_gradients),
     ("conv-oracle", _suite_conv_oracle),
+    ("max-pool-oracle", _suite_max_pool_oracle),
     ("deconv-adjoint", _suite_deconv_adjoint),
     ("loss-algebra", _suite_loss_algebra),
     ("alpha-grid-oracle", _suite_alpha_grid),
@@ -614,9 +694,11 @@ def _install_corruption(kind: str):
     name, tupled = _BACKWARDS[kind]
     orig = getattr(layers, name)
 
-    def bad(*args):
-        out = orig(*args)
-        return (out[0] * 1.01, *out[1:]) if tupled else out * 1.01
+    def bad(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        if not tupled:
+            return out * 1.01
+        return (None if out[0] is None else out[0] * 1.01, *out[1:])
 
     def install(fn):
         for module in (layers, network):

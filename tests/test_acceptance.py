@@ -32,8 +32,8 @@ CRITERIA = {
     3: ("loss algebra (offset invariance, MSE reduction, composition, masking)",
         ("loss-algebra",)),
     4: ("implementation vs independent oracles "
-        "(conv, adjoint, alpha grid, lmse windows, ssim)",
-        ("conv-oracle", "deconv-adjoint", "alpha-grid-oracle",
+        "(conv, adjoint, max pool, alpha grid, lmse windows, ssim)",
+        ("conv-oracle", "deconv-adjoint", "max-pool-oracle", "alpha-grid-oracle",
          "lmse-window-oracle", "dssim-oracle")),
     5: ("resynthesis identity (memory + 16-bit PNG), shading generation on "
         "exact factorizations, augmentation identity",

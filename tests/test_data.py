@@ -367,6 +367,23 @@ class TestAugment:
             gap = np.abs(out.image - out.albedo * out.shading) * out.mask
             assert gap.max() < 1e-3
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mirror", [0.0, 1.0])
+    def test_crop_returns_fresh_contiguous_float64(self, mirror, dtype):
+        # a full-size crop: unflipped, a slice of it is the whole sample
+        s = make_sample(seed=16)
+        s = Sample(s.id, *(t.astype(dtype) for t in
+                           (s.image, s.albedo, s.shading, s.mask)))
+        before = [t.copy() for t in (s.image, s.albedo, s.shading, s.mask)]
+        cfg = AugmentConfig(crop_h=24, crop_w=32, mirror_prob=mirror,
+                            enable_rotate_zoom=False)
+        out = augment(s, cfg, Rng(4))
+        for t in (out.image, out.albedo, out.shading, out.mask):
+            assert t.dtype == np.float64 and t.flags.c_contiguous
+            t[...] = -1.0
+        for t, b in zip((s.image, s.albedo, s.shading, s.mask), before):
+            assert np.array_equal(t, b)
+
     def test_impossible_crop_rejected(self):
         s = make_sample(seed=17, h=16, w=16)
         cfg = AugmentConfig(crop_h=32, crop_w=32, enable_rotate_zoom=False)

@@ -10,7 +10,8 @@ from intrinsics.layers import (ConvSpec, bilinear_upsample_backward,
 from intrinsics.rng import Rng
 from intrinsics.verify import (LAYER_H, bilinear_probe, check_all,
                                concat_probe, conv_oracle, conv_probes,
-                               dropout_probe, pool_probe, prelu_probes)
+                               dropout_probe, max_pool_oracle, pool_probe,
+                               prelu_probes)
 
 
 class TestConv:
@@ -125,29 +126,34 @@ def test_float32_in_contiguous_float32_out(n, spec, hw):
 class TestMaxPool:
     def test_constant_routes_to_first(self):
         x = np.ones((1, 1, 4, 4))
-        out, idx = max_pool_forward(x, 2, 2)
+        out = max_pool_forward(x, 2, 2)
         assert np.all(out == 1.0)
         dy = np.ones_like(out)
-        dx = max_pool_backward(dy, idx, x.shape)
+        dx = max_pool_backward(dy, x, out, 2, 2)
         want = np.zeros((4, 4))
         want[0, 0] = want[0, 2] = want[2, 0] = want[2, 2] = 1.0
         assert np.array_equal(dx[0, 0], want)
 
+    def test_tie_keeps_first_tap_value(self):
+        x = np.array([[-0.0, 0.0, 0.0, -0.0]]).reshape(1, 1, 1, 4)
+        out = max_pool_forward(x, 2, 2)
+        assert np.array_equal(np.signbit(out.ravel()), [True, False])
+
     def test_window_example(self):
         x = np.array([[1.0, 3.0], [2.0, 0.0]]).reshape(1, 1, 2, 2)
-        out, idx = max_pool_forward(x, 2, 2)
+        out = max_pool_forward(x, 2, 2)
         assert out.ravel()[0] == 3.0
-        dx = max_pool_backward(np.ones_like(out), idx, x.shape)
+        dx = max_pool_backward(np.ones_like(out), x, out, 2, 2)
         assert np.array_equal(dx[0, 0], np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_ceil_mode_extents(self):
         # clipped trailing window: 16 -> 8 for a 3x3 stride-2 pool
         x = Rng(9).normal((1, 1, 16, 16))
-        out, _ = max_pool_forward(x, 3, 2)
+        out = max_pool_forward(x, 3, 2)
         assert out.shape == (1, 1, 8, 8)
         # window bigger than the input still works while it overlaps
         x = Rng(9).normal((1, 1, 2, 2))
-        out, _ = max_pool_forward(x, 3, 2)
+        out = max_pool_forward(x, 3, 2)
         assert out.shape == (1, 1, 1, 1)
         assert out.ravel()[0] == x.max()
         # but a window that cannot overlap the input is rejected
@@ -156,13 +162,40 @@ class TestMaxPool:
 
     def test_oracle_small(self):
         x = Rng(10).normal((2, 2, 6, 7))
-        out, _ = max_pool_forward(x, 2, 2)
+        out = max_pool_forward(x, 2, 2)
         for n in range(2):
             for c in range(2):
                 for i in range(out.shape[2]):
                     for j in range(out.shape[3]):
                         win = x[n, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
                         assert out[n, c, i, j] == win.max()
+
+    def test_nan_window_routes_to_first_nan(self):
+        # 2x2 windows over one row pair: [1, nan | nan, 5 | 2, 0] / [nan, 9 | 3, nan | 1, 4]
+        x = np.array([[1.0, np.nan, np.nan, 5.0, 2.0, 0.0],
+                      [np.nan, 9.0, 3.0, np.nan, 1.0, 4.0]]).reshape(1, 1, 2, 6)
+        out = max_pool_forward(x, 2, 2)
+        assert np.isnan(out[0, 0, 0, :2]).all() and out[0, 0, 0, 2] == 4.0
+        dx = max_pool_backward(np.array([[[[1.0, 2.0, 3.0]]]]), x, out, 2, 2)
+        want = np.zeros((2, 6))
+        want[0, 1], want[0, 2], want[1, 5] = 1.0, 2.0, 3.0
+        assert np.array_equal(dx[0, 0], want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_matches_oracle(self, dtype):
+        x = np.floor(Rng(12).uniform((2, 3, 9, 8)) * 3).astype(dtype)
+        x[Rng(13).uniform(x.shape) < 0.1] = np.nan
+        out = max_pool_forward(x, 3, 2)
+        dy = Rng(14).normal(out.shape).astype(dtype)
+        want_y, want_dx = max_pool_oracle(x, dy, 3, 2)
+        assert np.isnan(want_y).any()
+        assert np.array_equal(out, want_y, equal_nan=True)
+        assert np.array_equal(max_pool_backward(dy, x, out, 3, 2), want_dx)
+        # a non-finite dy reaches only the cell its window routes to
+        dy[0, 0, 0, 0], dy[1, 2, 1, 1] = np.inf, np.nan
+        _, want_dx = max_pool_oracle(x, dy, 3, 2)
+        assert np.array_equal(max_pool_backward(dy, x, out, 3, 2), want_dx,
+                              equal_nan=True)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_away_from_ties(self, seed):

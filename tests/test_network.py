@@ -151,6 +151,24 @@ class TestBackward:
         for n, p in net.params.items():
             assert np.allclose(twice[n], p.grad, rtol=1e-10, atol=1e-12), n
 
+    @pytest.mark.parametrize("hc", [False, True])
+    @pytest.mark.parametrize("deconv", [False, True])
+    def test_declining_image_grad_changes_nothing_else(self, hc, deconv):
+        net = tiny_net(seed=9, dtype=np.float32, use_hypercolumn=hc,
+                       use_deconv_head=deconv, dropout_prob=0.5)
+        x = Rng(10).uniform((2, 3, 32, 32))
+        da = Rng(11).normal((2, 3, 32, 32))
+        ds = Rng(12).normal((2, 3, 32, 32))
+        grads = []
+        for image_grad in (True, False):
+            net.zero_grads()
+            net.forward(x, train_mode=True, rng=Rng(13), keep_cache=True)
+            di = net.backward(da, ds, image_grad=image_grad)
+            assert (di is None) == (not image_grad)
+            grads.append({n: p.grad.copy() for n, p in net.params.items()})
+        for n, g in grads[0].items():
+            assert g.tobytes() == grads[1][n].tobytes(), n
+
 
 @pytest.mark.slow
 class TestWholeNetworkGradient:
