@@ -110,12 +110,18 @@ def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
 
 
 def _blur_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable 'valid' filtering of (N,C,H,W) along H then W."""
+    """Separable 'valid' filtering of (N,C,H,W) along H then W: one
+    multiply-add of a shifted view per tap, with no window copies."""
     k = kernel.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
-    x = np.tensordot(win, kernel, axes=([4], [0]))
-    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=3)
-    return np.tensordot(win, kernel, axes=([4], [0]))
+    h = x.shape[2] - k + 1
+    y = x[:, :, :h] * kernel[0]
+    for i in range(1, k):
+        y += x[:, :, i:i + h] * kernel[i]
+    w = x.shape[3] - k + 1
+    out = y[..., :w] * kernel[0]
+    for j in range(1, k):
+        out += y[..., j:j + w] * kernel[j]
+    return out
 
 
 def ssim_map(target: np.ndarray, pred: np.ndarray) -> np.ndarray:

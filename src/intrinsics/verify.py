@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import tempfile
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -298,6 +299,19 @@ def _suite_layer_gradients():
 
 # -- oracles and invariants ------------------------------------------------------
 
+@contextmanager
+def _block_budget(nbytes):
+    """Run with the conv column blocks capped at nbytes.  The oracle cases
+    fit in one block at the default budget, so each runs again at 1 byte,
+    which forces one output row or one channel per block."""
+    saved = layers._BLOCK_BYTES
+    layers._BLOCK_BYTES = nbytes
+    try:
+        yield
+    finally:
+        layers._BLOCK_BYTES = saved
+
+
 def _suite_conv_oracle():
     rng = Rng(2)
     for n, hw, spec in (
@@ -311,18 +325,23 @@ def _suite_conv_oracle():
         x = rng.normal((n, spec.in_channels, *hw))
         w = rng.normal((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
         b = rng.normal((spec.out_channels,))
-        got = layers.conv_forward(x, w, b, spec)
         want = conv_oracle(x, w, b, spec)
-        assert got.shape == want.shape, f"conv extents {got.shape} != {want.shape}"
-        gap = np.max(np.abs(got - want))
-        assert gap < 1e-10, f"conv vs nested loop oracle ({spec}): {gap:.2e}"
         # backward at N=2: the weight and bias gradients sum over the batch
         x2 = rng.normal((2, *x.shape[1:]))
         dy = rng.normal((2, *want.shape[1:]))
-        grads = layers.conv_backward(dy, x2, w, spec)
-        for label, g, o in zip(("dx", "dw", "db"), grads, conv_backward_oracle(dy, x2, w, spec)):
-            gap = np.max(np.abs(g - o))
-            assert gap < 1e-10, f"conv backward {label} vs direct-sum oracle ({spec}): {gap:.2e}"
+        want_grads = conv_backward_oracle(dy, x2, w, spec)
+        for budget in (layers._BLOCK_BYTES, 1):
+            with _block_budget(budget):
+                got = layers.conv_forward(x, w, b, spec)
+                grads = layers.conv_backward(dy, x2, w, spec)
+            tag = f"{spec}, {budget}-byte blocks"
+            assert got.shape == want.shape, f"conv extents {got.shape} != {want.shape}"
+            gap = np.max(np.abs(got - want))
+            assert gap < 1e-10, f"conv vs nested loop oracle ({tag}): {gap:.2e}"
+            for label, g, o in zip(("dx", "dw", "db"), grads, want_grads):
+                gap = np.max(np.abs(g - o))
+                assert gap < 1e-10, \
+                    f"conv backward {label} vs direct-sum oracle ({tag}): {gap:.2e}"
 
 
 def _suite_max_pool_oracle():
@@ -358,10 +377,13 @@ def _suite_deconv_adjoint():
         x = rng.normal((n, spec.in_channels, *hw))
         w = rng.normal((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
         y = rng.normal(layers.conv_forward(x, w, None, spec).shape)
-        lhs = float((layers.conv_forward(x, w, None, spec) * y).sum())
-        rhs = float((x * layers.deconv_forward(y, w, None, spec)).sum())
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), \
-            f"deconv adjoint identity ({spec}): {abs(lhs - rhs):.2e}"
+        for budget in (layers._BLOCK_BYTES, 1):
+            with _block_budget(budget):
+                lhs = float((layers.conv_forward(x, w, None, spec) * y).sum())
+                rhs = float((x * layers.deconv_forward(y, w, None, spec)).sum())
+            assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), \
+                f"deconv adjoint identity ({spec}, {budget}-byte blocks): " \
+                f"{abs(lhs - rhs):.2e}"
 
 
 def _suite_loss_algebra():

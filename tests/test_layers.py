@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,26 @@ def test_float32_in_contiguous_float32_out(n, spec, hw):
     for i, out in enumerate(outs):
         assert out.dtype == np.float32, f"output {i}: {out.dtype}"
         assert out.flags.c_contiguous, f"output {i} is a strided view"
+
+
+@pytest.mark.parametrize("call", ["forward", "backward"])
+def test_conv_working_set_is_capped(call):
+    # s2.conv2 on a 436x1024 frame: one im2col matrix for the whole call
+    # would be 4000 x 28672 float32, 458 MB
+    spec = ConvSpec(160, 64, 5, 5, pad_h=2, pad_w=2)
+    x = np.ones((1, 160, 112, 256), dtype=np.float32)
+    w = np.ones((64, 160, 5, 5), dtype=np.float32)
+    dy = np.ones((1, 64, 112, 256), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        if call == "forward":
+            conv_forward(x, w, None, spec)
+        else:
+            conv_backward(dy, x, w, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"conv_{call} peaked at {peak / 1e6:.0f} MB"
 
 
 class TestMaxPool:
