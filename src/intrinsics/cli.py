@@ -1,10 +1,11 @@
 """Command-line surface: train, decompose, eval, synth, verify.
 
 Configuration is flat ``key = value`` text under ``[section]`` headers
-(stdlib configparser syntax).  Unknown sections or keys are rejected
-before any compute, and every value is validated by the owning module's
-config type.  All commands are deterministic given their inputs and seed,
-and exit nonzero with a one-line cause on any error.
+(stdlib configparser syntax).  Each section's keys are the scalar fields
+of the owning module's config dataclass, which validates their values;
+unknown sections or keys are rejected before any compute.  All commands
+are deterministic given their inputs and seed, and exit nonzero with a
+one-line cause on any error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,55 +43,33 @@ class RunConfig:
     out_dir: str = "run"
 
 
+def _keys(cls) -> dict:
+    """Config key -> (field name, type) for each bool/int/float/str field of
+    a config dataclass, which is thus the one home of its section's keys.
+    The key for ``lam`` is ``lambda``, which is a Python keyword."""
+    hints = get_type_hints(cls)
+    return {("lambda" if f.name == "lam" else f.name): (f.name, hints[f.name])
+            for f in fields(cls) if hints[f.name] in (bool, int, float, str)}
+
+
 _SCHEMA = {
-    "network": {
-        "channel_scale": float,
-        "use_hypercolumn": bool,
-        "use_deconv_head": bool,
-        "dropout_prob": float,
-        "input_multiple": int,
-    },
-    "loss": {
-        "lambda": float,
-        "use_gradient_loss": bool,
-        "log_epsilon": float,
-    },
-    "augment": {
-        "crop_h": int,
-        "crop_w": int,
-        "mirror_prob": float,
-        "rotate_min_deg": float,
-        "rotate_max_deg": float,
-        "zoom_min": float,
-        "zoom_max": float,
-        "enable_rotate_zoom": bool,
-    },
-    "train": {
-        "base_lr": float,
-        "momentum": float,
-        "batch_size": int,
-        "max_iterations": int,
-        "seed": int,
-        "checkpoint_every": int,
-    },
-    "data": {
-        "train_manifest": str,
-        "test_manifest": str,
-        "split_mode": str,
-    },
-    "output": {
-        "out_dir": str,
-    },
+    "network": _keys(NetworkConfig),
+    "loss": _keys(LossConfig),
+    "augment": _keys(AugmentConfig),
+    "train": _keys(TrainConfig),
+    # [data] and [output] fill RunConfig's own fields
+    "data": {name: (name, str)
+             for name in ("train_manifest", "test_manifest", "split_mode")},
+    "output": {"out_dir": ("out_dir", str)},
 }
 
 
 def load_run_config(path) -> RunConfig:
     """Parse and validate a config file; typos fail before any compute."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ValueError(f"config: cannot read {path}")
-    values: dict[str, dict] = {}
+    values: dict[str, dict] = {section: {} for section in _SCHEMA}
     lr_multipliers: dict[str, float] = {}
     for section in parser.sections():
         if section == "lr_multipliers":
@@ -98,31 +78,18 @@ def load_run_config(path) -> RunConfig:
             continue
         if section not in _SCHEMA:
             raise ValueError(f"config: unknown section [{section}]")
-        values[section] = {}
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ValueError(f"config: unknown key {key!r} in [{section}]")
-            kind = _SCHEMA[section][key]
-            if kind is bool:
-                values[section][key] = parser.getboolean(section, key)
-            else:
-                values[section][key] = kind(raw)
-
-    net = NetworkConfig(**values.get("network", {}))
-    loss_kw = dict(values.get("loss", {}))
-    if "lambda" in loss_kw:
-        loss_kw["lam"] = loss_kw.pop("lambda")
-    loss = LossConfig(**loss_kw)
-    aug = AugmentConfig(**values.get("augment", {}))
-    train = TrainConfig(**values.get("train", {}), loss=loss, augment=aug,
-                        lr_multipliers=lr_multipliers)
-    data = values.get("data", {})
-    out = values.get("output", {})
-    return RunConfig(network=net, train=train,
-                     train_manifest=data.get("train_manifest"),
-                     test_manifest=data.get("test_manifest"),
-                     split_mode=data.get("split_mode", "scene-split"),
-                     out_dir=out.get("out_dir", "run"))
+            name, kind = _SCHEMA[section][key]
+            values[section][name] = (parser.getboolean(section, key)
+                                     if kind is bool else kind(raw))
+    return RunConfig(
+        network=NetworkConfig(**values["network"]),
+        train=TrainConfig(**values["train"], loss=LossConfig(**values["loss"]),
+                          augment=AugmentConfig(**values["augment"]),
+                          lr_multipliers=lr_multipliers),
+        **values["data"], **values["output"])
 
 
 def _nchw_to_image(t: np.ndarray) -> np.ndarray:

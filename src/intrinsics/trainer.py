@@ -288,6 +288,10 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     """
     if not samples:
         raise ValueError("train_loop: dataset is empty")
+    for prefix in cfg.lr_multipliers:
+        if not any(name.startswith(prefix) for name in net.params):
+            raise ValueError(f"train_loop: lr_multipliers prefix {prefix!r} "
+                             "matches no parameter")
     fingerprint = config_fingerprint(net.cfg, cfg)
     start = 0
     if resume is not None:

@@ -691,16 +691,15 @@ SUITES = [
     ("trainer", _suite_trainer),
 ]
 
-# corruption target -> (backward function in ``layers``, whether it returns a
-# tuple whose element 0 is the input gradient rather than that gradient alone)
+# corruption target -> backward function in ``layers``
 _BACKWARDS = {
-    "conv": ("conv_backward", True),
-    "deconv": ("deconv_backward", True),
-    "max_pool": ("max_pool_backward", False),
-    "bilinear": ("bilinear_upsample_backward", False),
-    "prelu": ("prelu_backward", True),
-    "dropout": ("dropout_backward", False),
-    "concat": ("concat_backward", True),
+    "conv": "conv_backward",
+    "deconv": "deconv_backward",
+    "max_pool": "max_pool_backward",
+    "bilinear": "bilinear_upsample_backward",
+    "prelu": "prelu_backward",
+    "dropout": "dropout_backward",
+    "concat": "concat_backward",
 }
 CORRUPTIBLE = tuple(_BACKWARDS)
 
@@ -713,14 +712,14 @@ def _install_corruption(kind: str):
     if kind not in _BACKWARDS:
         raise ValueError(f"verify: unknown corruption target {kind!r} "
                          f"(choose from {', '.join(CORRUPTIBLE)})")
-    name, tupled = _BACKWARDS[kind]
+    name = _BACKWARDS[kind]
     orig = getattr(layers, name)
 
     def bad(*args, **kwargs):
         out = orig(*args, **kwargs)
-        if not tupled:
-            return out * 1.01
-        return (None if out[0] is None else out[0] * 1.01, *out[1:])
+        if isinstance(out, tuple):  # the input gradient comes first
+            return (None if out[0] is None else out[0] * 1.01, *out[1:])
+        return out * 1.01
 
     def install(fn):
         for module in (layers, network):

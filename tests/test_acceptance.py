@@ -118,8 +118,15 @@ class TestCriterion6ShapeContract:
                        "--out-shading", str(tmp_path / "os.png")])
         if rc != 0:
             failures.append("decompose on 70x65 input failed")
-        elif read_png(tmp_path / "oa.png").shape != (70, 65, 3):
-            failures.append(f"70x65 round trip: {read_png(tmp_path / 'oa.png').shape}")
+        else:
+            for kind in ("a", "s"):
+                t = read_png(tmp_path / f"o{kind}.png")
+                if t.shape != (70, 65, 3):
+                    failures.append(f"70x65 round trip: o{kind}.png {t.shape}")
+                elif not (np.all(np.isfinite(t)) and 0.0 <= t.min()
+                          and t.max() <= 1.0):
+                    failures.append(f"70x65 round trip: o{kind}.png is "
+                                    "non-finite or outside [0, 1]")
         report(n=6, desc=CRITERIA[6][0], failures=failures)
 
 

