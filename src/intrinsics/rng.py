@@ -8,7 +8,7 @@ which makes streams platform independent and lets the full state serialize
 as two unsigned 64-bit words (seed, counter).
 
 All integer mixing happens on uint64 numpy arrays, where wraparound is
-silent and well defined.
+silent and well defined, and in place, one cache-sized block at a time.
 """
 
 from __future__ import annotations
@@ -19,13 +19,17 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_BLOCK = 1 << 16  # draws per step of _raw: its 512 KB buffers stay in cache
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer over a uint64 array, in place; ``tmp`` is
+    scratch of the same size."""
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
 
 
 def derive_seed(seed: int, *keys) -> int:
@@ -42,7 +46,8 @@ def derive_seed(seed: int, *keys) -> int:
         else:
             parts = [int(key) & _U64_MASK]
         for part in parts:
-            state = _mix64((state + np.uint64(part)) * _GAMMA + _GAMMA)
+            state = (state + np.uint64(part)) * _GAMMA + _GAMMA
+            _mix64(state, np.empty_like(state))
     return int(state[0])
 
 
@@ -59,10 +64,25 @@ class Rng:
         self.counter = int(counter) & _U64_MASK
 
     def _raw(self, n: int) -> np.ndarray:
-        """Next ``n`` raw uint64 draws."""
-        idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
+        """Next ``n`` raw uint64 draws.
+
+        Draw ``c`` mixes ``(seed + c * gamma) * gamma + gamma``, which modulo
+        2**64 is ``c * gamma**2 + (seed + 1) * gamma``.  The output is filled
+        and mixed in place one block at a time, so the only other buffers are
+        one block's offsets and one block's scratch.
+        """
+        gamma = int(_GAMMA)
+        out = np.empty(n, dtype=np.uint64)
+        block = min(n, _BLOCK)
+        steps = np.arange(block, dtype=np.uint64) * np.uint64(gamma * gamma & _U64_MASK)
+        tmp = np.empty(block, dtype=np.uint64)
+        for start in range(0, n, _BLOCK):
+            z = out[start:start + _BLOCK]
+            first = (self.counter + start) * gamma * gamma + (self.seed + 1) * gamma
+            np.add(steps[:z.size], np.uint64(first & _U64_MASK), out=z)
+            _mix64(z, tmp[:z.size])
         self.counter = (self.counter + n) & _U64_MASK
-        return _mix64((np.uint64(self.seed) + idx * _GAMMA) * _GAMMA + _GAMMA)
+        return out
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 draws in [0, 1)."""

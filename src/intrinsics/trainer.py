@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -54,6 +55,10 @@ class TrainConfig:
             raise ValueError("TrainConfig: batch_size must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("TrainConfig: max_iterations must be >= 0")
+        for prefix, mult in self.lr_multipliers.items():
+            if not (math.isfinite(mult) and mult >= 0):  # 0 freezes a layer
+                raise ValueError(f"TrainConfig: lr_multipliers {prefix!r} must be "
+                                 f"finite and >= 0, got {mult}")
 
 
 def lr_multiplier(name: str, multipliers: dict) -> float:

@@ -54,6 +54,29 @@ class TestConfig:
         assert listed.pop("lr_multipliers")
         assert listed == {s: set(keys) for s, keys in _SCHEMA.items()}
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("network", "channel_scale", "wide", "could not convert string to float: 'wide'"),
+        ("network", "use_hypercolumn", "maybe", "Not a boolean: maybe"),
+        ("augment", "crop_h", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("lr_multipliers", "s1.conv1", "fast", "could not convert string to float: 'fast'"),
+    ])
+    def test_unparsable_value_names_section_and_key(self, tmp_path, section, key,
+                                                     value, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError) as err:
+            load_run_config(cfg)
+        assert str(err.value) == f"config: [{section}] {key}: {message}"
+
+    def test_unusable_lr_multipliers_rejected(self, tmp_path):
+        cfg = tmp_path / "lr.cfg"
+        for value in ("-2", "nan", "inf"):
+            cfg.write_text(f"[lr_multipliers]\ns2 = 1\ns1.conv1 = {value}\n")
+            with pytest.raises(ValueError, match=rf"'s1\.conv1'.*{float(value)}"):
+                load_run_config(cfg)
+        cfg.write_text("[lr_multipliers]\ns1.conv1 = 0\n")  # 0 freezes the layer
+        assert load_run_config(cfg).train.lr_multipliers == {"s1.conv1": 0.0}
+
     def test_default_constants(self, tmp_path):
         cfg = tmp_path / "min.cfg"
         cfg.write_text("[output]\nout_dir = x\n")

@@ -36,6 +36,23 @@ class TestPng:
         assert back.shape == img.shape
         assert np.max(np.abs(back - img)) <= 0.5 / ((1 << depth) - 1) + 1e-12
 
+    @pytest.mark.parametrize("depth", [8, 16])
+    @pytest.mark.parametrize("shape", [(37, 53), (37, 53, 3), (1, 1), (2, 7, 3)])
+    def test_roundtrip_is_exact(self, tmp_path, depth, shape):
+        maxval = (1 << depth) - 1
+        img = Rng(4).uniform(shape) * 1.2 - 0.1  # some values clip
+        path = tmp_path / "t.png"
+        write_png(path, img, bit_depth=depth)
+        expected = np.rint(np.clip(img, 0.0, 1.0) * maxval) / maxval
+        assert np.array_equal(read_png(path), expected)
+
+    def test_idat_uses_fastest_deflate(self, tmp_path):
+        path = tmp_path / "t.png"
+        write_png(path, Rng(5).uniform((37, 53, 3)))
+        blob = path.read_bytes()
+        start = blob.index(b"IDAT") + 4
+        assert blob[start:start + 2] == b"\x78\x01"  # zlib header, FLEVEL 0
+
     def test_exact_levels_survive(self, tmp_path):
         img = np.array([[0.0, 1.0], [0.25, 0.5]])
         path = tmp_path / "t.png"

@@ -81,6 +81,23 @@ class TestRng:
         singles = np.array([r2.uniform() for _ in range(4)])
         assert np.array_equal(block, singles)
 
+    def test_raw_matches_integer_splitmix64(self):
+        mask = 0xFFFF_FFFF_FFFF_FFFF
+        gamma = 0x9E3779B97F4A7C15
+        seed, counter = 0xDEAD_BEEF_0123_4567, (1 << 40) + 3
+
+        def draw(c):
+            z = (seed + c * gamma) & mask
+            z = (z * gamma + gamma) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        n = 3 * 65536 + 1234  # several blocks of 64K draws, ending mid-block
+        r = Rng(seed, counter)
+        assert r._raw(n).tolist() == [draw(counter + i) for i in range(n)]
+        assert r._raw(5).tolist() == [draw(counter + n + i) for i in range(5)]
+
     def test_permutation_is_permutation(self):
         p = Rng(11).permutation(257)
         assert sorted(p.tolist()) == list(range(257))
