@@ -8,14 +8,13 @@ suite, and a deterministic SGD trainer with binary checkpoints.
 """
 
 from .data import (AugmentConfig, Manifest, ManifestEntry, Sample, augment,
-                   crop_to, ensure_disjoint_split, fit_alpha,
-                   generate_mit_shading, load_dataset, load_sample,
-                   make_synthetic_sample, pad_to_multiple, parse_manifest,
-                   resynthesize)
+                   crop_to, ensure_disjoint_split, generate_mit_shading,
+                   load_dataset, load_sample, make_synthetic_sample,
+                   pad_to_multiple, parse_manifest, resynthesize)
 from .layers import ConvSpec
 from .losses import LossConfig, gradient_loss, sil2_loss, total_loss
-from .metrics import (PredictionRecord, dssim, evaluate_report, lmse,
-                      lmse_window_sums, mit_total_lmse, si_mse, ssim_map)
+from .metrics import (PredictionRecord, dssim, evaluate_report, fit_alpha,
+                      lmse, lmse_window_sums, mit_total_lmse, si_mse, ssim_map)
 from .network import Network, NetworkConfig, build_network
 from .png_io import read_png, write_png
 from .rng import Rng, derive_seed

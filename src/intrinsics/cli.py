@@ -20,9 +20,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import (AugmentConfig, ensure_disjoint_split, generate_mit_shading,
-                   load_dataset, load_sample, parse_manifest, resynthesize,
-                   to_nchw)
+from .data import (SPLIT_MODES, AugmentConfig, ensure_disjoint_split,
+                   generate_mit_shading, load_dataset, load_sample,
+                   parse_manifest, resynthesize, to_nchw)
 from .losses import LossConfig
 from .metrics import PredictionRecord, evaluate_report
 from .network import NetworkConfig, build_network
@@ -41,6 +41,11 @@ class RunConfig:
     test_manifest: str | None = None
     split_mode: str = "scene-split"
     out_dir: str = "run"
+
+    def __post_init__(self):
+        if self.split_mode not in SPLIT_MODES:
+            raise ValueError(f"config: [data] split_mode must be one of "
+                             f"{', '.join(SPLIT_MODES)}, got {self.split_mode!r}")
 
 
 def _keys(cls) -> dict:
@@ -111,10 +116,10 @@ def cmd_train(args) -> int:
         run.train.seed = args.seed
     if run.train_manifest is None:
         raise ValueError("config: [data] train_manifest is required to train")
-    manifest = parse_manifest(run.train_manifest, mode=run.split_mode)
+    manifest = parse_manifest(run.train_manifest)
     if run.test_manifest:
-        test = parse_manifest(run.test_manifest, mode=run.split_mode)
-        ensure_disjoint_split(manifest, test)
+        ensure_disjoint_split(manifest, parse_manifest(run.test_manifest),
+                              run.split_mode)
     samples = load_dataset(manifest)
     os.makedirs(run.out_dir, exist_ok=True)
     net = build_network(run.network, Rng(derive_seed(run.train.seed, "init")))
@@ -205,22 +210,14 @@ def cmd_synth(args) -> int:
         else:  # resynth-sintel
             shading = sample.shading
             image = resynthesize(sample.albedo, sample.shading)
-        names = {"image": f"{sid}_image.png", "albedo": f"{sid}_albedo.png",
-                 "shading": f"{sid}_shading.png", "mask": f"{sid}_mask.png"}
-        write_png(os.path.join(args.out_dir, names["image"]),
-                  _nchw_to_image(image), bit_depth=16)
-        write_png(os.path.join(args.out_dir, names["albedo"]),
-                  _nchw_to_image(sample.albedo), bit_depth=16)
-        if shading.shape[1] == 1:
-            write_png(os.path.join(args.out_dir, names["shading"]),
-                      shading[0, 0], bit_depth=16)
-        else:
-            write_png(os.path.join(args.out_dir, names["shading"]),
-                      _nchw_to_image(shading), bit_depth=16)
-        write_png(os.path.join(args.out_dir, names["mask"]), mask[0, 0],
-                  bit_depth=8)
-        lines.append("\t".join([sid, names["image"], names["albedo"],
-                                names["shading"], names["mask"], entry.scene]))
+        names = []
+        for kind, t, depth in (("image", image, 16), ("albedo", sample.albedo, 16),
+                               ("shading", shading, 16), ("mask", mask, 8)):
+            names.append(f"{sid}_{kind}.png")
+            write_png(os.path.join(args.out_dir, names[-1]),
+                      t[0, 0] if t.shape[1] == 1 else _nchw_to_image(t),
+                      bit_depth=depth)
+        lines.append("\t".join([sid, *names, entry.scene]))
     out_manifest = os.path.join(args.out_dir, "manifest.tsv")
     write_atomic(out_manifest, (f"# generated by intrinsics synth --mode {args.mode}\n"
                                 + "\n".join(lines) + "\n").encode())
@@ -243,12 +240,10 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="progress output")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured training seed")
-    parser.add_argument("--config", default=None, help="run configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a config file")
-    # SUPPRESS keeps a globally supplied --config from being clobbered
-    p.add_argument("--config", default=argparse.SUPPRESS)
+    p.add_argument("--config", default=None, help="run configuration file")
     p.add_argument("--resume", default=None,
                    help="checkpoint to resume from (same config)")
     p.set_defaults(func=cmd_train)

@@ -10,6 +10,10 @@ metrics).  Manifests are tab-separated text, one record per line:
 
 with ``#`` comment lines allowed.  Paths are resolved relative to the
 manifest file's directory.
+
+Constants: the split rules ``SPLIT_MODES``; ``MIT_SHADING_EPS``, the albedo
+floor of ``generate_mit_shading``; and the ranges ``augment`` draws from
+with rotate/zoom on, ``ZOOM_RANGE`` (0.8-1.2) and ``ROTATE_RANGE_DEG`` (±15).
 """
 
 from __future__ import annotations
@@ -20,10 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import fit_alpha
 from .png_io import read_png
 from .rng import Rng, derive_seed
 
 SPLIT_MODES = ("image-split", "scene-split", "object-split")
+MIT_SHADING_EPS = 1e-4
+ZOOM_RANGE = (0.8, 1.2)
+ROTATE_RANGE_DEG = (-15.0, 15.0)
 
 
 @dataclass
@@ -64,18 +72,13 @@ class ManifestEntry:
 @dataclass
 class Manifest:
     entries: list[ManifestEntry]
-    mode: str = "scene-split"
     base_dir: str = "."
-
-    def __post_init__(self):
-        if self.mode not in SPLIT_MODES:
-            raise ValueError(f"manifest: unknown split mode {self.mode!r}")
 
     def scenes(self) -> set[str]:
         return {e.scene for e in self.entries}
 
 
-def parse_manifest(path, mode: str = "scene-split") -> Manifest:
+def parse_manifest(path) -> Manifest:
     entries = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -92,22 +95,19 @@ def parse_manifest(path, mode: str = "scene-split") -> Manifest:
                 raise ValueError(f"{path}:{lineno}: expected 5 or 6 tab-separated "
                                  f"fields, got {len(fields)}")
             entries.append(ManifestEntry(sid, img, alb, shd, mask, scene))
-    return Manifest(entries, mode=mode,
-                    base_dir=os.path.dirname(os.path.abspath(path)))
+    return Manifest(entries, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def ensure_disjoint_split(train: Manifest, test: Manifest) -> None:
-    """Reject scene-split / object-split manifests whose groups overlap."""
-    if train.mode != test.mode:
-        raise ValueError(f"split modes differ: {train.mode} vs {test.mode}")
-    if train.mode == "image-split":
+def ensure_disjoint_split(train: Manifest, test: Manifest, mode: str) -> None:
+    """Reject manifests that share an image id, scene or object under ``mode``."""
+    if mode == "image-split":
         shared = {e.id for e in train.entries} & {e.id for e in test.entries}
         kind = "image id"
     else:
         shared = train.scenes() & test.scenes()
-        kind = "scene" if train.mode == "scene-split" else "object"
+        kind = "scene" if mode == "scene-split" else "object"
     if shared:
-        raise ValueError(f"{train.mode}: {kind} {sorted(shared)[0]!r} appears "
+        raise ValueError(f"{mode}: {kind} {sorted(shared)[0]!r} appears "
                          "in both train and test splits")
 
 
@@ -118,7 +118,7 @@ def to_nchw(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
 
 
-def load_sample(entry: ManifestEntry, base_dir: str = ".") -> Sample:
+def load_sample(entry: ManifestEntry, base_dir: str) -> Sample:
     def load(path):
         full = os.path.join(base_dir, path)
         try:
@@ -153,36 +153,25 @@ def load_dataset(manifest: Manifest) -> list[Sample]:
 
 # -- synthesis -------------------------------------------------------------
 
-def fit_alpha(target: np.ndarray, pred: np.ndarray,
-              mask: np.ndarray | None = None) -> float:
-    """Least-squares brightness scale: argmin_a sum((target - a*pred)^2)."""
-    if mask is not None:
-        target = target * mask
-        pred = pred * mask
-    denom = float((pred * pred).sum())
-    if denom == 0.0:
-        raise ValueError("fit_alpha: prediction is identically zero")
-    return float((target * pred).sum()) / denom
-
-
-def generate_mit_shading(image: np.ndarray, albedo: np.ndarray,
-                         eps: float = 1e-4):
+def generate_mit_shading(image: np.ndarray, albedo: np.ndarray):
     """Derive a shading map from an image and its reflectance.
 
     With I' and A' the per-pixel channel means, S0 = I'/max(A', eps) and the
     returned shading is S0/alpha where alpha minimizes sum((I - alpha*A*S0)^2).
     Returns (shading (1,1,H,W), alpha, valid) where valid flags pixels whose
-    divisor did not need the eps guard.
+    divisor did not need the eps (MIT_SHADING_EPS) guard.
     """
     if image.shape != albedo.shape:
         raise ValueError(f"generate_mit_shading: extents differ "
                          f"{image.shape} vs {albedo.shape}")
     i_mean = image.mean(axis=1, keepdims=True)
     a_mean = albedo.mean(axis=1, keepdims=True)
-    s0 = i_mean / np.maximum(a_mean, eps)
+    s0 = i_mean / np.maximum(a_mean, MIT_SHADING_EPS)
     alpha = fit_alpha(image, albedo * s0)
+    if alpha == 0.0:
+        raise ValueError("generate_mit_shading: brightness scale is zero")
     shading = s0 / alpha
-    valid = (a_mean >= eps).astype(np.float64)
+    valid = (a_mean >= MIT_SHADING_EPS).astype(np.float64)
     return shading, alpha, valid
 
 
@@ -232,10 +221,6 @@ class AugmentConfig:
     crop_h: int = 416
     crop_w: int = 416
     mirror_prob: float = 0.5
-    rotate_min_deg: float = -15.0
-    rotate_max_deg: float = 15.0
-    zoom_min: float = 0.8
-    zoom_max: float = 1.2
     enable_rotate_zoom: bool = False
 
     def __post_init__(self):
@@ -243,10 +228,6 @@ class AugmentConfig:
             raise ValueError("AugmentConfig: crop extents must be >= 1")
         if not 0.0 <= self.mirror_prob <= 1.0:
             raise ValueError("AugmentConfig: mirror_prob outside [0, 1]")
-        if self.rotate_min_deg > self.rotate_max_deg:
-            raise ValueError("AugmentConfig: rotation range is reversed")
-        if not 0 < self.zoom_min <= self.zoom_max:
-            raise ValueError("AugmentConfig: zoom range invalid")
 
 
 def _bilinear_gather(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
@@ -280,9 +261,9 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
     """
     h, w = sample.image.shape[2:]
     if cfg.enable_rotate_zoom:
-        zoom = cfg.zoom_min + rng.uniform() * (cfg.zoom_max - cfg.zoom_min)
-        angle = math.radians(cfg.rotate_min_deg + rng.uniform()
-                             * (cfg.rotate_max_deg - cfg.rotate_min_deg))
+        (z0, z1), (r0, r1) = ZOOM_RANGE, ROTATE_RANGE_DEG
+        zoom = z0 + rng.uniform() * (z1 - z0)
+        angle = math.radians(r0 + rng.uniform() * (r1 - r0))
     else:
         zoom, angle = 1.0, 0.0
     zh = max(1, int(round(zoom * h)))

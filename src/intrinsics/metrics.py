@@ -1,10 +1,11 @@
 """Benchmark measures: scale-invariant MSE, local MSE over sliding windows,
 and DSSIM, plus report aggregation.
 
-All metrics operate on linear-intensity images.  Brightness alignment
-always rescales the prediction (never the ground truth) by the
-least-squares scale; si_mse falls back to scale 0 when the prediction is
-identically zero.
+All metrics operate on linear-intensity images and first fit the
+prediction's brightness (never the ground truth's) with ``fit_alpha``, the
+one home of that least-squares scale: si_mse and LMSE (per window) as in
+Grosse et al. 2009, and DSSIM, which always takes SSIM (Wang et al. 2004)
+of the rescaled prediction clipped to [0, 1].
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ LMSE_WINDOW_FRACTION = 0.1  # of the larger image side
 LMSE_STRIDE_FRACTION = 0.5  # of a window
 
 
-def _alpha_or_zero(target, pred, mask) -> float:
-    denom = float((pred * pred * mask).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((target * pred * mask).sum()) / denom
+def fit_alpha(target: np.ndarray, pred: np.ndarray,
+              mask: np.ndarray | None = None) -> float:
+    """Least-squares brightness scale argmin_a sum(mask * (target - a*pred)^2),
+    or 0 when the prediction is identically zero on the mask."""
+    m = 1.0 if mask is None else mask
+    denom = float((pred * pred * m).sum())
+    return 0.0 if denom == 0.0 else float((target * pred * m).sum()) / denom
 
 
 def si_mse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
@@ -36,7 +39,7 @@ def si_mse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
     n = float(mask.sum()) * target.shape[1]
     if n == 0:
         raise ValueError("si_mse: mask has no valid pixels")
-    a = _alpha_or_zero(target, pred, mask)
+    a = fit_alpha(target, pred, mask)
     diff = (target - a * pred) * mask
     return float((diff * diff).sum()) / n
 
@@ -83,7 +86,7 @@ def lmse_window_sums(target: np.ndarray, pred: np.ndarray,
     ssq = 0.0
     zero_ssq = 0.0
     for t, p, m in _windows(target, pred, mask):
-        a = _alpha_or_zero(t, p, m)
+        a = fit_alpha(t, p, m)
         diff = (t - a * p) * m
         ssq += float((diff * diff).sum())
         zero_ssq += float((t * t * m).sum())
@@ -103,9 +106,9 @@ def mit_total_lmse(sums_albedo: tuple[float, float],
     return out / 2.0
 
 
-def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
+def _gaussian_kernel() -> np.ndarray:
+    x = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(x * x) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     return g / g.sum()
 
 
@@ -145,17 +148,10 @@ def ssim_map(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
             / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
 
 
-def dssim(target: np.ndarray, pred: np.ndarray, align: bool = True) -> float:
-    """(1 - mean SSIM)/2 in [0, 1].
-
-    With ``align`` the prediction is first brightness-scaled to the target
-    and clipped to [0, 1] (the default, matching the other metrics); without
-    it the measure is symmetric in its arguments.
-    """
-    if align:
-        ones = np.ones((target.shape[0], 1, *target.shape[2:]))
-        a = _alpha_or_zero(target, pred, ones)
-        pred = np.clip(a * pred, 0.0, 1.0)
+def dssim(target: np.ndarray, pred: np.ndarray) -> float:
+    """(1 - mean SSIM)/2 in [0, 1], after the prediction is brightness-scaled
+    to the target by ``fit_alpha`` and clipped to [0, 1]."""
+    pred = np.clip(fit_alpha(target, pred) * pred, 0.0, 1.0)
     return float((1.0 - ssim_map(target, pred).mean()) / 2.0)
 
 

@@ -101,14 +101,11 @@ class Rng:
         z = r * np.cos(2.0 * np.pi * u2)
         return z.reshape(shape) if shape else float(z[0])
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        """Uniform integers in [low, high] inclusive."""
+    def integers(self, low: int, high: int) -> int:
+        """One uniform integer in [low, high] inclusive."""
         if high < low:
             raise ValueError(f"integers: empty range [{low}, {high}]")
-        span = high - low + 1
-        n = int(np.prod(shape)) if shape else 1
-        vals = low + (self._raw(n) % np.uint64(span)).astype(np.int64)
-        return vals.reshape(shape) if shape else int(vals[0])
+        return low + int(self._raw(1)[0] % np.uint64(high - low + 1))
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""

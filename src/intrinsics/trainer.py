@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("TrainConfig: batch_size must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("TrainConfig: max_iterations must be >= 0")
+        if self.checkpoint_every < 0:
+            raise ValueError("TrainConfig: checkpoint_every must be >= 0")
         for prefix, mult in self.lr_multipliers.items():
             if not (math.isfinite(mult) and mult >= 0):  # 0 freezes a layer
                 raise ValueError(f"TrainConfig: lr_multipliers {prefix!r} must be "
@@ -212,6 +214,11 @@ def load_checkpoint(path) -> Checkpoint:
     fingerprint = r.take(32)
     if r.pos != len(blob):
         raise ValueError(f"checkpoint {path}: {len(blob) - r.pos} trailing bytes")
+    for section, tensors in (("params", params), ("momentum", momentum)):
+        for name, arr in tensors:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint {path}: {section} tensor {name!r} "
+                                 "holds NaN or inf")
     return Checkpoint(iteration, params, momentum, rng_state, fingerprint)
 
 

@@ -24,12 +24,12 @@ import numpy as np
 
 from . import layers, network
 from .data import (AugmentConfig, _bilinear_gather, augment, crop_to,
-                   fit_alpha, generate_mit_shading, make_synthetic_sample,
+                   generate_mit_shading, make_synthetic_sample,
                    pad_to_multiple, resynthesize)
 from .layers import ConvSpec
 from .losses import LossConfig, gradient_loss, sil2_loss, total_loss
-from .metrics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW, dssim, lmse,
-                      si_mse, ssim_map)
+from .metrics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW, dssim,
+                      fit_alpha, lmse, si_mse, ssim_map)
 from .network import NetworkConfig, Param, build_network
 from .png_io import read_png, write_png
 from .rng import Rng
@@ -386,6 +386,18 @@ def _suite_deconv_adjoint():
                 f"{abs(lhs - rhs):.2e}"
 
 
+def _suite_bilinear_adjoint():
+    rng = Rng(19)
+    for factor, hw in ((2, (3, 4)), (4, (4, 4)), (8, (2, 3)), (3, (5, 2)), (2, (7, 7))):
+        x = rng.normal((2, 3, *hw))
+        y = rng.normal((2, 3, hw[0] * factor, hw[1] * factor))
+        lhs = float((layers.bilinear_upsample_forward(x, factor) * y).sum())
+        rhs = float((x * layers.bilinear_upsample_backward(y, factor, x.shape)).sum())
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), \
+            f"bilinear adjoint identity (factor {factor}, {hw[0]}x{hw[1]}): " \
+            f"{abs(lhs - rhs):.2e}"
+
+
 def _suite_loss_algebra():
     rng = Rng(4)
     for shape in ((1, 3, 5, 5), (2, 3, 4, 4)):
@@ -484,8 +496,10 @@ def _suite_dssim_oracle():
         assert got.shape == want.shape, f"ssim extents {got.shape} != {want.shape}"
         gap = np.max(np.abs(got - want))
         assert gap < 1e-8, f"ssim vs direct-sum oracle ({shape}): {gap:.2e}"
-        assert abs(dssim(t, p, align=False) - (1 - want.mean()) / 2) < 1e-8, \
-            f"dssim vs direct-sum oracle ({shape})"
+        # dssim first rescales the prediction by its least-squares scale
+        aligned = np.clip(float((t * p).sum()) / float((p * p).sum()) * p, 0.0, 1.0)
+        want = (1 - ssim_oracle(t, aligned).mean()) / 2
+        assert abs(dssim(t, p) - want) < 1e-8, f"dssim vs direct-sum oracle ({shape})"
         assert dssim(t, t) == 0.0, "dssim of identical images"
 
 
@@ -679,6 +693,7 @@ SUITES = [
     ("conv-oracle", _suite_conv_oracle),
     ("max-pool-oracle", _suite_max_pool_oracle),
     ("deconv-adjoint", _suite_deconv_adjoint),
+    ("bilinear-adjoint", _suite_bilinear_adjoint),
     ("loss-algebra", _suite_loss_algebra),
     ("alpha-grid-oracle", _suite_alpha_grid),
     ("lmse-window-oracle", _suite_lmse_oracle),

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import write_config, write_dataset
-from intrinsics import verify
+from intrinsics import data, verify
 from intrinsics.cli import _SCHEMA, load_run_config, main
+from intrinsics.network import NetworkConfig, build_network
 from intrinsics.png_io import read_png, write_png
+from intrinsics.rng import Rng
+from intrinsics.trainer import Checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -86,9 +89,21 @@ class TestConfig:
         assert run.network.dropout_prob == 0.5
         assert run.network.input_multiple == 32
         assert run.train.augment.crop_h == 416
-        assert (run.train.augment.rotate_min_deg,
-                run.train.augment.rotate_max_deg) == (-15.0, 15.0)
-        assert (run.train.augment.zoom_min, run.train.augment.zoom_max) == (0.8, 1.2)
+        assert run.split_mode == "scene-split"
+        assert data.ROTATE_RANGE_DEG == (-15.0, 15.0)
+        assert data.ZOOM_RANGE == (0.8, 1.2)
+
+    def test_negative_checkpoint_every_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[train]\ncheckpoint_every = -3\n")
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            load_run_config(cfg)
+
+    def test_unknown_split_mode_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[data]\nsplit_mode = bogus\n")
+        with pytest.raises(ValueError, match="split_mode.*'bogus'"):
+            load_run_config(cfg)
 
 
 class TestTrainCommand:
@@ -101,6 +116,16 @@ class TestTrainCommand:
         assert trace[0] == "iteration,loss"
         assert len(trace) == 4
         assert (out / "checkpoint_000003.ckpt").exists()
+
+    def test_config_is_an_option_of_train_only(self, tmp_path, capsys):
+        manifest = write_dataset(tmp_path / "data", n=1)
+        cfg = write_config(tmp_path / "run.cfg", manifest, tmp_path / "out",
+                           max_iterations=1)
+        with pytest.raises(SystemExit) as err:
+            run_cli("--config", cfg, "train")
+        assert err.value.code == 2
+        assert run_cli("train") == 1
+        assert "train: --config is required" in capsys.readouterr().err
 
     def test_typo_config_fails_before_compute(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -160,6 +185,20 @@ class TestDecomposeCommand:
                        "--out-albedo", tmp_path / "a.png",
                        "--out-shading", tmp_path / "s.png") == 1
         assert "magic" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_rejected(self, tmp_path, capsys):
+        net = build_network(NetworkConfig(channel_scale=1 / 16), Rng(3))
+        net.params["albedo.deconv.bias"].value[0] = np.nan
+        save_checkpoint(Checkpoint.from_network(net, 1, (0, 0, 0, 0), b"\x00" * 32),
+                        tmp_path / "nan.ckpt")
+        write_png(tmp_path / "in.png", np.full((32, 32, 3), 0.5), bit_depth=8)
+        assert run_cli("decompose", "--checkpoint", tmp_path / "nan.ckpt",
+                       "--input", tmp_path / "in.png",
+                       "--out-albedo", tmp_path / "a.png",
+                       "--out-shading", tmp_path / "s.png") == 1
+        assert "'albedo.deconv.bias'" in capsys.readouterr().err
+        assert not (tmp_path / "a.png").exists()
+        assert not (tmp_path / "s.png").exists()
 
 
 class TestEvalCommand:

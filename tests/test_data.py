@@ -6,9 +6,10 @@ import pytest
 
 from intrinsics.data import (AugmentConfig, Manifest, ManifestEntry, Sample,
                              augment, crop_to, ensure_disjoint_split,
-                             fit_alpha, generate_mit_shading, load_dataset,
+                             generate_mit_shading, load_dataset,
                              make_synthetic_sample,
                              pad_to_multiple, parse_manifest, resynthesize)
+from intrinsics.metrics import fit_alpha
 from intrinsics.png_io import _SIGNATURE, _chunk, read_png, write_png
 from intrinsics.rng import Rng
 from intrinsics.verify import alpha_grid_oracle
@@ -194,16 +195,13 @@ class TestManifest:
     def test_scene_split_overlap_rejected(self):
         e1 = ManifestEntry("a", "i", "a", "s", None, "sceneX")
         e2 = ManifestEntry("b", "i", "a", "s", None, "sceneX")
-        train = Manifest([e1], mode="scene-split")
-        test = Manifest([e2], mode="scene-split")
         with pytest.raises(ValueError, match="sceneX"):
-            ensure_disjoint_split(train, test)
+            ensure_disjoint_split(Manifest([e1]), Manifest([e2]), "scene-split")
 
     def test_image_split_allows_scene_overlap(self):
         e1 = ManifestEntry("a", "i", "a", "s", None, "sceneX")
         e2 = ManifestEntry("b", "i", "a", "s", None, "sceneX")
-        ensure_disjoint_split(Manifest([e1], mode="image-split"),
-                              Manifest([e2], mode="image-split"))
+        ensure_disjoint_split(Manifest([e1]), Manifest([e2]), "image-split")
 
 
 class TestLoading:
@@ -261,8 +259,11 @@ class TestFitAlpha:
         assert abs(fit_alpha(2.0 * p, p) - 2.0) < 1e-12
 
     def test_zero_prediction_rejected(self):
-        with pytest.raises(ValueError, match="identically zero"):
-            fit_alpha(np.ones((1, 3, 2, 2)), np.zeros((1, 3, 2, 2)))
+        # the metrics score a zero prediction at scale 0; shading generation,
+        # which divides by the scale, rejects it
+        assert fit_alpha(np.ones((1, 3, 2, 2)), np.zeros((1, 3, 2, 2))) == 0.0
+        with pytest.raises(ValueError, match="scale is zero"):
+            generate_mit_shading(np.zeros((1, 3, 2, 2)), np.full((1, 3, 2, 2), 0.5))
 
     def test_matches_grid_search_oracle(self):
         for seed in range(100):
@@ -298,7 +299,7 @@ class TestMitShading:
         albedo = 0.2 + 0.7 * rng.uniform((1, 3, 6, 6))
         albedo[0, :, 2, 3] = 0.0
         image = albedo * 0.5
-        shading, _, valid = generate_mit_shading(image, albedo, eps=1e-4)
+        shading, _, valid = generate_mit_shading(image, albedo)
         assert valid[0, 0, 2, 3] == 0.0
         assert valid.sum() == 35.0
         assert np.all(np.isfinite(shading))
@@ -357,11 +358,13 @@ class TestAugment:
         assert np.array_equal(a.mask, b.mask)
 
     def test_rotation_invalidates_corners(self):
+        # Rng(40) draws zoom 1.008 and a 14.8-degree rotation
+        u_zoom, u_angle = Rng(40).uniform((2,))
+        assert 1.0 < 0.8 + 0.4 * u_zoom < 1.01 and -15 + 30 * u_angle > 14.5
         s = make_sample(seed=14, h=32, w=32)
         cfg = AugmentConfig(crop_h=32, crop_w=32, mirror_prob=0.0,
-                            rotate_min_deg=15.0, rotate_max_deg=15.0,
-                            zoom_min=1.0, zoom_max=1.0, enable_rotate_zoom=True)
-        out = augment(s, cfg, Rng(1))
+                            enable_rotate_zoom=True)
+        out = augment(s, cfg, Rng(40))
         frac = out.mask.mean()
         assert frac < 1.0
         assert frac > 0.5

@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from intrinsics.layers import (ConvSpec, bilinear_upsample_backward,
-                               bilinear_upsample_forward, concat_backward,
-                               concat_channels, conv_backward, conv_forward,
-                               deconv_backward, deconv_forward,
+from intrinsics.layers import (ConvSpec, bilinear_upsample_forward,
+                               concat_backward, concat_channels, conv_backward,
+                               conv_forward, deconv_backward, deconv_forward,
                                dropout_forward, max_pool_backward,
                                max_pool_forward, prelu_forward)
 from intrinsics.rng import Rng
@@ -235,17 +234,6 @@ class TestBilinearUpsample:
             y = bilinear_upsample_forward(x, factor)
             assert y.shape == (1, 1, 3 * factor, 5 * factor)
             assert np.allclose(y, 0.7)
-
-    @pytest.mark.parametrize("seed,factor,hw", [
-        (1, 2, (3, 4)), (2, 4, (4, 4)), (3, 8, (2, 3)), (4, 3, (5, 2)), (5, 2, (7, 7)),
-    ])
-    def test_adjoint_identity(self, seed, factor, hw):
-        rng = Rng(500 + seed)
-        x = rng.normal((2, 3, *hw))
-        y = rng.normal((2, 3, hw[0] * factor, hw[1] * factor))
-        lhs = float((bilinear_upsample_forward(x, factor) * y).sum())
-        rhs = float((x * bilinear_upsample_backward(y, factor, x.shape)).sum())
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients(self, seed):

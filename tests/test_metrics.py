@@ -126,12 +126,6 @@ class TestDssim:
             v = dssim(a, b)
             assert 0.0 <= v <= 1.0
 
-    def test_symmetry_without_alignment(self):
-        rng = Rng(12)
-        a = rng.uniform((1, 3, 14, 14))
-        b = rng.uniform((1, 3, 14, 14))
-        assert abs(dssim(a, b, align=False) - dssim(b, a, align=False)) < 1e-12
-
     def test_against_direct_sum_oracle(self):
         rng = Rng(13)
         target = rng.uniform((1, 3, 16, 16))
@@ -140,8 +134,9 @@ class TestDssim:
         want = ssim_oracle(target, pred)
         assert got.shape == want.shape == (1, 3, 6, 6)
         assert np.max(np.abs(got - want)) < 1e-8
-        assert abs(dssim(target, pred, align=False)
-                   - float((1 - want.mean()) / 2)) < 1e-8
+        scale = float((target * pred).sum()) / float((pred * pred).sum())
+        aligned = ssim_oracle(target, np.clip(scale * pred, 0.0, 1.0))
+        assert abs(dssim(target, pred) - float((1 - aligned.mean()) / 2)) < 1e-8
 
     def test_too_small_rejected(self):
         t = np.ones((1, 3, 8, 8))

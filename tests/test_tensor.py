@@ -103,8 +103,8 @@ class TestRng:
         assert sorted(p.tolist()) == list(range(257))
 
     def test_integers_inclusive_bounds(self):
-        v = Rng(12).integers(2, 5, (2000,))
-        assert set(np.unique(v).tolist()) == {2, 3, 4, 5}
+        rng = Rng(12)
+        assert {rng.integers(2, 5) for _ in range(2000)} == {2, 3, 4, 5}
 
     def test_derive_seed_distinguishes_keys(self):
         assert derive_seed(5, "epoch", 0) != derive_seed(5, "epoch", 1)

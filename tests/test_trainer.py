@@ -155,6 +155,19 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("section,name,value", [
+        ("params", "albedo.deconv.bias", np.nan),
+        ("momentum", "s1.conv1.weight", -np.inf),
+    ])
+    def test_non_finite_tensor_rejected(self, tmp_path, section, name, value):
+        net = build_network(tiny_cfg(), Rng(6))
+        ck = Checkpoint.from_network(net, 1, (0, 0, 0, 0), b"\x07" * 32)
+        dict(getattr(ck, section))[name].flat[0] = value
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(ck, path)
+        with pytest.raises(ValueError, match=rf"bad\.ckpt.*{section}.*'{name}'"):
+            load_checkpoint(path)
+
     def test_truncation_rejected(self, tmp_path):
         net = build_network(tiny_cfg(), Rng(3))
         path, _ = self._roundtrip(tmp_path, net)
