@@ -238,14 +238,14 @@ def make_parser() -> argparse.ArgumentParser:
         prog="intrinsics",
         description="Albedo/shading decomposition by convolutional regression")
     parser.add_argument("--verbose", action="store_true", help="progress output")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the configured training seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", default=None, help="run configuration file")
     p.add_argument("--resume", default=None,
                    help="checkpoint to resume from (same config)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the configured training seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("decompose", help="split an image into albedo and shading")

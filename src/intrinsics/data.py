@@ -80,6 +80,7 @@ class Manifest:
 
 def parse_manifest(path) -> Manifest:
     entries = []
+    first_line: dict[str, int] = {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -94,6 +95,9 @@ def parse_manifest(path) -> Manifest:
             else:
                 raise ValueError(f"{path}:{lineno}: expected 5 or 6 tab-separated "
                                  f"fields, got {len(fields)}")
+            if first_line.setdefault(sid, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate id {sid!r} "
+                                 f"(first on line {first_line[sid]})")
             entries.append(ManifestEntry(sid, img, alb, shd, mask, scene))
     return Manifest(entries, base_dir=os.path.dirname(os.path.abspath(path)))
 

@@ -3,11 +3,11 @@
 Convolution is cross-correlation (no kernel flip) over zero-padded input;
 deconvolution is its exact transpose, so the pair satisfies the adjoint
 identity <conv(x, w), y> = <x, deconv(y, w)> for any weight tensor.
-Both run as im2col GEMMs whose columns are built in blocks of at most
-_BLOCK_BYTES, one buffer reused across a call's blocks: whole output rows
-of one image in the forward, input channels in the two gradients.  No
-block split cuts a GEMM's reduction axis, so each result element sums in
-the same order as one GEMM over the whole call would.
+conv_forward and _weight_grad build im2col columns in blocks of at most
+_BLOCK_BYTES (whole output rows of one image; input channels); no block
+cuts a GEMM's reduction axis, so each result element sums in the same
+order as one GEMM over the whole call would.  Every other convolution runs
+through conv_forward, the transposed ones as one conv over stride phases.
 Max pooling uses ceil-mode output extents with windows clipped to the
 input, which is what makes a stack of stride-2 pools halve extents exactly
 without pool padding.  Its forward keeps a running maximum over strided
@@ -50,8 +50,8 @@ class ConvSpec:
             raise ValueError("ConvSpec: kernel extents must be >= 1")
         if self.stride_h < 1 or self.stride_w < 1:
             raise ValueError("ConvSpec: strides must be >= 1")
-        if self.pad_h < 0 or self.pad_w < 0:
-            raise ValueError("ConvSpec: padding must be >= 0")
+        if not (0 <= self.pad_h < self.kernel_h and 0 <= self.pad_w < self.kernel_w):
+            raise ValueError(f"ConvSpec: padding {self.pad_h}x{self.pad_w} outside [0, kernel)")
 
     def out_extent(self, h: int, w: int) -> tuple[int, int]:
         oh = (h + 2 * self.pad_h - self.kernel_h) // self.stride_h + 1
@@ -91,11 +91,6 @@ def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return win[:, :, ::spec.stride_h, ::spec.stride_w].transpose(0, 1, 4, 5, 2, 3)
 
 
-def _channel_major(a: np.ndarray) -> np.ndarray:
-    """(N, O, H, W) -> (O, N*H*W), the row layout of a column GEMM."""
-    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
-
-
 def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.ndarray:
     """Conv weight gradient from output gradient dy and input x; with the
     two swapped it is the deconv weight gradient.
@@ -104,7 +99,7 @@ def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.n
     its slice of dw, so every entry is still one dot over N*Ho*Wo."""
     win = _windows(x, spec)
     n, c, kh, kw, ho, wo = win.shape
-    dy_cm = _channel_major(dy)
+    dy_cm = dy.transpose(1, 0, 2, 3).reshape(dy.shape[1], -1)  # (O, N*Ho*Wo)
     taps, p = kh * kw, n * ho * wo
     dw = np.empty((dy_cm.shape[0], c * taps), dtype=np.result_type(dy, x))
     chans = _block(taps * p * x.itemsize, c)
@@ -117,34 +112,32 @@ def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.n
     return dw.reshape(w_shape)
 
 
-def _input_grad(dy: np.ndarray, w: np.ndarray, spec: ConvSpec, x_shape) -> np.ndarray:
-    """Conv input gradient of extents x_shape (also the deconv forward):
-    weight-times-dy columns scattered back by the adjoint of im2col.
-
-    The weights are permuted to (kh, kw, C, O) so that the columns of each
-    kernel tap form one contiguous (C, N, Ho, Wo) block; the padded input
-    gradient is accumulated in that channel-major layout too.  Blocks of
-    input channels: each block's GEMM rows are its channels' taps, and each
-    cell of the gradient adds its taps in the same (u, v) order."""
-    n, c, h, wd = x_shape
-    kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
-    ph, pw = spec.pad_h, spec.pad_w
-    ho, wo = dy.shape[2:]
-    taps, p = kh * kw, n * ho * wo
-    w_taps = w.transpose(2, 3, 1, 0)
-    dy_cm = _channel_major(dy)
-    xp = np.zeros((c, n, h + 2 * ph, wd + 2 * pw), dtype=np.result_type(w, dy))
-    chans = _block(taps * p * xp.itemsize, c)
-    buf = np.empty(chans * taps * p, dtype=xp.dtype)
-    for c0 in range(0, c, chans):
-        c1 = min(c0 + chans, c)
-        cols = buf[:(c1 - c0) * taps * p].reshape(-1, p)
-        np.matmul(w_taps[:, :, c0:c1].reshape(-1, spec.out_channels), dy_cm, out=cols)
-        cols = cols.reshape(kh, kw, c1 - c0, n, ho, wo)
-        for u in range(kh):
-            for v in range(kw):
-                xp[c0:c1, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += cols[u, v]
-    return np.ascontiguousarray(xp[:, :, ph:ph + h, pw:pw + wd].transpose(1, 0, 2, 3))
+def _transposed_conv(dy: np.ndarray, w: np.ndarray, spec: ConvSpec, out_hw) -> np.ndarray:
+    """Conv input gradient of extents out_hw, also the deconv forward, as one
+    stride-1 conv_forward over zero-padded dy.  Along an axis (kernel k,
+    stride s, padding p), padded output cell q*s + r sums taps r + t*s with
+    dy cells q - t, so the s_h*s_w phases r are one conv of ceil(k/s) taps
+    and s_h*s_w*C output channels over the cells q that land on the output,
+    interleaved back onto the stride grid.  Stride 1 is the one-phase case:
+    the kernel flipped and transposed, dy padded by k-1-p."""
+    n, o, ho, wo = dy.shape
+    c, sh, sw = spec.in_channels, spec.stride_h, spec.stride_w
+    th, tw = -(-spec.kernel_h // sh), -(-spec.kernel_w // sw)
+    ph, pw = th - 1 - spec.pad_h // sh, tw - 1 - spec.pad_w // sw  # >= 0 as p < k
+    # zero cells past dy reach output cells that no window covers
+    eh = max(0, (spec.pad_h + out_hw[0] - 1) // sh + 1 - ph - ho)
+    ew = max(0, (spec.pad_w + out_hw[1] - 1) // sw + 1 - pw - wo)
+    if eh or ew:
+        dy = np.pad(dy, ((0, 0), (0, 0), (0, eh), (0, ew)))
+    # phase r takes taps r + t*s, t reversed; taps past the kernel are zero
+    g = np.pad(w, ((0, 0), (0, 0), (0, th * sh - spec.kernel_h), (0, tw * sw - spec.kernel_w)))
+    g = g.reshape(o, c, th, sh, tw, sw)[:, :, ::-1, :, ::-1].transpose(3, 5, 1, 0, 2, 4)
+    y = conv_forward(dy, g.reshape(sh * sw * c, o, th, tw), None,
+                     ConvSpec(o, sh * sw * c, th, tw, pad_h=ph, pad_w=pw))
+    qh, qw = y.shape[2:]
+    y = y.reshape(n, sh, sw, c, qh, qw).transpose(0, 3, 4, 1, 5, 2).reshape(n, c, qh * sh, qw * sw)
+    off_h, off_w = spec.pad_h % sh, spec.pad_w % sw
+    return np.ascontiguousarray(y[:, :, off_h:off_h + out_hw[0], off_w:off_w + out_hw[1]])
 
 
 def _check_conv_input(x: np.ndarray, w: np.ndarray, spec: ConvSpec, channels: int):
@@ -189,9 +182,9 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 def conv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec,
                   input_grad: bool = True):
     """Gradients of conv_forward w.r.t. input, weights, and bias; the input
-    gradient is None with ``input_grad=False``, which skips its GEMM."""
+    gradient is None with ``input_grad=False``, which skips its conv."""
     db = dy.reshape(x.shape[0], spec.out_channels, -1).sum(axis=(0, 2))
-    dx = _input_grad(dy, w, spec, x.shape) if input_grad else None
+    dx = _transposed_conv(dy, w, spec, x.shape[2:]) if input_grad else None
     return dx, _weight_grad(dy, x, spec, w.shape), db
 
 
@@ -203,9 +196,7 @@ def deconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     (in-1)*stride + kernel - 2*pad extents.
     """
     _check_conv_input(x, w, spec, spec.out_channels)
-    n, _, h, w_in = x.shape
-    oh, ow = spec.deconv_out_extent(h, w_in)
-    y = _input_grad(x, w, spec, (n, spec.in_channels, oh, ow))
+    y = _transposed_conv(x, w, spec, spec.deconv_out_extent(*x.shape[2:]))
     if b is not None:
         y = y + b.reshape(1, -1, 1, 1)
     return y

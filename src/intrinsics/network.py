@@ -128,21 +128,19 @@ class Network:
         if deconv:
             # data flows out_channels -> in_channels through a deconv
             fan_in = spec.out_channels * spec.kernel_h * spec.kernel_w
-            bias_ch = spec.in_channels
-            act_ch = spec.in_channels
+            out_ch = spec.in_channels
         else:
             fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-            bias_ch = spec.out_channels
-            act_ch = spec.out_channels
+            out_ch = spec.out_channels
         if rng is None:
             w = np.zeros(w_shape, dtype=self.dtype)
         else:
             w = (rng.normal(w_shape) * math.sqrt(2.0 / fan_in)).astype(self.dtype)
         self.params[f"{name}.weight"] = Param(f"{name}.weight", w)
         self.params[f"{name}.bias"] = Param(f"{name}.bias",
-                                            np.zeros(bias_ch, dtype=self.dtype))
+                                            np.zeros(out_ch, dtype=self.dtype))
         if prelu:
-            slopes = np.full(act_ch, PRELU_INIT, dtype=self.dtype)
+            slopes = np.full(out_ch, PRELU_INIT, dtype=self.dtype)
             self.params[f"{name}.slope"] = Param(f"{name}.slope", slopes)
 
     def _build(self, rng: Rng | None):

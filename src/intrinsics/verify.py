@@ -321,7 +321,12 @@ def _suite_conv_oracle():
             (2, (12, 12), ConvSpec(4, 2, 5, 5, 2, 2, 2, 2)),
             (1, (11, 12), ConvSpec(2, 2, 4, 2, 3, 1, 1, 0)),
             (1, (8, 8), ConvSpec(2, 2, 3, 3, 1, 1, 1, 1)),
-            (2, (9, 8), ConvSpec(3, 2, 3, 3, 2, 2, 1, 1))):
+            (2, (9, 8), ConvSpec(3, 2, 3, 3, 2, 2, 1, 1)),
+            # phase padding: stride 1 at pad 0 and k-1, uneven strides, ends no window covers
+            (2, (7, 8), ConvSpec(3, 2, 3, 3)),
+            (1, (6, 7), ConvSpec(2, 3, 4, 3, 1, 1, 3, 2)),
+            (1, (12, 14), ConvSpec(2, 3, 5, 7, 3, 2, 2, 3)),
+            (2, (7, 5), ConvSpec(2, 2, 2, 2, 2, 2))):
         x = rng.normal((n, spec.in_channels, *hw))
         w = rng.normal((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
         b = rng.normal((spec.out_channels,))
@@ -373,7 +378,8 @@ def _suite_deconv_adjoint():
             (2, (5, 5), ConvSpec(3, 2, 2, 2)),
             (2, (16, 16), ConvSpec(3, 4, 8, 8, 4, 4, 2, 2)),
             (2, (9, 7), ConvSpec(2, 2, 5, 3, 1, 1, 2, 1)),
-            (1, (16, 16), ConvSpec(2, 4, 8, 8, 4, 4, 2, 2))):
+            (1, (16, 16), ConvSpec(2, 4, 8, 8, 4, 4, 2, 2)),
+            (2, (13, 11), ConvSpec(2, 3, 5, 7, 3, 2, 2, 3))):
         x = rng.normal((n, spec.in_channels, *hw))
         w = rng.normal((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
         y = rng.normal(layers.conv_forward(x, w, None, spec).shape)

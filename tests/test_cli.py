@@ -127,6 +127,14 @@ class TestTrainCommand:
         assert run_cli("train") == 1
         assert "train: --config is required" in capsys.readouterr().err
 
+    def test_seed_is_an_option_of_train_only(self, tmp_path):
+        manifest = tmp_path / "empty.tsv"
+        manifest.write_text("")
+        with pytest.raises(SystemExit) as err:
+            run_cli("--seed", "5", "synth", "--mode", "resynth-sintel",
+                    "--manifest", manifest, "--out-dir", tmp_path / "out")
+        assert err.value.code == 2
+
     def test_typo_config_fails_before_compute(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[train]\nlearning_rate = 0.1\n")
@@ -149,7 +157,7 @@ class TestTrainCommand:
             out = tmp_path / f"s{seed_flag}"
             cfg = write_config(tmp_path / f"s{seed_flag}.cfg", manifest, out,
                                max_iterations=2)
-            assert run_cli("--seed", seed_flag, "train", "--config", cfg) == 0
+            assert run_cli("train", "--config", cfg, "--seed", seed_flag) == 0
             outs.append((out / "loss_trace.csv").read_text())
         assert outs[0] != outs[1]
 

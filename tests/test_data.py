@@ -192,6 +192,17 @@ class TestManifest:
         with pytest.raises(ValueError, match="5 or 6"):
             parse_manifest(mf)
 
+    def test_duplicate_id_rejected(self, tmp_path):
+        # synth would write both samples to one set of PNGs, eval would
+        # score both against one prediction
+        mf = tmp_path / "m.tsv"
+        mf.write_text("a\ti\ta\ts\tscene1\n"
+                      "# comment\n"
+                      "b\ti\ta\ts\tscene1\n"
+                      "a\ti2\ta2\ts2\tscene2\n")
+        with pytest.raises(ValueError, match=r"m\.tsv:4: duplicate id 'a' \(first on line 1\)"):
+            parse_manifest(mf)
+
     def test_scene_split_overlap_rejected(self):
         e1 = ManifestEntry("a", "i", "a", "s", None, "sceneX")
         e2 = ManifestEntry("b", "i", "a", "s", None, "sceneX")

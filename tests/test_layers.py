@@ -39,6 +39,13 @@ class TestConv:
         with pytest.raises(ValueError, match="channels"):
             conv_forward(x, w, None, spec)
 
+    @pytest.mark.parametrize("pad_h,pad_w", [(3, 0), (0, 2), (-1, 0)])
+    def test_padding_outside_kernel_rejected(self, pad_h, pad_w):
+        # padding below the kernel extent keeps the input gradient's
+        # padding of dy non-negative
+        with pytest.raises(ValueError, match="padding"):
+            ConvSpec(2, 3, 3, 2, pad_h=pad_h, pad_w=pad_w)
+
     @pytest.mark.parametrize("seed,shape,spec", [
         (1, (1, 2, 6, 6), ConvSpec(2, 3, 3, 3, stride_h=2, stride_w=2)),
         (2, (2, 3, 8, 7), ConvSpec(3, 2, 3, 3, pad_h=1, pad_w=1)),
@@ -124,20 +131,25 @@ def test_float32_in_contiguous_float32_out(n, spec, hw):
         assert out.flags.c_contiguous, f"output {i} is a strided view"
 
 
-@pytest.mark.parametrize("call", ["forward", "backward"])
+@pytest.mark.parametrize("call", ["forward", "backward", "deconv"])
 def test_conv_working_set_is_capped(call):
     # s2.conv2 on a 436x1024 frame: one im2col matrix for the whole call
-    # would be 4000 x 28672 float32, 458 MB
+    # would be 4000 x 28672 float32, 458 MB.  The head deconvolution of the
+    # same frame runs as one conv of its 16 phases to 1x3x448x1024.
     spec = ConvSpec(160, 64, 5, 5, pad_h=2, pad_w=2)
     x = np.ones((1, 160, 112, 256), dtype=np.float32)
     w = np.ones((64, 160, 5, 5), dtype=np.float32)
     dy = np.ones((1, 64, 112, 256), dtype=np.float32)
+    head = ConvSpec(3, 64, 8, 8, stride_h=4, stride_w=4, pad_h=2, pad_w=2)
+    w_head = np.ones((64, 3, 8, 8), dtype=np.float32)
     tracemalloc.start()
     try:
         if call == "forward":
             conv_forward(x, w, None, spec)
-        else:
+        elif call == "backward":
             conv_backward(dy, x, w, spec)
+        else:
+            deconv_forward(dy, w_head, None, head)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
