@@ -17,6 +17,7 @@ window won from the pool's input and output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,17 +78,19 @@ class ConvSpec:
 _BLOCK_BYTES = 16 << 20
 
 
-def _block(unit_bytes: int, units: int) -> int:
-    """Units (output rows or channels) per block within the byte budget."""
-    return max(1, min(units, _BLOCK_BYTES // unit_bytes))
+def _block(unit_bytes: int, units: int, budget: int) -> int:
+    """Units (output rows or channels) per block within a byte budget."""
+    return max(1, min(units, budget // unit_bytes))
 
 
 def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Zero-pad (N,C,H,W) per spec and view it, without a copy, as the
-    im2col windows (N, C, kh, kw, Ho, Wo)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
+    """Zero-pad (N,C,H,W) per spec and view it as the im2col windows
+    (N, C, kh, kw, Ho, Wo); the padded copy is the only one, and at zero
+    padding there is none."""
+    if spec.pad_h or spec.pad_w:
+        x = np.pad(x, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
     win = np.lib.stride_tricks.sliding_window_view(
-        xp, (spec.kernel_h, spec.kernel_w), axis=(2, 3))
+        x, (spec.kernel_h, spec.kernel_w), axis=(2, 3))
     return win[:, :, ::spec.stride_h, ::spec.stride_w].transpose(0, 1, 4, 5, 2, 3)
 
 
@@ -96,20 +99,21 @@ def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.n
     two swapped it is the deconv weight gradient.
 
     Blocks of input channels: each block's columns (Cb*kh*kw, N*Ho*Wo) give
-    its slice of dw, so every entry is still one dot over N*Ho*Wo."""
+    its rows of dw.T = columns @ dy.T, so every entry is still one dot over
+    N*Ho*Wo and each block writes contiguous rows."""
     win = _windows(x, spec)
     n, c, kh, kw, ho, wo = win.shape
     dy_cm = dy.transpose(1, 0, 2, 3).reshape(dy.shape[1], -1)  # (O, N*Ho*Wo)
     taps, p = kh * kw, n * ho * wo
-    dw = np.empty((dy_cm.shape[0], c * taps), dtype=np.result_type(dy, x))
-    chans = _block(taps * p * x.itemsize, c)
+    dw_t = np.empty((c * taps, dy_cm.shape[0]), dtype=np.result_type(dy, x))
+    chans = _block(taps * p * x.itemsize, c, _BLOCK_BYTES)
     buf = np.empty(chans * taps * p, dtype=x.dtype)
     for c0 in range(0, c, chans):
         c1 = min(c0 + chans, c)
         cols = buf[:(c1 - c0) * taps * p].reshape(c1 - c0, kh, kw, n, ho, wo)
         np.copyto(cols, win[:, c0:c1].transpose(1, 2, 3, 0, 4, 5))
-        np.matmul(dy_cm, cols.reshape(-1, p).T, out=dw[:, c0 * taps:c1 * taps])
-    return dw.reshape(w_shape)
+        np.matmul(cols.reshape(-1, p), dy_cm.T, out=dw_t[c0 * taps:c1 * taps])
+    return np.ascontiguousarray(dw_t.T).reshape(w_shape)
 
 
 def _transposed_conv(dy: np.ndarray, w: np.ndarray, spec: ConvSpec, out_hw) -> np.ndarray:
@@ -166,7 +170,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     w2 = w.reshape(spec.out_channels, k)
     y = np.empty((n, spec.out_channels, oh, ow), dtype=np.result_type(x, w))
     y_rows = y.reshape(n, spec.out_channels, oh * ow)
-    rows = _block(k * ow * x.itemsize, oh)
+    rows = _block(k * ow * x.itemsize, oh, _BLOCK_BYTES)
     buf = np.empty(k * rows * ow, dtype=x.dtype)
     for i in range(n):
         for r0 in range(0, oh, rows):
@@ -206,6 +210,12 @@ def deconv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec
     """Gradients of deconv_forward; dx reuses conv_forward (mutual adjoints)."""
     dx = conv_forward(dy, w, None, spec)
     return dx, _weight_grad(x, dy, spec, w.shape), dy.sum(axis=(0, 2, 3))
+
+
+# max_pool_backward works through blocks of whole channels of about this many
+# input bytes, so that its masks and padded copies stay in cache; a block
+# always holds at least one channel.
+_POOL_BLOCK_BYTES = 512 << 10
 
 
 def _pool_taps(xp: np.ndarray, kernel: int, stride: int, oh: int, ow: int):
@@ -258,27 +268,36 @@ def max_pool_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray,
     Ties break toward the first tap in row-major order, i.e. the lowest
     flat index; a window holding NaN routes to its first NaN.  Taps are
     added in reverse order, so each input cell sums its windows in
-    row-major output order.
+    row-major output order.  Channels are independent, so the work runs
+    in blocks of _POOL_BLOCK_BYTES of input.
     """
-    h, w = x.shape[2:]
-    xp, oh, ow = _pool_pad(x, kernel, stride)
-    y_nan = np.isnan(y) if np.isnan(y).any() else None
-    free = np.ones(y.shape, dtype=bool)
-    hits = []
-    for view in _pool_taps(xp, kernel, stride, oh, ow):
-        hit = view == y
-        if y_nan is not None:
-            hit |= np.isnan(view) & y_nan
-        hit &= free
-        free ^= hit
-        hits.append(hit)
+    n, c, h, w = x.shape
     # dy * 0 is NaN where dy is not finite, so such a dy is masked instead
     finite = np.isfinite(dy).all()
-    dxp = np.zeros(xp.shape, dtype=dy.dtype)
-    for view, hit in zip(reversed(list(_pool_taps(dxp, kernel, stride, oh, ow))),
-                         reversed(hits)):
-        view += dy * hit if finite else np.where(hit, dy, 0)
-    return np.ascontiguousarray(dxp[:, :, :h, :w])
+    dx = np.empty(x.shape, dtype=dy.dtype)
+    chans = _block(n * h * w * x.itemsize, c, _POOL_BLOCK_BYTES)
+    for c0 in range(0, c, chans):
+        block = slice(c0, c0 + chans)
+        xp, oh, ow = _pool_pad(x[:, block], kernel, stride)
+        yb, dyb = y[:, block], dy[:, block]
+        y_nan = np.isnan(yb)
+        if not y_nan.any():
+            y_nan = None
+        free = np.ones(yb.shape, dtype=bool)
+        hits = []
+        for view in _pool_taps(xp, kernel, stride, oh, ow):
+            hit = view == yb
+            if y_nan is not None:
+                hit |= np.isnan(view) & y_nan
+            hit &= free
+            free ^= hit
+            hits.append(hit)
+        dxp = np.zeros(xp.shape, dtype=dy.dtype)
+        for view, hit in zip(reversed(list(_pool_taps(dxp, kernel, stride, oh, ow))),
+                             reversed(hits)):
+            view += dyb * hit if finite else np.where(hit, dyb, 0)
+        dx[:, block] = dxp[:, :, :h, :w]
+    return dx
 
 
 @lru_cache(maxsize=256)
@@ -329,28 +348,51 @@ def prelu_forward(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 
 
 def prelu_backward(dy: np.ndarray, x: np.ndarray, slopes: np.ndarray):
+    """Gradients of prelu_forward w.r.t. x and the slopes.
+
+    The slope gradient sums min(x, 0) * dy per channel, formed in one
+    temporary.  Cells with x >= 0 add a zero product, so for finite x and
+    dy the sums equal those of x * dy over the cells with x < 0, in the
+    same order; a NaN x or a non-finite dy makes its channel's sum NaN."""
     a = slopes.reshape(1, -1, 1, 1)
-    neg = x < 0
-    dx = np.where(neg, a * dy, dy)
-    dslopes = np.where(neg, x * dy, 0.0).sum(axis=(0, 2, 3))
-    return dx, dslopes
+    dx = np.where(x < 0, a * dy, dy)
+    prod = np.minimum(x, 0, dtype=np.result_type(x, dy))
+    prod *= dy
+    return dx, prod.sum(axis=(0, 2, 3))
+
+
+def _dropout_scale(dtype, p: float) -> np.ndarray:
+    """1 / (1 - p) as a 0-d array of dtype, rounded as that dtype divides."""
+    return np.asarray(1.0, dtype=dtype) / np.asarray(1.0 - p, dtype=dtype)
 
 
 def dropout_forward(x: np.ndarray, p: float, rng: Rng, train_mode: bool):
-    """Inverted dropout; returns (output, mask). Eval mode is identity."""
+    """Inverted dropout; returns (output, bool keep mask). Eval mode is
+    identity and returns the mask None.
+
+    Cell i is kept where rng.uniform(x.shape)[i] >= p.  That uniform is
+    (raw >> 11) * 2**-53 of the raw uint64 draw, so the mask compares the
+    raw draws with ceil(p * 2**53) << 11 instead and is bit-identical.
+    The output is x * keep * (1/(1-p)): a dropped cell is x * 0, so its
+    zero keeps x's sign and a non-finite x stays NaN."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: probability {p} outside [0, 1)")
     if not train_mode or p == 0.0:
         return x, None
-    keep = (rng.uniform(x.shape) >= p).astype(x.dtype)
-    mask = keep / np.asarray(1.0 - p, dtype=x.dtype)
-    return x * mask, mask
+    threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+    keep = (rng._raw(x.size) >= threshold).reshape(x.shape)
+    y = np.multiply(x, keep)
+    y *= _dropout_scale(x.dtype, p)
+    return y, keep
 
 
-def dropout_backward(dy: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    if mask is None:
+def dropout_backward(dy: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
+    """dy * keep * (1/(1-p)), by the same arithmetic as dropout_forward."""
+    if keep is None:
         return dy
-    return dy * mask
+    dx = np.multiply(dy, keep)
+    dx *= _dropout_scale(dy.dtype, p)
+    return dx
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:

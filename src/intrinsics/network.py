@@ -209,8 +209,9 @@ class Network:
         return _record(prelu_forward(xv, a.value), backward, x)
 
     def _dropout(self, x, train_mode, rng):
-        y, mask = dropout_forward(x.value, self.cfg.dropout_prob, rng, train_mode)
-        return _record(y, lambda dy: (dropout_backward(dy, mask),), x)
+        p = self.cfg.dropout_prob
+        y, keep = dropout_forward(x.value, p, rng, train_mode)
+        return _record(y, lambda dy: (dropout_backward(dy, keep, p),), x)
 
     @staticmethod
     def _pool(x, kernel, stride):

@@ -320,6 +320,7 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     trace = []
     dtype = net.dtype
     eps = cfg.loss.log_epsilon
+    net.zero_grads()  # sgd_momentum_step zeroes them after each update
     for it in range(start, cfg.max_iterations):
         ids, img, alb, shd, mask = _assemble_batch(samples, cfg, it,
                                                    net.cfg.input_multiple)
@@ -333,7 +334,6 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
         if not np.isfinite(loss):
             raise ValueError(f"train_loop: non-finite loss at iteration {it} "
                              f"(batch samples: {', '.join(ids)})")
-        net.zero_grads()
         net.backward(d_la, d_ls, image_grad=False)
         sgd_momentum_step(net.params, cfg, it)
         trace.append((it, float(loss)))

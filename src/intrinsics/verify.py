@@ -261,10 +261,10 @@ def prelu_probes(rng, n):
 
 def dropout_probe(rng, shape):
     x = rng.normal(shape)
-    _, mask = layers.dropout_forward(x, 0.5, Rng(9), True)
+    _, keep = layers.dropout_forward(x, 0.5, Rng(9), True)
     dy = rng.normal(shape)
     return _probe(f"dropout backward (frozen mask, {shape})", x, dy,
-                  lambda v: v * mask, layers.dropout_backward(dy, mask))
+                  lambda v: v * keep / 0.5, layers.dropout_backward(dy, keep, 0.5))
 
 
 def concat_probe(rng, cb):
@@ -301,15 +301,16 @@ def _suite_layer_gradients():
 
 @contextmanager
 def _block_budget(nbytes):
-    """Run with the conv column blocks capped at nbytes.  The oracle cases
-    fit in one block at the default budget, so each runs again at 1 byte,
-    which forces one output row or one channel per block."""
-    saved = layers._BLOCK_BYTES
-    layers._BLOCK_BYTES = nbytes
+    """Run with the conv column blocks and the max-pool backward blocks
+    capped at nbytes.  The oracle cases fit in one block at the default
+    budgets, so each runs again at 1 byte, which forces one output row or
+    one channel per block."""
+    saved = layers._BLOCK_BYTES, layers._POOL_BLOCK_BYTES
+    layers._BLOCK_BYTES = layers._POOL_BLOCK_BYTES = nbytes
     try:
         yield
     finally:
-        layers._BLOCK_BYTES = saved
+        layers._BLOCK_BYTES, layers._POOL_BLOCK_BYTES = saved
 
 
 def _suite_conv_oracle():
@@ -361,13 +362,16 @@ def _suite_max_pool_oracle():
                 x = x.astype(dtype)
                 y = layers.max_pool_forward(x, kernel, stride)
                 dy = rng.normal(y.shape).astype(dtype)
-                dx = layers.max_pool_backward(dy, x, y, kernel, stride)
                 want_y, want_dx = max_pool_oracle(x, dy, kernel, stride)
                 tag = f"{kernel}x{kernel}/{stride} {hw[0]}x{hw[1]} {np.dtype(dtype).name}"
                 assert y.dtype == dtype and np.array_equal(y, want_y), \
                     f"max_pool forward vs window oracle ({tag})"
-                assert dx.dtype == dtype and np.array_equal(dx, want_dx), \
-                    f"max_pool backward vs first-max add.at oracle ({tag})"
+                for budget in (layers._POOL_BLOCK_BYTES, 1):
+                    with _block_budget(budget):
+                        dx = layers.max_pool_backward(dy, x, y, kernel, stride)
+                    assert dx.dtype == dtype and np.array_equal(dx, want_dx), \
+                        f"max_pool backward vs first-max add.at oracle " \
+                        f"({tag}, {budget}-byte blocks)"
 
 
 def _suite_deconv_adjoint():

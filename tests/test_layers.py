@@ -1,18 +1,21 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from intrinsics import layers
 from intrinsics.layers import (ConvSpec, bilinear_upsample_forward,
                                concat_backward, concat_channels, conv_backward,
                                conv_forward, deconv_backward, deconv_forward,
-                               dropout_forward, max_pool_backward,
-                               max_pool_forward, prelu_forward)
+                               dropout_backward, dropout_forward,
+                               max_pool_backward, max_pool_forward,
+                               prelu_forward)
 from intrinsics.rng import Rng
-from intrinsics.verify import (LAYER_H, bilinear_probe, check_all,
-                               concat_probe, conv_oracle, conv_probes,
-                               dropout_probe, max_pool_oracle, pool_probe,
-                               prelu_probes)
+from intrinsics.verify import (LAYER_H, _block_budget, bilinear_probe,
+                               check_all, concat_probe, conv_oracle,
+                               conv_probes, dropout_probe, max_pool_oracle,
+                               pool_probe, prelu_probes)
 
 
 class TestConv:
@@ -218,17 +221,22 @@ class TestMaxPool:
     def test_non_finite_matches_oracle(self, dtype):
         x = np.floor(Rng(12).uniform((2, 3, 9, 8)) * 3).astype(dtype)
         x[Rng(13).uniform(x.shape) < 0.1] = np.nan
+        x[:, 1] = np.floor(Rng(15).uniform((2, 9, 8)) * 3)  # a channel without NaN
         out = max_pool_forward(x, 3, 2)
         dy = Rng(14).normal(out.shape).astype(dtype)
         want_y, want_dx = max_pool_oracle(x, dy, 3, 2)
         assert np.isnan(want_y).any()
         assert np.array_equal(out, want_y, equal_nan=True)
-        assert np.array_equal(max_pool_backward(dy, x, out, 3, 2), want_dx)
         # a non-finite dy reaches only the cell its window routes to
-        dy[0, 0, 0, 0], dy[1, 2, 1, 1] = np.inf, np.nan
-        _, want_dx = max_pool_oracle(x, dy, 3, 2)
-        assert np.array_equal(max_pool_backward(dy, x, out, 3, 2), want_dx,
-                              equal_nan=True)
+        bad_dy = dy.copy()
+        bad_dy[0, 0, 0, 0], bad_dy[1, 2, 1, 1] = np.inf, np.nan
+        _, want_bad_dx = max_pool_oracle(x, bad_dy, 3, 2)
+        # at 1 byte each channel is its own block, with or without NaN windows
+        for budget in (layers._POOL_BLOCK_BYTES, 1):
+            with _block_budget(budget):
+                assert np.array_equal(max_pool_backward(dy, x, out, 3, 2), want_dx)
+                assert np.array_equal(max_pool_backward(bad_dy, x, out, 3, 2),
+                                      want_bad_dx, equal_nan=True)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_away_from_ties(self, seed):
@@ -299,6 +307,48 @@ class TestDropout:
 
     def test_backward_uses_frozen_mask(self):
         check_all([dropout_probe(Rng(16), (1, 1, 8, 8))], LAYER_H)
+
+    # 0.9 * 2**53 and 0.5 * 2**53 are integers, 0.1 * 2**53 and 2**53 / 3 are not
+    @pytest.mark.parametrize("p", [0.1, 0.25, 1 / 3, 0.5, 0.9, 1 - 2.0 ** -53, 2.0 ** -50])
+    def test_mask_is_uniform_threshold(self, p):
+        shape = (2, 3, 17, 19)
+        _, keep = dropout_forward(np.ones(shape, np.float32), p, Rng(21), True)
+        assert keep.dtype == bool
+        assert np.array_equal(keep, Rng(21).uniform(shape) >= p)
+
+    # 0.75 * 2**53 is an integer, so a draw there is uniform == p; 0.1 * 2**53
+    # is not, so the threshold rounds up
+    @pytest.mark.parametrize("p", [0.75, 0.1])
+    def test_mask_threshold_at_the_draw_boundary(self, p):
+        # raw draws on both sides of ceil(p * 2**53) << 11
+        t = math.ceil(p * 2 ** 53)
+        raw = np.array([(t - 1) << 11 | 2047, t << 11, t << 11 | 1, (t + 1) << 11],
+                       dtype=np.uint64)
+
+        class Fixed(Rng):
+            def _raw(self, n):
+                return raw[:n].copy()
+        _, keep = dropout_forward(np.ones((1, 1, 1, 4)), p, Fixed(0), True)
+        assert keep.ravel().tolist() == [False, True, True, True]
+        assert (Fixed(0).uniform((4,)) >= p).tolist() == [False, True, True, True]
+
+    @pytest.mark.parametrize("p", [0.1, 1 / 3, 0.5, 0.9])
+    def test_float32_matches_float_mask_formulas(self, p):
+        # the bool mask keeps y and dx of mask = keep / (1 - p) in float32,
+        # down to the sign of a dropped zero and NaN from a dropped inf
+        shape = (2, 4, 16, 16)
+        x = Rng(22).normal(shape).astype(np.float32)
+        dy = Rng(23).normal(shape).astype(np.float32)
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, -1e-45, 3e38, -3e38]
+        x.ravel()[:len(special)] = dy.ravel()[-len(special):] = special
+        mask = (Rng(24).uniform(shape) >= p).astype(np.float32)
+        mask = mask / np.asarray(1.0 - p, dtype=np.float32)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, 3e38 / (1 - p)
+            y, keep = dropout_forward(x, p, Rng(24), True)
+            pairs = ((y, x * mask), (dropout_backward(dy, keep, p), dy * mask))
+        for got, want in pairs:
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
 
 
 class TestConcat:
