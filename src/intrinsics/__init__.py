@@ -5,6 +5,12 @@ hand-derived backward passes, the multiscale regression network with
 simultaneous log-albedo/log-shading heads, scale-invariant and gradient
 losses, dataset synthesis and augmentation, the si-MSE/LMSE/DSSIM metric
 suite, and a deterministic SGD trainer with binary checkpoints.
+
+Tensors throughout the package are plain numpy ndarrays laid out as
+(N, C, H, W): batch, channel, row, column.  Tests and gradient checks run
+in float64; the training path runs in float32 (the checkpoint format
+stores 32-bit payloads, so live precision must match stored precision for
+bit-exact resume).
 """
 
 from .data import (AugmentConfig, Manifest, ManifestEntry, Sample, augment,
@@ -12,16 +18,17 @@ from .data import (AugmentConfig, Manifest, ManifestEntry, Sample, augment,
                    load_dataset, load_sample, make_synthetic_sample,
                    pad_to_multiple, parse_manifest, resynthesize)
 from .layers import ConvSpec
-from .losses import LossConfig, gradient_loss, sil2_loss, total_loss
+from .losses import (LossConfig, gradient_loss, log_guarded, sil2_loss,
+                     total_loss)
 from .metrics import (PredictionRecord, dssim, evaluate_report, fit_alpha,
                       lmse, lmse_window_sums, mit_total_lmse, si_mse, ssim_map)
 from .network import Network, NetworkConfig, build_network
 from .png_io import read_png, write_png
 from .rng import Rng, derive_seed
-from .tensor import check_gradient, log_guarded
 from .trainer import (Checkpoint, TrainConfig, decompose_image,
                       load_checkpoint, network_from_checkpoint,
                       save_checkpoint, sgd_momentum_step, train_loop)
+from .verify import check_gradient
 
 __version__ = "0.1.0"
 

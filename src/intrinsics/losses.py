@@ -1,7 +1,7 @@
 """Scale-invariant L2 loss, gradient L2 loss, and their masked combination.
 
-All losses consume log-domain tensors produced upstream with the guarded
-log; they never take logs themselves.  The validity mask is (N,1,H,W) with
+All losses consume log-domain tensors produced upstream by ``log_guarded``;
+they never take logs themselves.  The validity mask is (N,1,H,W) with
 1 = valid, broadcast across channels; n counts valid channel entries
 (3x valid pixels for RGB).
 """
@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import LOG_EPS
+LOG_EPS = 1e-4
+
+
+def log_guarded(x: np.ndarray, eps: float = LOG_EPS) -> np.ndarray:
+    """log(max(x, eps)); the standard guard for intensity images containing zeros."""
+    return np.log(np.maximum(x, eps))
 
 
 @dataclass

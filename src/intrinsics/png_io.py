@@ -55,7 +55,8 @@ def write_png(path, image: np.ndarray, bit_depth: int = 16) -> None:
     """Write a float image in [0, 1] as PNG.
 
     ``image`` is (H, W) for grayscale or (H, W, 3) for RGB; values are
-    clipped to [0, 1] and quantized to the requested depth.
+    clipped to [0, 1] and quantized to the requested depth.  NaN has no
+    level to clip to, so an image holding one is rejected.
     """
     if bit_depth not in (8, 16):
         raise ValueError(f"write_png: unsupported bit depth {bit_depth}")
@@ -66,6 +67,8 @@ def write_png(path, image: np.ndarray, bit_depth: int = 16) -> None:
         color_type, channels = 2, 3
     else:
         raise ValueError(f"write_png: expected (H,W) or (H,W,3), got {arr.shape}")
+    if np.isnan(arr.min()):  # min propagates NaN and needs no full-size mask
+        raise ValueError(f"write_png: {path}: image holds NaN")
     h, w = arr.shape[:2]
     maxval = (1 << bit_depth) - 1
     quant = np.rint(np.clip(arr, 0.0, 1.0) * maxval)

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentConfig, Sample, augment, crop_to, pad_to_multiple
-from .losses import LossConfig, total_loss
+from .losses import LossConfig, log_guarded, total_loss
 from .network import Network, NetworkConfig, Param
 from .png_io import write_atomic
 from .rng import Rng, derive_seed
-from .tensor import log_guarded
 
 CHECKPOINT_MAGIC = b"DINT"
 CHECKPOINT_VERSION = 1

@@ -1,7 +1,8 @@
 """Release-gate verification: every module's invariants at desk scale.
 
-This module is the one home of the package's oracles and invariant suites;
-the acceptance gate and the CLI both run them from here.  ``run_all``
+This module is the one home of the package's oracles, invariant suites and
+finite-difference gradient checker; the acceptance gate and the CLI both
+run them from here.  ``run_all``
 executes the suites and returns (name, passed, detail) rows; the CLI turns
 those into a pass/fail listing and exit status.  Each suite re-derives its
 expected values from an independent oracle (nested-loop convolution and
@@ -33,7 +34,6 @@ from .metrics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW, dssim,
 from .network import NetworkConfig, Param, build_network
 from .png_io import read_png, write_png
 from .rng import Rng
-from .tensor import check_gradient
 from .trainer import (Checkpoint, TrainConfig, load_checkpoint,
                       save_checkpoint, sgd_momentum_step, train_loop)
 
@@ -186,6 +186,50 @@ def ssim_oracle(target, pred):
 
 def _full_mask(shape):
     return np.ones((shape[0], 1, shape[2], shape[3]))
+
+
+def check_gradient(f, x: np.ndarray, h: float = 1e-3,
+                   max_coords: int | None = None) -> float:
+    """Compare an analytic gradient against central finite differences.
+
+    ``f(x)`` must return ``(value, grad)`` where ``grad`` has x's shape.
+    Returns the max over checked coordinates of
+    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.
+
+    ``max_coords`` limits the check to a deterministic random subset of
+    coordinates (needed for whole-network checks, where x is large).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _, grad = f(x)
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != x.shape:
+        raise ValueError(f"analytic gradient shape {grad.shape} != input shape {x.shape}")
+
+    n = x.size
+    if max_coords is not None and max_coords < n:
+        coords = Rng(0).permutation(n)[:max_coords]
+    else:
+        coords = np.arange(n)
+
+    flat = x.reshape(-1)
+    worst = 0.0
+    for k in coords:
+        k = int(k)
+        orig = flat[k]
+        flat[k] = orig + h
+        fp, _ = f(x)
+        flat[k] = orig - h
+        fm, _ = f(x)
+        flat[k] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(
+                f"check_gradient: non-finite value at coordinate {k} "
+                f"(f(x+h)={fp}, f(x-h)={fm})")
+        numeric = (fp - fm) / (2.0 * h)
+        analytic = grad.reshape(-1)[k]
+        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+        worst = max(worst, err)
+    return worst
 
 
 def check_all(checks, h):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from intrinsics import check_gradient, log_guarded
 from intrinsics.rng import Rng, derive_seed
-from intrinsics.tensor import check_gradient, log_guarded
 
 
 class TestCheckGradient:
