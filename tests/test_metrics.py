@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from intrinsics.metrics import (PredictionRecord, dssim, evaluate_report,
-                                lmse, lmse_window_sums, mit_total_lmse,
-                                si_mse, ssim_map)
+                                lmse, lmse_window_sums, mit_total_lmse, si_mse)
 from intrinsics.rng import Rng
-from intrinsics.verify import alpha_grid_oracle, lmse_oracle, ssim_oracle
+from intrinsics.verify import lmse_oracle
 
 
 def full_mask(shape):
@@ -32,17 +31,6 @@ class TestSiMse:
         target = Rng(3).uniform((1, 3, 4, 4))
         got = si_mse(target, np.zeros_like(target), full_mask(target.shape))
         assert abs(got - float((target ** 2).mean())) < 1e-15
-
-    def test_against_grid_oracle(self):
-        for seed in range(20):
-            rng = Rng(100 + seed)
-            pred = rng.uniform((1, 3, 6, 6)) + 0.05
-            target = (0.3 + 3.0 * rng.uniform()) * pred + 0.1 * rng.normal(pred.shape)
-            mask = full_mask(target.shape)
-            got = si_mse(target, pred, mask)
-            want = alpha_grid_oracle(target, pred, mask)[1] / (mask.sum() * 3)
-            assert got <= want + 1e-12          # closed form beats the grid
-            assert abs(got - want) < 1e-6       # and by at most grid resolution
 
     def test_empty_mask_rejected(self):
         t = np.ones((1, 3, 2, 2))
@@ -125,18 +113,6 @@ class TestDssim:
             b = rng.uniform((1, 1, 12, 12))
             v = dssim(a, b)
             assert 0.0 <= v <= 1.0
-
-    def test_against_direct_sum_oracle(self):
-        rng = Rng(13)
-        target = rng.uniform((1, 3, 16, 16))
-        pred = rng.uniform((1, 3, 16, 16))
-        got = ssim_map(target, pred)
-        want = ssim_oracle(target, pred)
-        assert got.shape == want.shape == (1, 3, 6, 6)
-        assert np.max(np.abs(got - want)) < 1e-8
-        scale = float((target * pred).sum()) / float((pred * pred).sum())
-        aligned = ssim_oracle(target, np.clip(scale * pred, 0.0, 1.0))
-        assert abs(dssim(target, pred) - float((1 - aligned.mean()) / 2)) < 1e-8
 
     def test_too_small_rejected(self):
         t = np.ones((1, 3, 8, 8))

@@ -24,25 +24,6 @@ class TestBuild:
         assert not np.array_equal(a.params["s1.conv1.weight"].value,
                                   b.params["s1.conv1.weight"].value)
 
-    def test_full_scale_registry_widths(self):
-        net = build_network(NetworkConfig(channel_scale=1.0, use_deconv_head=True),
-                            Rng(0))
-        p = {name: v.shape for name, v in net.named_parameters()}
-        assert p["s1.conv1.weight"] == (96, 3, 11, 11)
-        assert p["s1.conv2.weight"] == (256, 96, 5, 5)
-        assert p["s1.conv3.weight"] == (384, 256, 3, 3)
-        assert p["s1.conv4.weight"] == (384, 384, 3, 3)
-        assert p["s1.conv5.weight"] == (256, 384, 3, 3)
-        assert p["s1.conv6.weight"] == (64, 256, 1, 1)
-        assert p["s2.conv1.weight"] == (96, 3, 9, 9)
-        for name in ("s2.conv2", "s2.conv3", "s2.conv4"):
-            assert p[f"{name}.weight"][2:] == (5, 5)
-        for head in ("albedo", "shading"):
-            assert p[f"{head}.deconv.weight"] == (64, 3, 8, 8)
-            spec = net.specs[f"{head}.deconv"]
-            assert (spec.kernel_h, spec.kernel_w) == (8, 8)
-            assert (spec.stride_h, spec.stride_w) == (4, 4)
-
     def test_scale2_identical_across_variants(self):
         plain = tiny_net(seed=1, use_hypercolumn=False)
         hc = tiny_net(seed=1, use_hypercolumn=True)
