@@ -145,7 +145,10 @@ def cmd_decompose(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     net = network_from_checkpoint(ck)
     image = to_nchw(read_png(args.input))
-    albedo, shading = decompose_image(net, image)
+    try:
+        albedo, shading = decompose_image(net, image)
+    except FloatingPointError as e:
+        raise ValueError(f"decompose: checkpoint {args.checkpoint}: {e}") from None
     write_png(args.out_albedo, _nchw_to_image(albedo), bit_depth=16)
     write_png(args.out_shading, _nchw_to_image(shading), bit_depth=16)
     if args.verbose:
@@ -227,10 +230,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(corrupt=args.corrupt, log=print)
-    failed = [name for name, ok, _ in results if not ok]
-    print(f"{len(results) - len(failed)}/{len(results)} suites passed")
-    return 1 if failed else 0
+    passed = 0
+    for name, _ in verify_mod.SUITES:
+        _, ok, detail = verify_mod.run_suite(name)
+        print(f"[{'PASS' if ok else 'FAIL'}] {name} ({detail})")
+        passed += ok
+    print(f"{passed}/{len(verify_mod.SUITES)} suites passed")
+    return 0 if passed == len(verify_mod.SUITES) else 1
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -272,8 +278,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="run every module's verification suite")
-    p.add_argument("--corrupt", default=None, choices=verify_mod.CORRUPTIBLE,
-                   help="testing aid: break one layer's backward pass")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -352,10 +352,13 @@ def decompose_image(net: Network, image: np.ndarray):
     """Eval-mode decomposition of a linear [0,1] image of any extents.
 
     Pads to the input multiple, runs the network, crops back, and returns
-    linear-domain (albedo, shading) clipped to [0, 1].
+    linear-domain (albedo, shading) clipped to [0, 1].  A non-finite log
+    map raises FloatingPointError, since clipping would hide +inf as 1.
     """
     padded, extents = pad_to_multiple(image, net.cfg.input_multiple)
-    log_a, log_s = net.forward(padded.astype(net.dtype))
-    albedo = np.clip(np.exp(crop_to(log_a, extents)), 0.0, 1.0)
-    shading = np.clip(np.exp(crop_to(log_s, extents)), 0.0, 1.0)
-    return albedo, shading
+    log_a, log_s = (crop_to(t, extents) for t in net.forward(padded.astype(net.dtype)))
+    for t in (log_a, log_s):
+        # min and max carry NaN and ±inf without a full-size mask
+        if not (np.isfinite(t.min()) and np.isfinite(t.max())):
+            raise FloatingPointError("network output is not finite")
+    return np.clip(np.exp(log_a), 0.0, 1.0), np.clip(np.exp(log_s), 0.0, 1.0)

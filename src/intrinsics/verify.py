@@ -2,17 +2,12 @@
 
 This module is the one home of the package's oracles, invariant suites and
 finite-difference gradient checker; the acceptance gate and the CLI both
-run them from here.  ``run_all``
-executes the suites and returns (name, passed, detail) rows; the CLI turns
-those into a pass/fail listing and exit status.  Each suite re-derives its
-expected values from an independent oracle (nested-loop convolution and
-its direct-sum gradients, per-window max pooling, grid-search alpha,
-window enumeration, direct-sum SSIM) rather than trusting the
-implementation under test.
-
-``corrupt`` deliberately breaks one layer's backward pass for the duration
-of the run; it exists so the meta-test "a broken backward is caught and
-named" can exercise this gate.
+run them from here.  ``run_suite`` runs one suite of ``SUITES`` and returns
+a (name, passed, detail) row; the CLI turns those into a pass/fail listing
+and exit status.  Each suite re-derives its expected values from an
+independent oracle (nested-loop convolution and its direct-sum gradients,
+per-window max pooling, grid-search alpha, window enumeration, direct-sum
+SSIM) rather than trusting the implementation under test.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import layers, network
+from . import layers
 from .data import (AugmentConfig, _bilinear_gather, augment, crop_to,
                    generate_mit_shading, make_synthetic_sample,
                    pad_to_multiple, resynthesize)
@@ -247,7 +242,7 @@ def check_all(checks, h):
 # probe <forward(v), dy> and the layer's backward applied to dy at x.
 # check_gradient reads the analytic gradient only from its first call, at x,
 # so the finite differences run forward passes alone.  Layers are looked up
-# on the module when the suite runs, so that --corrupt reaches them.
+# on the module when the suite runs, so that a patched layer is the one checked.
 
 def _probe(label, x, dy, forward, grad):
     return label, lambda v: (float((forward(v) * dy).sum()), grad), x
@@ -760,43 +755,6 @@ SUITES = [
     ("trainer", _suite_trainer),
 ]
 
-# corruption target -> backward function in ``layers``
-_BACKWARDS = {
-    "conv": "conv_backward",
-    "deconv": "deconv_backward",
-    "max_pool": "max_pool_backward",
-    "bilinear": "bilinear_upsample_backward",
-    "prelu": "prelu_backward",
-    "dropout": "dropout_backward",
-    "concat": "concat_backward",
-}
-CORRUPTIBLE = tuple(_BACKWARDS)
-
-
-def _install_corruption(kind: str):
-    """Break one layer's backward by scaling its input gradient.
-
-    ``network`` binds the layer functions at import, so the broken function
-    replaces both its ``layers`` and its ``network`` binding."""
-    if kind not in _BACKWARDS:
-        raise ValueError(f"verify: unknown corruption target {kind!r} "
-                         f"(choose from {', '.join(CORRUPTIBLE)})")
-    name = _BACKWARDS[kind]
-    orig = getattr(layers, name)
-
-    def bad(*args, **kwargs):
-        out = orig(*args, **kwargs)
-        if isinstance(out, tuple):  # the input gradient comes first
-            return (None if out[0] is None else out[0] * 1.01, *out[1:])
-        return out * 1.01
-
-    def install(fn):
-        for module in (layers, network):
-            setattr(module, name, fn)
-
-    install(bad)
-    return lambda: install(orig)
-
 
 def run_suite(name: str):
     """Run one suite by name; returns (name, passed, detail)."""
@@ -806,22 +764,3 @@ def run_suite(name: str):
     except Exception as e:  # report and continue
         return name, False, str(e)
     return name, True, f"{time.perf_counter() - t0:.2f}s"
-
-
-def run_all(corrupt: str | None = None, log=None):
-    """Run every suite; returns [(name, passed, detail)].
-
-    ``log`` is an optional callable for per-suite progress lines.
-    """
-    restore = _install_corruption(corrupt) if corrupt else None
-    results = []
-    try:
-        for name, _ in SUITES:
-            results.append(run_suite(name))
-            if log:
-                _, passed, detail = results[-1]
-                log(f"[{'PASS' if passed else 'FAIL'}] {name} ({detail})")
-    finally:
-        if restore:
-            restore()
-    return results

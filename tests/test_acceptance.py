@@ -83,6 +83,7 @@ class TestCriterion1LayerGradients:
 
 
 class TestCriterion2WholeNetwork:
+    @pytest.mark.slow
     def test_whole_network_gradient(self):
         run_suite_criterion(2)
 

@@ -12,10 +12,7 @@ from intrinsics.layers import (ConvSpec, bilinear_upsample_forward,
                                max_pool_backward, max_pool_forward,
                                prelu_forward)
 from intrinsics.rng import Rng
-from intrinsics.verify import (LAYER_H, _block_budget, bilinear_probe,
-                               check_all, concat_probe, conv_probes,
-                               dropout_probe, max_pool_oracle, pool_probe,
-                               prelu_probes)
+from intrinsics.verify import _block_budget, max_pool_oracle
 
 
 class TestConv:
@@ -49,13 +46,6 @@ class TestConv:
         with pytest.raises(ValueError, match="padding"):
             ConvSpec(2, 3, 3, 2, pad_h=pad_h, pad_w=pad_w)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        spec = ConvSpec(2, 3, 3, 3, stride_h=1 + seed % 2, stride_w=1 + seed % 2,
-                        pad_h=seed % 2, pad_w=1)
-        check_all(conv_probes(Rng(100 + seed), "conv", 1 + seed % 2, spec, (6, 6)),
-                  LAYER_H)
-
 
 class TestDeconv:
     def test_1x1_identity(self):
@@ -70,12 +60,6 @@ class TestDeconv:
         w = Rng(8).normal((64, 3, 8, 8)) * 0.01
         y = deconv_forward(x, w, None, spec)
         assert y.shape == (1, 3, 64, 64)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        spec = ConvSpec(2, 3, 4, 4, stride_h=2, stride_w=2, pad_h=1, pad_w=1)
-        check_all(conv_probes(Rng(300 + seed), "deconv", 1, spec, (4 + seed % 3, 5)),
-                  LAYER_H)
 
 
 @pytest.mark.parametrize("n,spec,hw", [
@@ -195,10 +179,6 @@ class TestMaxPool:
                 assert np.array_equal(max_pool_backward(bad_dy, x, out, 3, 2),
                                       want_bad_dx, equal_nan=True)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients_away_from_ties(self, seed):
-        check_all([pool_probe(Rng(400 + seed), (6 + seed % 3, 6))], LAYER_H)
-
 
 class TestBilinearUpsample:
     def test_factor_one_identity(self):
@@ -211,11 +191,6 @@ class TestBilinearUpsample:
             y = bilinear_upsample_forward(x, factor)
             assert y.shape == (1, 1, 3 * factor, 5 * factor)
             assert np.allclose(y, 0.7)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        check_all([bilinear_probe(Rng(600 + seed), 2 + seed % 3, (3 + seed % 2, 4))],
-                  LAYER_H)
 
 
 class TestPrelu:
@@ -232,10 +207,6 @@ class TestPrelu:
     def test_slope_one_is_identity(self):
         x = Rng(12).normal((2, 3, 4, 4))
         assert np.array_equal(prelu_forward(x, np.ones(3)), x)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        check_all(prelu_probes(Rng(700 + seed), 2), LAYER_H)
 
 
 class TestDropout:
@@ -261,9 +232,6 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             dropout_forward(np.zeros((1, 1, 1, 1)), 1.0, Rng(0), True)
-
-    def test_backward_uses_frozen_mask(self):
-        check_all([dropout_probe(Rng(16), (1, 1, 8, 8))], LAYER_H)
 
     # 0.9 * 2**53 and 0.5 * 2**53 are integers, 0.1 * 2**53 and 2**53 / 3 are not
     @pytest.mark.parametrize("p", [0.1, 0.25, 1 / 3, 0.5, 0.9, 1 - 2.0 ** -53, 2.0 ** -50])
@@ -327,10 +295,6 @@ class TestConcat:
         da, db = concat_backward(concat_channels(a, b), a.shape[1])
         assert np.array_equal(da, a)
         assert np.array_equal(db, b)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients(self, seed):
-        check_all([concat_probe(Rng(800 + seed), 1 + seed % 3)], LAYER_H)
 
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
