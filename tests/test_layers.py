@@ -12,7 +12,8 @@ from intrinsics.layers import (ConvSpec, bilinear_upsample_forward,
                                max_pool_backward, max_pool_forward,
                                prelu_forward)
 from intrinsics.rng import Rng
-from intrinsics.verify import _block_budget, max_pool_oracle
+from intrinsics.verify import (LAYER_H, _block_budget, check_all,
+                               dropout_probe, max_pool_oracle)
 
 
 class TestConv:
@@ -232,6 +233,9 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             dropout_forward(np.zeros((1, 1, 1, 1)), 1.0, Rng(0), True)
+
+    def test_backward_uses_frozen_mask(self):
+        check_all([dropout_probe(Rng(16), (1, 1, 8, 8))], LAYER_H)
 
     # 0.9 * 2**53 and 0.5 * 2**53 are integers, 0.1 * 2**53 and 2**53 / 3 are not
     @pytest.mark.parametrize("p", [0.1, 0.25, 1 / 3, 0.5, 0.9, 1 - 2.0 ** -53, 2.0 ** -50])

@@ -4,6 +4,7 @@ import pytest
 from intrinsics.metrics import (PredictionRecord, dssim, evaluate_report,
                                 lmse, lmse_window_sums, mit_total_lmse, si_mse)
 from intrinsics.rng import Rng
+from intrinsics.verify import lmse_oracle
 
 
 def full_mask(shape):
@@ -47,6 +48,16 @@ class TestLmse:
     def test_global_scale_absorbed(self):
         t = Rng(5).uniform((1, 3, 40, 40)) + 0.1
         assert lmse(t, 2.5 * t, full_mask(t.shape)) < 1e-14
+
+    @pytest.mark.parametrize("hw", [(30, 30), (40, 40), (47, 33), (80, 64)])
+    def test_against_window_enumeration_oracle(self, hw):
+        rng = Rng(6)
+        target = rng.uniform((1, 3, *hw))
+        pred = rng.uniform((1, 3, *hw))
+        mask = (rng.uniform((1, 1, *hw)) > 0.1).astype(float)
+        got = lmse(target, pred, mask)
+        want = lmse_oracle(target, pred, mask)
+        assert abs(got - want) < 1e-10
 
     def test_window_too_large_rejected(self):
         # window sized off the larger dimension exceeds the smaller one

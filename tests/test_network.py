@@ -45,6 +45,18 @@ class TestBuild:
 
 
 class TestForward:
+    @pytest.mark.parametrize("hc", [False, True])
+    @pytest.mark.parametrize("deconv", [False, True])
+    def test_shape_contract(self, hc, deconv):
+        net = tiny_net(seed=2, use_hypercolumn=hc, use_deconv_head=deconv,
+                       dtype=np.float32)
+        for h in (32, 64, 96):
+            for w in (32, 64):
+                x = Rng(3).uniform((1, 3, h, w))
+                la, ls = net.forward(x)
+                assert la.shape == (1, 3, h, w)
+                assert ls.shape == (1, 3, h, w)
+
     def test_nonsquare_input(self):
         net = tiny_net(seed=2, dtype=np.float32)
         la, ls = net.forward(Rng(4).uniform((1, 3, 96, 160)))
