@@ -11,8 +11,8 @@ through conv_forward, the transposed ones as one conv over stride phases.
 Max pooling uses ceil-mode output extents with windows clipped to the
 input, which is what makes a stack of stride-2 pools halve extents exactly
 without pool padding.  Its forward keeps a running maximum over strided
-views and returns the output only; the backward rebuilds which tap of each
-window won from the pool's input and output.
+views; for training it also keeps which tap of each window won, one uint8
+per output cell, and the backward routes dy through those taps alone.
 """
 
 from __future__ import annotations
@@ -212,92 +212,130 @@ def deconv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec
     return dx, _weight_grad(x, dy, spec, w.shape), dy.sum(axis=(0, 2, 3))
 
 
-# max_pool_backward works through blocks of whole channels of about this many
-# input bytes, so that its masks and padded copies stay in cache; a block
-# always holds at least one channel.
+# The max-pool passes work through blocks of whole channels of about this
+# many input bytes, so that their taps, masks and padded copies stay in
+# cache; a block always holds at least one channel.
 _POOL_BLOCK_BYTES = 512 << 10
 
 
 def _pool_taps(xp: np.ndarray, kernel: int, stride: int, oh: int, ow: int):
     """Strided views of the padded input, one per window tap in row-major
     order: view (i, j) holds tap (i, j) of every window."""
-    for i in range(kernel):
-        for j in range(kernel):
-            yield xp[:, :, i:i + stride * (oh - 1) + 1:stride,
-                     j:j + stride * (ow - 1) + 1:stride]
+    return [xp[:, :, i:i + stride * (oh - 1) + 1:stride, j:j + stride * (ow - 1) + 1:stride]
+            for i in range(kernel) for j in range(kernel)]
 
 
-def _pool_pad(x: np.ndarray, kernel: int, stride: int):
-    """(x padded right/bottom with -inf to whole windows, oh, ow)."""
+def _pool_extents(x_shape, kernel: int, stride: int):
+    """(oh, ow, hp, wp): output extents and the input padded right/bottom
+    to whole windows."""
     if kernel < 1 or stride < 1:
         raise ValueError("max_pool: kernel and stride must be >= 1")
-    h, w = x.shape[2:]
+    h, w = x_shape[2:]
     oh = -(-(h - kernel) // stride) + 1
     ow = -(-(w - kernel) // stride) + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"max_pool: window {kernel} does not overlap input {h}x{w}")
-    # -inf padding: a clipped window never selects a pad cell
-    hp = (oh - 1) * stride + kernel
-    wp = (ow - 1) * stride + kernel
-    xp = np.pad(x, ((0, 0), (0, 0), (0, hp - h), (0, wp - w)),
-                constant_values=-np.inf)
-    return xp, oh, ow
+    return oh, ow, (oh - 1) * stride + kernel, (ow - 1) * stride + kernel
 
 
-def max_pool_forward(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Ceil-mode max pooling; returns the output only.
+def _channel_blocks(shape, itemsize: int):
+    """Channel slices of about _POOL_BLOCK_BYTES of an (N, C, H, W) input."""
+    n, c, h, w = shape
+    chans = _block(n * h * w * itemsize, c, _POOL_BLOCK_BYTES)
+    return [slice(c0, c0 + chans) for c0 in range(0, c, chans)]
+
+
+def max_pool_forward(x: np.ndarray, kernel: int, stride: int, winners: bool = False):
+    """Ceil-mode max pooling; returns the output, or with ``winners=True``
+    (output, winning taps) for max_pool_backward.
 
     Output extent is ceil((in - kernel)/stride) + 1; trailing windows are
-    clipped to the input.  The output is a running maximum over the
-    window taps; max_pool_backward rebuilds which tap won.
+    clipped to the input.  The output is a running maximum over the window
+    taps.  A window's winning tap is its row-major index in the window, one
+    uint8 per output cell: the first tap equal to the maximum, or the first
+    NaN of a window that holds one.
     """
-    xp, oh, ow = _pool_pad(x, kernel, stride)
-    taps = _pool_taps(xp, kernel, stride, oh, ow)
-    out = np.array(next(taps))
-    for view in taps:
-        # numpy's maximum returns its second operand on a tie, so the
-        # earlier tap keeps its value (and the sign of a zero)
-        np.maximum(view, out, out=out)
-    return out
-
-
-def max_pool_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray,
-                      kernel: int, stride: int) -> np.ndarray:
-    """Route each window's dy to the tap that max_pool_forward(x) = y took.
-
-    Ties break toward the first tap in row-major order, i.e. the lowest
-    flat index; a window holding NaN routes to its first NaN.  Taps are
-    added in reverse order, so each input cell sums its windows in
-    row-major output order.  Channels are independent, so the work runs
-    in blocks of _POOL_BLOCK_BYTES of input.
-    """
+    if winners and kernel * kernel > 256:
+        raise ValueError(f"max_pool: {kernel}x{kernel} taps do not fit a uint8")
     n, c, h, w = x.shape
+    oh, ow, hp, wp = _pool_extents(x.shape, kernel, stride)
+    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    arg = np.zeros(out.shape, dtype=np.uint8) if winners else None
+    for block in _channel_blocks(x.shape, x.itemsize):
+        # -inf padding: a clipped window never selects a pad cell
+        xp = x[:, block]
+        if (hp, wp) != (h, w):
+            xp = np.pad(xp, ((0, 0), (0, 0), (0, hp - h), (0, wp - w)),
+                        constant_values=-np.inf)
+        taps = _pool_taps(xp, kernel, stride, oh, ow)
+        ob = out[:, block]
+        np.copyto(ob, taps[0])
+        for view in taps[1:]:
+            # numpy's maximum returns its second operand on a tie, so the
+            # earlier tap keeps its value (and the sign of a zero)
+            np.maximum(view, ob, out=ob)
+        if winners:
+            # the first tap equal to the maximum, or the first NaN where it is
+            # NaN: taps go last to first, each hit overwriting its cell by
+            # arg += hit * (t - arg), mod 256, with no masked writes
+            ab = arg[:, block]
+            nan = np.isnan(ob)
+            nan = nan if nan.any() else None
+            for t in reversed(range(len(taps))):
+                hit = taps[t] == ob
+                if nan is not None:
+                    hit |= np.isnan(taps[t]) & nan
+                step = np.subtract(np.uint8(t), ab)
+                step *= hit
+                ab += step
+    return out if arg is None else (out, arg)
+
+
+def max_pool_backward(dy: np.ndarray, arg: np.ndarray, in_shape, kernel: int,
+                      stride: int) -> np.ndarray:
+    """Route each window's dy to its winning tap ``arg`` from
+    max_pool_forward(x, kernel, stride, winners=True); ``in_shape`` is
+    x.shape.  Taps are added last to first, so that a cell that won
+    several windows sums their dy in row-major output order."""
+    n, c, h, w = in_shape
+    oh, ow, hp, wp = _pool_extents(in_shape, kernel, stride)
     # dy * 0 is NaN where dy is not finite, so such a dy is masked instead
     finite = np.isfinite(dy).all()
-    dx = np.empty(x.shape, dtype=dy.dtype)
-    chans = _block(n * h * w * x.itemsize, c, _POOL_BLOCK_BYTES)
-    for c0 in range(0, c, chans):
-        block = slice(c0, c0 + chans)
-        xp, oh, ow = _pool_pad(x[:, block], kernel, stride)
-        yb, dyb = y[:, block], dy[:, block]
-        y_nan = np.isnan(yb)
-        if not y_nan.any():
-            y_nan = None
-        free = np.ones(yb.shape, dtype=bool)
-        hits = []
-        for view in _pool_taps(xp, kernel, stride, oh, ow):
-            hit = view == yb
-            if y_nan is not None:
-                hit |= np.isnan(view) & y_nan
-            hit &= free
-            free ^= hit
-            hits.append(hit)
-        dxp = np.zeros(xp.shape, dtype=dy.dtype)
-        for view, hit in zip(reversed(list(_pool_taps(dxp, kernel, stride, oh, ow))),
-                             reversed(hits)):
-            view += dyb * hit if finite else np.where(hit, dyb, 0)
+    dx = np.empty(in_shape, dtype=dy.dtype)
+    for block in _channel_blocks(in_shape, dy.itemsize):
+        dyb, ab = dy[:, block], arg[:, block]
+        dxp = np.zeros((n, ab.shape[1], hp, wp), dtype=dy.dtype)
+        views = _pool_taps(dxp, kernel, stride, oh, ow)
+        for t in reversed(range(len(views))):
+            hit = ab == t
+            views[t] += dyb * hit if finite else np.where(hit, dyb, 0)
         dx[:, block] = dxp[:, :, :h, :w]
     return dx
+
+
+def max_pool_unpool(y: np.ndarray, arg: np.ndarray, in_shape, kernel: int,
+                    stride: int) -> np.ndarray:
+    """Each window's y written to the input cell of its winning tap ``arg``,
+    zero on cells that won no window.  Every window a cell wins must carry
+    the same y, as a pool's own output does; the result is then the pool's
+    input on every cell that won."""
+    n, c, h, w = in_shape
+    oh, ow, _, _ = _pool_extents(in_shape, kernel, stride)
+    origin = (np.arange(oh) * (stride * w))[:, None] + np.arange(0, ow * stride, stride)
+    dst = np.empty(in_shape, dtype=y.dtype)
+    for block in _channel_blocks(in_shape, y.itemsize):
+        ab = arg[:, block]
+        # flat index of each winner in the block: plane, window origin, tap
+        row, col = np.divmod(ab, kernel)
+        idx = row.astype(np.intp)
+        idx *= w
+        idx += col
+        idx += origin
+        idx += (np.arange(n * ab.shape[1]) * (h * w)).reshape(n, -1, 1, 1)
+        db = np.zeros((n, ab.shape[1], h, w), dtype=y.dtype)
+        db.reshape(-1)[idx.reshape(-1)] = y[:, block].reshape(-1)
+        dst[:, block] = db
+    return dst
 
 
 @lru_cache(maxsize=256)
@@ -343,25 +381,47 @@ def prelu_forward(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     if slopes.shape != (x.shape[1],):
         raise ValueError(f"prelu: {slopes.shape[0] if slopes.ndim else 0} slopes "
                          f"for {x.shape[1]} channels")
-    a = slopes.reshape(1, -1, 1, 1)
-    return np.where(x >= 0, x, a * x)
+    # x * (1 where x >= 0, else a), in one full-size array: x * 1 and x * a
+    # are the bytes of x and a * x
+    y = np.where(x >= 0, 1, slopes.reshape(1, -1, 1, 1)).astype(np.result_type(x, slopes),
+                                                                copy=False)
+    y *= x
+    return y
 
 
-def prelu_backward(dy: np.ndarray, x: np.ndarray, slopes: np.ndarray):
+def prelu_backward(dy: np.ndarray, x: np.ndarray, slopes: np.ndarray,
+                   out_scale=None):
     """Gradients of prelu_forward w.r.t. x and the slopes.
+
+    ``x`` is the forward's input, or with ``out_scale`` c its output times
+    c > 0, which needs every slope positive.  Then the output is negative
+    exactly where the input is, so dx is the same bytes, except at a
+    negative subnormal input whose product with its slope rounds to -0;
+    the slope gradient divides by a * c once per channel, so it moves at
+    float rounding level.
 
     The slope gradient sums min(x, 0) * dy per channel, formed in one
     temporary.  Cells with x >= 0 add a zero product, so for finite x and
     dy the sums equal those of x * dy over the cells with x < 0, in the
     same order; a NaN x or a non-finite dy makes its channel's sum NaN."""
-    a = slopes.reshape(1, -1, 1, 1)
-    dx = np.where(x < 0, a * dy, dy)
+    if out_scale is not None and not (slopes > 0).all():
+        raise ValueError("prelu_backward: the output gives x only for positive slopes")
+    neg = x < 0
     prod = np.minimum(x, 0, dtype=np.result_type(x, dy))
     prod *= dy
-    return dx, prod.sum(axis=(0, 2, 3))
+    da = prod.sum(axis=(0, 2, 3))
+    # a caller that passes x as a temporary lets it go before dx is made
+    del prod, x
+    if out_scale is not None:
+        da /= slopes * out_scale
+    # dx = dy * (a where x < 0, else 1): a * dy and dy * 1 are exact swaps
+    dx = np.where(neg, slopes.reshape(1, -1, 1, 1), 1).astype(np.result_type(slopes, dy),
+                                                              copy=False)
+    dx *= dy
+    return dx, da
 
 
-def _dropout_scale(dtype, p: float) -> np.ndarray:
+def dropout_scale(dtype, p: float) -> np.ndarray:
     """1 / (1 - p) as a 0-d array of dtype, rounded as that dtype divides."""
     return np.asarray(1.0, dtype=dtype) / np.asarray(1.0 - p, dtype=dtype)
 
@@ -382,7 +442,7 @@ def dropout_forward(x: np.ndarray, p: float, rng: Rng, train_mode: bool):
     threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
     keep = (rng._raw(x.size) >= threshold).reshape(x.shape)
     y = np.multiply(x, keep)
-    y *= _dropout_scale(x.dtype, p)
+    y *= dropout_scale(x.dtype, p)
     return y, keep
 
 
@@ -391,7 +451,7 @@ def dropout_backward(dy: np.ndarray, keep: np.ndarray | None, p: float) -> np.nd
     if keep is None:
         return dy
     dx = np.multiply(dy, keep)
-    dx *= _dropout_scale(dy.dtype, p)
+    dx *= dropout_scale(dy.dtype, p)
     return dx
 
 

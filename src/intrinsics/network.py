@@ -1,8 +1,8 @@
 """The two-scale convolutional regression network.
 
 Scale 1 is an AlexNet-style stack (conv1-conv5 with 3x3 stride-2 max pools
-after conv1, conv2, and conv5) whose output is bilinearly upsampled to one
-quarter of the input resolution and passed through a 1x1 conv6, keeping the
+after conv1, conv2, and conv5) followed by a 1x1 conv6 whose output is
+bilinearly upsampled x8 to one quarter of the input resolution, keeping the
 model fully convolutional.  Scale 2 extracts fine features with a stride-2
 9x9 conv plus a 2x2 pool down to the same quarter resolution, concatenates
 the scale-1 output, and runs three 5x5 convs into two prediction heads
@@ -10,9 +10,15 @@ the scale-1 output, and runs three 5x5 convs into two prediction heads
 either through a learned 8x8 stride-4 deconvolution or a 3-channel conv
 followed by fixed bilinear x4 upsampling.
 
-The optional hypercolumn variant concatenates the post-pool conv1/conv2/
-conv5 maps, each bilinearly resized to quarter resolution, as conv6's
-input; everything downstream of conv6 is identical across variants.
+conv6 runs before the upsample: a 1x1 conv commutes with bilinear
+upsampling, whose interpolation weights sum to 1, bias included.  So it
+computes what upsample-then-conv6 would, up to float rounding, on 1/64 of
+the cells.  The optional hypercolumn variant feeds conv6 the post-pool
+conv1/conv2/conv5 maps as well: conv6 applies each map's columns of its
+weight at that map's own resolution, upsamples the three results x2, x4
+and x8 to quarter resolution, sums them and adds its bias once, which is
+conv6 over the concatenation of the upsampled maps.  Everything
+downstream of conv6 is identical across variants.
 
 Widths scale with ``channel_scale`` (rounded up) so that shape contracts
 and gradient checks can run on tiny instances; channel_scale 1 is the full
@@ -30,10 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .layers import (ConvSpec, bilinear_upsample_backward,
-                     bilinear_upsample_forward, concat_backward,
-                     concat_channels, conv_backward, conv_forward,
-                     deconv_backward, deconv_forward, dropout_backward,
-                     dropout_forward, max_pool_backward, max_pool_forward,
+                     bilinear_upsample_forward, concat_backward, conv_backward,
+                     conv_forward, deconv_backward, deconv_forward,
+                     dropout_backward, dropout_forward, dropout_scale,
+                     max_pool_backward, max_pool_forward, max_pool_unpool,
                      prelu_backward, prelu_forward)
 from .rng import Rng
 
@@ -99,7 +105,12 @@ class Network:
 
     ``forward`` runs eval- or train-mode inference; with ``keep_cache=True``
     it records a tape: one entry per step, holding what that step's
-    backward needs.  ``backward`` replays the tape once, in reverse.
+    backward reads.  A step is one layer (see ``_block``); the others are
+    scale 2's concatenation, which keeps nothing, and the bilinear head's
+    upsample, which keeps a shape.  A layer keeps its conv input, which is
+    the previous layer's output, its pool's winning taps (uint8) and its
+    dropout mask (bool), and reads its PReLU input back from its own
+    output.  ``backward`` replays the tape once, in reverse.
     Parameter gradients accumulate across backward calls until
     ``zero_grads``.  With ``rng`` None the weights are left zero, for a
     caller that installs its own (a checkpoint).
@@ -151,9 +162,18 @@ class Network:
         self._add_conv("s1.conv3", ConvSpec(wd["c2"], wd["c3"], 3, 3, 1, 1, 1, 1), rng)
         self._add_conv("s1.conv4", ConvSpec(wd["c3"], wd["c4"], 3, 3, 1, 1, 1, 1), rng)
         self._add_conv("s1.conv5", ConvSpec(wd["c4"], wd["c5"], 3, 3, 1, 1, 1, 1), rng)
-        conv6_in = (wd["c1"] + wd["c2"] + wd["c5"] if cfg.use_hypercolumn
-                    else wd["c5"])
-        self._add_conv("s1.conv6", ConvSpec(conv6_in, wd["c6"], 1, 1), rng)
+        # conv6's input groups, each with the factor that takes it to quarter
+        # resolution: post-pool conv1 and conv2 (hypercolumn only), then conv5
+        taps = ([(wd["c1"], 2), (wd["c2"], 4)] if cfg.use_hypercolumn else []) + [(wd["c5"], 8)]
+        conv6 = ConvSpec(sum(c for c, _ in taps), wd["c6"], 1, 1)
+        self._add_conv("s1.conv6", conv6, rng)
+        # each group's 1x1 conv runs at the group's own resolution on its
+        # columns of the weight: (spec, weight columns, upsample factor)
+        starts = np.cumsum([0] + [c for c, _ in taps])
+        self._groups = {"s1.conv6": [
+            (conv6 if len(taps) == 1 else ConvSpec(c, wd["c6"], 1, 1),
+             slice(int(c0), int(c0) + c), factor)
+            for (c, factor), c0 in zip(taps, starts)]}
 
         self._add_conv("s2.conv1", ConvSpec(3, wd["s2c1"], 9, 9, 2, 2, 4, 4), rng)
         cat_ch = wd["s2c1"] + wd["c6"]
@@ -184,52 +204,98 @@ class Network:
 
     # -- steps: each runs one layer and records its backward on the tape ---
 
-    def _conv(self, name, x, deconv=False):
+    def _block(self, name, xs, pool=None, drop=None, out=None):
+        """One layer as one tape step: conv -> [PReLU] -> [max pool | dropout].
+        conv6 is the sum over its input groups of a 1x1 conv at the group's
+        own resolution, upsampled, plus one bias.
+
+        ``pool`` is (kernel, stride), ``drop`` is (train_mode, rng), and
+        ``out``, if given, receives the result: a slice of the next layer's
+        concatenated input.  The step keeps what its backward reads: the
+        conv inputs, the pool's winning taps, the dropout mask and its own
+        output, which the next layer keeps as well.  While every slope is
+        positive, the PReLU backward reads its input from that output, or
+        from the pool's output at the winning taps; a layer with any other
+        slope keeps the PReLU input as well.
+        """
         w, b = self.params[f"{name}.weight"], self.params[f"{name}.bias"]
-        spec, xv = self.specs[name], x.value
-        y = (deconv_forward if deconv else conv_forward)(xv, w.value, b.value, spec)
+        a = self.params.get(f"{name}.slope")
+        p = self.cfg.dropout_prob
+        groups = self._groups.get(name)
+        xvs = [v.value for v in xs]
+        record = xs[0].tape is not None
+        if groups is None:
+            spec = self.specs[name]
+            deconv = name.endswith(".deconv")
+            y = (deconv_forward if deconv else conv_forward)(xvs[0], w.value, b.value, spec)
+        else:
+            y = None
+            for i, (xv, (spec_g, cols, factor)) in enumerate(zip(xvs, groups)):
+                part = conv_forward(xv, w.value[:, cols], b.value if i == 0 else None, spec_g)
+                part = bilinear_upsample_forward(part, factor)
+                y = part if y is None else y + part
+        pre_shape = y.shape
+        kept_in = y if a is not None and record and not (a.value > 0).all() else None
+        if a is not None:
+            y = prelu_forward(y, a.value)
+        arg = keep = None
+        if pool is not None:
+            y = max_pool_forward(y, *pool, winners=record)
+            if record:
+                y, arg = y
+        if drop is not None:
+            # the PReLU backward reads each cell back from the one window it won
+            assert pool is None or pool[0] <= pool[1], "dropout after overlapping pool windows"
+            y, keep = dropout_forward(y, p, drop[1], drop[0])
+        if out is not None:
+            assert y.shape == out.shape, f"{name}: output {y.shape} does not fit {out.shape}"
+            out[...] = y
+            y = out
+        if not record:
+            return _Var(y, None, -1)
+        kept_out = y if a is not None and kept_in is None else None
+        scale = dropout_scale(y.dtype, p) if keep is not None else 1.0
 
         def backward(dy, input_grad=True):
-            if deconv:
-                dx, dw, db = deconv_backward(dy, xv, w.value, spec)
-            else:
-                dx, dw, db = conv_backward(dy, xv, w.value, spec, input_grad=input_grad)
-            w.grad += dw
-            b.grad += db
-            return (dx,)
-        return _record(y, backward, x)
-
-    def _prelu(self, name, x):
-        a, xv = self.params[f"{name}.slope"], x.value
-
-        def backward(dy):
-            dx, da = prelu_backward(dy, xv, a.value)
-            a.grad += da
-            return (dx,)
-        return _record(prelu_forward(xv, a.value), backward, x)
-
-    def _dropout(self, x, train_mode, rng):
-        p = self.cfg.dropout_prob
-        y, keep = dropout_forward(x.value, p, rng, train_mode)
-        return _record(y, lambda dy: (dropout_backward(dy, keep, p),), x)
-
-    @staticmethod
-    def _pool(x, kernel, stride):
-        xv = x.value
-        y = max_pool_forward(xv, kernel, stride)
-        return _record(y, lambda dy: (max_pool_backward(dy, xv, y, kernel, stride),), x)
+            if drop is not None:
+                dy = dropout_backward(dy, keep, p)
+            if pool is not None:
+                dy = max_pool_backward(dy, arg, pre_shape, *pool)
+            if kept_in is not None:
+                dy, da = prelu_backward(dy, kept_in, a.value)
+            elif a is not None:
+                # the unpooled output is a temporary that prelu_backward frees
+                dy, da = prelu_backward(
+                    dy, kept_out if pool is None else max_pool_unpool(kept_out, arg, pre_shape, *pool),
+                    a.value, out_scale=scale)
+            if a is not None:
+                a.grad += da
+            if groups is None:
+                if deconv:
+                    dx, dw, db = deconv_backward(dy, xvs[0], w.value, spec)
+                else:
+                    dx, dw, db = conv_backward(dy, xvs[0], w.value, spec,
+                                               input_grad=input_grad)
+                w.grad += dw
+                b.grad += db
+                return (dx,)
+            dxs = []
+            for i, (xv, (spec_g, cols, factor)) in enumerate(zip(xvs, groups)):
+                low = (xv.shape[0], spec_g.out_channels, *xv.shape[2:])
+                dx, dw, db = conv_backward(bilinear_upsample_backward(dy, factor, low), xv,
+                                           w.value[:, cols], spec_g, input_grad=input_grad)
+                w.grad[:, cols] += dw
+                if i == 0:
+                    b.grad += db
+                dxs.append(dx)
+            return tuple(dxs)
+        return _record(y, backward, *xs)
 
     @staticmethod
     def _upsample(x, factor):
         shape = x.value.shape
         return _record(bilinear_upsample_forward(x.value, factor),
                        lambda dy: (bilinear_upsample_backward(dy, factor, shape),), x)
-
-    @staticmethod
-    def _concat(a, b):
-        channels = a.value.shape[1]
-        return _record(concat_channels(a.value, b.value),
-                       lambda dy: concat_backward(dy, channels), a, b)
 
     # -- inference ---------------------------------------------------------
 
@@ -252,38 +318,30 @@ class Network:
         self._tape = None
         tape = [(None, ())] if keep_cache else None  # position 0: the image
         x = _Var(np.ascontiguousarray(image, dtype=self.dtype), tape, 0)
-
-        def conv_prelu(name, v):
-            return self._prelu(name, self._conv(name, v))
-
-        def drop(v):
-            return self._dropout(v, train_mode, rng)
+        block, drop = self._block, (train_mode, rng)
 
         # scale 1
-        p1 = self._pool(conv_prelu("s1.conv1", x), 3, 2)
-        p2 = self._pool(conv_prelu("s1.conv2", p1), 3, 2)
-        a5 = conv_prelu("s1.conv5", conv_prelu("s1.conv4", conv_prelu("s1.conv3", p2)))
-        feat = self._upsample(self._pool(a5, 3, 2), 8)
-        if self.cfg.use_hypercolumn:
-            taps = self._concat(self._upsample(p1, 2), self._upsample(p2, 4))
-            feat = self._concat(taps, feat)
-        assert feat.value.shape[2:] == (h // 4, w // 4), "scale-1 path missed quarter resolution"
-        s1_out = drop(conv_prelu("s1.conv6", feat))
+        p1 = block("s1.conv1", [x], pool=(3, 2))
+        p2 = block("s1.conv2", [p1], pool=(3, 2))
+        p5 = block("s1.conv5", [block("s1.conv4", [block("s1.conv3", [p2])])], pool=(3, 2))
+        # scale 2's concatenated input: the pooled scale-2 features, then scale 1
+        q = self.widths["s2c1"]
+        cat = np.empty((image.shape[0], q + self.widths["c6"], h // 4, w // 4), self.dtype)
+        s1_out = block("s1.conv6", [p1, p2, p5] if self.cfg.use_hypercolumn else [p5],
+                       drop=drop, out=cat[:, q:])
 
         # scale 2
-        q1 = drop(self._pool(conv_prelu("s2.conv1", x), 2, 2))
-        assert q1.value.shape[2:] == (h // 4, w // 4), "scale-2 path missed quarter resolution"
-        b = self._concat(q1, s1_out)
+        q1 = block("s2.conv1", [x], pool=(2, 2), drop=drop, out=cat[:, :q])
+        b = _record(cat, lambda dy: concat_backward(dy, q), q1, s1_out)
         for name in ("s2.conv2", "s2.conv3", "s2.conv4"):
-            b = drop(conv_prelu(name, b))
+            b = block(name, [b], drop=drop)
 
         outs = []
         for head in ("albedo", "shading"):
             if self.cfg.use_deconv_head:
-                out = self._conv(f"{head}.deconv", drop(conv_prelu(f"{head}.conv", b)),
-                                 deconv=True)
+                out = block(f"{head}.deconv", [block(f"{head}.conv", [b], drop=drop)])
             else:
-                out = self._upsample(drop(self._conv(f"{head}.conv", b)), 4)
+                out = self._upsample(block(f"{head}.conv", [b], drop=drop), 4)
             assert out.value.shape == (image.shape[0], 3, h, w)
             outs.append(out)
 

@@ -323,13 +323,16 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     for it in range(start, cfg.max_iterations):
         ids, img, alb, shd, mask = _assemble_batch(samples, cfg, it,
                                                    net.cfg.input_multiple)
+        # only the network-dtype forms stay alive through forward and backward
+        img = img.astype(dtype)
         log_alb = log_guarded(alb, eps).astype(dtype)
         log_shd = log_guarded(shd, eps).astype(dtype)
         mask = mask.astype(dtype)
+        del alb, shd
         drop_rng = Rng(derive_seed(cfg.seed, "dropout", it))
-        la, ls = net.forward(img.astype(dtype), train_mode=True, rng=drop_rng,
-                             keep_cache=True)
+        la, ls = net.forward(img, train_mode=True, rng=drop_rng, keep_cache=True)
         loss, d_la, d_ls = total_loss(log_alb, log_shd, la, ls, mask, cfg.loss)
+        del la, ls, log_alb, log_shd, mask
         if not np.isfinite(loss):
             raise ValueError(f"train_loop: non-finite loss at iteration {it} "
                              f"(batch samples: {', '.join(ids)})")

@@ -271,11 +271,11 @@ def conv_probes(rng, kind, n, spec, hw):
 def pool_probe(rng, hw):
     # distinct values 10h apart: no finite-difference step moves an argmax
     x = (rng.permutation(2 * hw[0] * hw[1]) * 10 * LAYER_H).reshape(1, 2, *hw)
-    y = layers.max_pool_forward(x, 3, 2)
+    y, arg = layers.max_pool_forward(x, 3, 2, winners=True)
     dy = rng.normal(y.shape)
     return _probe(f"max_pool backward (3x3 stride 2, {hw[0]}x{hw[1]})", x, dy,
                   lambda v: layers.max_pool_forward(v, 3, 2),
-                  layers.max_pool_backward(dy, x, y, 3, 2))
+                  layers.max_pool_backward(dy, arg, x.shape, 3, 2))
 
 
 def bilinear_probe(rng, factor, hw):
@@ -340,7 +340,7 @@ def _suite_layer_gradients():
 
 @contextmanager
 def _block_budget(nbytes):
-    """Run with the conv column blocks and the max-pool backward blocks
+    """Run with the conv column blocks and the max-pool channel blocks
     capped at nbytes.  The oracle cases fit in one block at the default
     budgets, so each runs again at 1 byte, which forces one output row or
     one channel per block."""
@@ -399,18 +399,19 @@ def _suite_max_pool_oracle():
             # real values, then small integers: most windows hold ties
             for x in (rng.normal(shape), np.floor(rng.uniform(shape) * 3)):
                 x = x.astype(dtype)
-                y = layers.max_pool_forward(x, kernel, stride)
-                dy = rng.normal(y.shape).astype(dtype)
+                dy = rng.normal(layers.max_pool_forward(x, kernel, stride).shape).astype(dtype)
                 want_y, want_dx = max_pool_oracle(x, dy, kernel, stride)
-                tag = f"{kernel}x{kernel}/{stride} {hw[0]}x{hw[1]} {np.dtype(dtype).name}"
-                assert y.dtype == dtype and np.array_equal(y, want_y), \
-                    f"max_pool forward vs window oracle ({tag})"
                 for budget in (layers._POOL_BLOCK_BYTES, 1):
+                    tag = (f"{kernel}x{kernel}/{stride} {hw[0]}x{hw[1]} "
+                           f"{np.dtype(dtype).name}, {budget}-byte blocks")
                     with _block_budget(budget):
-                        dx = layers.max_pool_backward(dy, x, y, kernel, stride)
+                        y, arg = layers.max_pool_forward(x, kernel, stride, winners=True)
+                        for got in (y, layers.max_pool_forward(x, kernel, stride)):
+                            assert got.dtype == dtype and np.array_equal(got, want_y), \
+                                f"max_pool forward vs window oracle ({tag})"
+                        dx = layers.max_pool_backward(dy, arg, x.shape, kernel, stride)
                     assert dx.dtype == dtype and np.array_equal(dx, want_dx), \
-                        f"max_pool backward vs first-max add.at oracle " \
-                        f"({tag}, {budget}-byte blocks)"
+                        f"max_pool backward vs first-max add.at oracle ({tag})"
 
 
 def _suite_deconv_adjoint():

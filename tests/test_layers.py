@@ -9,8 +9,9 @@ from intrinsics.layers import (ConvSpec, bilinear_upsample_forward,
                                concat_backward, concat_channels, conv_backward,
                                conv_forward, deconv_backward, deconv_forward,
                                dropout_backward, dropout_forward,
-                               max_pool_backward, max_pool_forward,
-                               prelu_forward)
+                               dropout_scale, max_pool_backward,
+                               max_pool_forward, max_pool_unpool,
+                               prelu_backward, prelu_forward)
 from intrinsics.rng import Rng
 from intrinsics.verify import (LAYER_H, _block_budget, check_all,
                                dropout_probe, max_pool_oracle)
@@ -114,10 +115,10 @@ def test_conv_working_set_is_capped(call):
 class TestMaxPool:
     def test_constant_routes_to_first(self):
         x = np.ones((1, 1, 4, 4))
-        out = max_pool_forward(x, 2, 2)
+        out, arg = max_pool_forward(x, 2, 2, winners=True)
         assert np.all(out == 1.0)
         dy = np.ones_like(out)
-        dx = max_pool_backward(dy, x, out, 2, 2)
+        dx = max_pool_backward(dy, arg, x.shape, 2, 2)
         want = np.zeros((4, 4))
         want[0, 0] = want[0, 2] = want[2, 0] = want[2, 2] = 1.0
         assert np.array_equal(dx[0, 0], want)
@@ -129,9 +130,9 @@ class TestMaxPool:
 
     def test_window_example(self):
         x = np.array([[1.0, 3.0], [2.0, 0.0]]).reshape(1, 1, 2, 2)
-        out = max_pool_forward(x, 2, 2)
+        out, arg = max_pool_forward(x, 2, 2, winners=True)
         assert out.ravel()[0] == 3.0
-        dx = max_pool_backward(np.ones_like(out), x, out, 2, 2)
+        dx = max_pool_backward(np.ones_like(out), arg, x.shape, 2, 2)
         assert np.array_equal(dx[0, 0], np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_ceil_mode_extents(self):
@@ -152,9 +153,9 @@ class TestMaxPool:
         # 2x2 windows over one row pair: [1, nan | nan, 5 | 2, 0] / [nan, 9 | 3, nan | 1, 4]
         x = np.array([[1.0, np.nan, np.nan, 5.0, 2.0, 0.0],
                       [np.nan, 9.0, 3.0, np.nan, 1.0, 4.0]]).reshape(1, 1, 2, 6)
-        out = max_pool_forward(x, 2, 2)
+        out, arg = max_pool_forward(x, 2, 2, winners=True)
         assert np.isnan(out[0, 0, 0, :2]).all() and out[0, 0, 0, 2] == 4.0
-        dx = max_pool_backward(np.array([[[[1.0, 2.0, 3.0]]]]), x, out, 2, 2)
+        dx = max_pool_backward(np.array([[[[1.0, 2.0, 3.0]]]]), arg, x.shape, 2, 2)
         want = np.zeros((2, 6))
         want[0, 1], want[0, 2], want[1, 5] = 1.0, 2.0, 3.0
         assert np.array_equal(dx[0, 0], want)
@@ -164,11 +165,12 @@ class TestMaxPool:
         x = np.floor(Rng(12).uniform((2, 3, 9, 8)) * 3).astype(dtype)
         x[Rng(13).uniform(x.shape) < 0.1] = np.nan
         x[:, 1] = np.floor(Rng(15).uniform((2, 9, 8)) * 3)  # a channel without NaN
-        out = max_pool_forward(x, 3, 2)
+        out, arg = max_pool_forward(x, 3, 2, winners=True)
         dy = Rng(14).normal(out.shape).astype(dtype)
         want_y, want_dx = max_pool_oracle(x, dy, 3, 2)
         assert np.isnan(want_y).any()
         assert np.array_equal(out, want_y, equal_nan=True)
+        assert np.array_equal(max_pool_forward(x, 3, 2), want_y, equal_nan=True)
         # a non-finite dy reaches only the cell its window routes to
         bad_dy = dy.copy()
         bad_dy[0, 0, 0, 0], bad_dy[1, 2, 1, 1] = np.inf, np.nan
@@ -176,9 +178,33 @@ class TestMaxPool:
         # at 1 byte each channel is its own block, with or without NaN windows
         for budget in (layers._POOL_BLOCK_BYTES, 1):
             with _block_budget(budget):
-                assert np.array_equal(max_pool_backward(dy, x, out, 3, 2), want_dx)
-                assert np.array_equal(max_pool_backward(bad_dy, x, out, 3, 2),
+                assert np.array_equal(max_pool_backward(dy, arg, x.shape, 3, 2), want_dx)
+                assert np.array_equal(max_pool_backward(bad_dy, arg, x.shape, 3, 2),
                                       want_bad_dx, equal_nan=True)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_winners_route_like_the_oracle(self, kernel, dtype):
+        # values in {-1, -0, 0, 1}: most windows hold repeated maxima, many
+        # of them a tie between -0 and +0; a few windows hold NaN
+        x = (np.floor(Rng(20).uniform((2, 3, 11, 10)) * 3) - 1).astype(dtype)
+        x[(x == 0) & (Rng(21).uniform(x.shape) < 0.5)] = -0.0
+        x[Rng(22).uniform(x.shape) < 0.04] = np.nan
+        dy = Rng(23).normal(max_pool_forward(x, kernel, 2).shape).astype(dtype)
+        dy[0, 0, 0, 0], dy[1, 2, 1, 1], dy[0, 1, 2, 2] = np.inf, np.nan, -np.inf
+        want_y, want_dx = max_pool_oracle(x, dy, kernel, 2)
+        assert np.isnan(want_y).any() and (np.signbit(want_y) & (want_y == 0)).any()
+        for budget in (layers._POOL_BLOCK_BYTES, 1):
+            with _block_budget(budget):
+                y, arg = max_pool_forward(x, kernel, 2, winners=True)
+                assert arg.dtype == np.uint8 and y.tobytes() == want_y.tobytes()
+                assert max_pool_forward(x, kernel, 2).tobytes() == want_y.tobytes()
+                assert max_pool_backward(dy, arg, x.shape, kernel, 2).tobytes() \
+                    == want_dx.tobytes()
+                # unpool: the input on every cell that won a window, 0 elsewhere
+                v = max_pool_unpool(y, arg, x.shape, kernel, 2)
+                won = max_pool_backward(np.ones_like(y), arg, x.shape, kernel, 2) > 0
+                assert v[won].tobytes() == x[won].tobytes() and not v[~won].any()
 
 
 class TestBilinearUpsample:
@@ -208,6 +234,36 @@ class TestPrelu:
     def test_slope_one_is_identity(self):
         x = Rng(12).normal((2, 3, 4, 4))
         assert np.array_equal(prelu_forward(x, np.ones(3)), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_backward_from_output(self, dtype, p):
+        """From the output (times the dropout scale, with the dropout's
+        dy), dx is the input path's bytes except where a negative
+        subnormal x rounds to a * x = -0, and da is within 32 eps of the
+        sum of |min(x, 0) * dy| per channel."""
+        x = Rng(30).normal((2, 4, 32, 32)).astype(dtype)
+        x[:, :, ::5] = 0.0
+        x[:, :, 1::5] = -0.0
+        x[1, :, 2, :4] = -np.finfo(dtype).smallest_subnormal
+        a = np.array([0.3, 0.25, 1.7, 3.0], dtype=dtype)
+        z, keep = dropout_forward(prelu_forward(x, a), p, Rng(31), True)
+        dy = dropout_backward(Rng(32).normal(x.shape).astype(dtype), keep, p)
+        scale = dropout_scale(dtype, p)
+        dx_in, da_in = prelu_backward(dy, x, a)
+        dx, da = prelu_backward(dy, z, a, out_scale=scale)
+        lost = (x < 0) & (a.reshape(1, -1, 1, 1) * x == 0)
+        assert lost.sum() == 8  # slopes 0.3 and 0.25 on the planted subnormals
+        assert dx[~lost].tobytes() == dx_in[~lost].tobytes()
+        assert dx[lost].tobytes() == dy[lost].tobytes()
+        bound = 32 * np.finfo(dtype).eps * np.abs(np.minimum(x, 0) * dy).sum(axis=(0, 2, 3))
+        assert np.all(da_in != 0) and np.all(np.abs(da - da_in) <= bound)
+
+    def test_backward_from_output_needs_positive_slopes(self):
+        x = Rng(33).normal((1, 2, 4, 4))
+        for a in ([0.25, 0.0], [0.25, -0.5]):
+            with pytest.raises(ValueError, match="positive slopes"):
+                prelu_backward(x, x, np.array(a), out_scale=1.0)
 
 
 class TestDropout:

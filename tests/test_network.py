@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from intrinsics.network import NetworkConfig, build_network
+from intrinsics import layers
+from intrinsics.network import NetworkConfig, _Var, build_network
 from intrinsics.rng import Rng
 
 
@@ -148,3 +151,115 @@ class TestBackward:
             grads.append({n: p.grad.copy() for n, p in net.params.items()})
         for n, g in grads[0].items():
             assert g.tobytes() == grads[1][n].tobytes(), n
+
+
+class TestTape:
+    def test_tape_holds_under_40_mb_per_sample(self):
+        """What one full-topology 416x416 train-mode forward leaves on the
+        tape: conv inputs, bool dropout masks and uint8 pool winners, about
+        31.5 MB.  A tape that kept every PReLU and pool input and conv6's x8
+        upsampled input held about 112 MB."""
+        net = build_network(NetworkConfig(dropout_prob=0.5), Rng(0))
+        x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            outs = net.forward(x, train_mode=True, rng=Rng(2), keep_cache=True)
+            del outs
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 40e6, f"the tape holds {held / 1e6:.1f} MB"
+
+
+def run_block(net, name, x, pool=None, drop=False, seed=40):
+    """One recorded layer step and its backward on a fresh tape: (output,
+    input gradient, {weight, bias, slope gradients})."""
+    tape = [(None, ())]
+    out = net._block(name, [_Var(x, tape, 0)], pool=pool,
+                     drop=(True, Rng(seed)) if drop else None)
+    dy = Rng(seed + 1).normal(out.value.shape).astype(x.dtype)
+    net.zero_grads()
+    (dx,) = tape[-1][0](dy)
+    grads = {k: net.params[f"{name}.{k}"].grad.copy() for k in ("weight", "bias", "slope")}
+    return out.value, dx, grads, dy
+
+
+def input_path(net, name, x, dy, pool=None, drop=False, seed=40):
+    """The same layer composed from the layer functions, with the PReLU
+    backward reading its input: (output, input gradient, gradients, and
+    per channel the sum of |min(PReLU input, 0) * its dy|)."""
+    w, b, a = (net.params[f"{name}.{k}"].value for k in ("weight", "bias", "slope"))
+    spec, p = net.specs[name], net.cfg.dropout_prob
+    pre = layers.conv_forward(x, w, b, spec)
+    y = layers.prelu_forward(pre, a)
+    if pool:
+        y, arg = layers.max_pool_forward(y, *pool, winners=True)
+    if drop:
+        y, keep = layers.dropout_forward(y, p, Rng(seed), True)
+        dy = layers.dropout_backward(dy, keep, p)
+    if pool:
+        dy = layers.max_pool_backward(dy, arg, pre.shape, *pool)
+    d, da = layers.prelu_backward(dy, pre, a)
+    dx, dw, db = layers.conv_backward(d, x, w, spec)
+    mass = np.abs(np.minimum(pre, 0) * dy).sum(axis=(0, 2, 3))
+    return y, dx, {"weight": dw, "bias": db, "slope": da}, mass
+
+
+class TestBlock:
+    # (layer, input channels, input extent, pool, dropout)
+    CASES = [("s1.conv1", 3, 32, (3, 2), False), ("s2.conv1", 3, 32, (2, 2), True),
+             ("s2.conv2", 10, 8, None, True), ("s1.conv3", 16, 4, None, False)]
+
+    @pytest.mark.parametrize("nonpositive", [False, True])
+    @pytest.mark.parametrize("name,cin,hw,pool,drop", CASES, ids=[c[0] for c in CASES])
+    def test_prelu_from_output_matches_input_path(self, name, cin, hw, pool, drop,
+                                                  nonpositive):
+        """With positive slopes every gradient is the input path's bytes
+        except the slope gradient, within 32 eps of its mass; a layer with a
+        slope of 0 or below keeps its PReLU input and matches byte for byte."""
+        net = tiny_net(seed=11, dtype=np.float32, dropout_prob=0.5)
+        if nonpositive:
+            net.params[f"{name}.slope"].value[:2] = (0.0, -0.5)
+        x = Rng(12).normal((2, cin, hw, hw)).astype(np.float32)
+        y, dx, grads, dy = run_block(net, name, x, pool, drop)
+        want_y, want_dx, want, mass = input_path(net, name, x, dy, pool, drop)
+        assert y.tobytes() == want_y.tobytes() and dx.tobytes() == want_dx.tobytes()
+        assert grads["weight"].tobytes() == want["weight"].tobytes()
+        assert grads["bias"].tobytes() == want["bias"].tobytes()
+        if nonpositive:
+            assert grads["slope"].tobytes() == want["slope"].tobytes()
+        else:
+            bound = 32 * np.finfo(np.float32).eps * mass
+            assert np.all(np.abs(grads["slope"] - want["slope"]) <= bound)
+
+    @pytest.mark.parametrize("hc", [False, True])
+    def test_conv6_commutes_with_the_upsample(self, hc):
+        """conv6 per input group at its own resolution, upsampled and summed,
+        against upsample-then-conv6 of the concatenation, float64, forward
+        and backward, within 1e-12 of the largest entry."""
+        net = tiny_net(seed=13, use_hypercolumn=hc)
+        net.params["s1.conv6.slope"].value[:] = 1.0  # PReLU is the identity
+        net.params["s1.conv6.bias"].value[:] = Rng(14).normal((net.widths["c6"],))
+        w, b = net.params["s1.conv6.weight"].value, net.params["s1.conv6.bias"].value
+        wd = net.widths
+        groups = ([(wd["c1"], 2), (wd["c2"], 4)] if hc else []) + [(wd["c5"], 8)]
+        xs = [Rng(15 + i).normal((2, c, 16 // f, 24 // f)) for i, (c, f) in enumerate(groups)]
+        tape = [(None, ())]
+        out = net._block("s1.conv6", [_Var(v, tape, 0) for v in xs])
+        dy = Rng(20).normal(out.value.shape)
+        net.zero_grads()
+        dxs = tape[-1][0](dy)
+
+        ups = [layers.bilinear_upsample_forward(v, f) for v, (_, f) in zip(xs, groups)]
+        cat = np.concatenate(ups, axis=1)
+        spec = net.specs["s1.conv6"]
+        want = layers.conv_forward(cat, w, b, spec)
+        dcat, dw, db = layers.conv_backward(dy, cat, w, spec)
+        want_dxs = [layers.bilinear_upsample_backward(d, f, v.shape) for v, d, (_, f) in
+                    zip(xs, np.split(dcat, np.cumsum([c for c, _ in groups])[:-1], axis=1),
+                        groups)]
+        pairs = [(out.value, want), (net.params["s1.conv6.weight"].grad, dw),
+                 (net.params["s1.conv6.bias"].grad, db), *zip(dxs, want_dxs)]
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -50,7 +50,7 @@ CONVS = [
     ("s1.conv3", (256, 26, 26), ConvSpec(256, 384, 3, 3, 1, 1, 1, 1)),
     ("s1.conv4", (384, 26, 26), ConvSpec(384, 384, 3, 3, 1, 1, 1, 1)),
     ("s1.conv5", (384, 26, 26), ConvSpec(384, 256, 3, 3, 1, 1, 1, 1)),
-    ("s1.conv6", (256, 104, 104), ConvSpec(256, 64, 1, 1)),
+    ("s1.conv6", (256, 13, 13), ConvSpec(256, 64, 1, 1)),
     ("s2.conv1", (3, 416, 416), ConvSpec(3, 96, 9, 9, 2, 2, 4, 4)),
     ("s2.conv2", (160, 104, 104), ConvSpec(160, 64, 5, 5, 1, 1, 2, 2)),
     ("s2.conv3, s2.conv4, heads' conv", (64, 104, 104), ConvSpec(64, 64, 5, 5, 1, 1, 2, 2)),
@@ -97,11 +97,11 @@ def test_prelu_gradients(shape):
                                           ((256, 26, 26), 3), ((96, 208, 208), 2)])
 def test_max_pool_input_gradient(shape, kernel):
     x = np.round(f32(8, (N, *shape)) * 4) / 4  # quarter steps: many windows tie
-    y = layers.max_pool_forward(x, kernel, 2)
+    y, arg = layers.max_pool_forward(x, kernel, 2, winners=True)
     dy = f32(9, y.shape)
     want_y, want_dx = max_pool_oracle(x, dy, kernel, 2)
     assert y.tobytes() == want_y.tobytes()
-    assert layers.max_pool_backward(dy, x, y, kernel, 2).tobytes() == want_dx.tobytes()
+    assert layers.max_pool_backward(dy, arg, x.shape, kernel, 2).tobytes() == want_dx.tobytes()
 
 
 # dropout inputs: s1.conv6, s2.conv2-4 and the heads' conv (64 channels), the
