@@ -313,31 +313,6 @@ def max_pool_backward(dy: np.ndarray, arg: np.ndarray, in_shape, kernel: int,
     return dx
 
 
-def max_pool_unpool(y: np.ndarray, arg: np.ndarray, in_shape, kernel: int,
-                    stride: int) -> np.ndarray:
-    """Each window's y written to the input cell of its winning tap ``arg``,
-    zero on cells that won no window.  Every window a cell wins must carry
-    the same y, as a pool's own output does; the result is then the pool's
-    input on every cell that won."""
-    n, c, h, w = in_shape
-    oh, ow, _, _ = _pool_extents(in_shape, kernel, stride)
-    origin = (np.arange(oh) * (stride * w))[:, None] + np.arange(0, ow * stride, stride)
-    dst = np.empty(in_shape, dtype=y.dtype)
-    for block in _channel_blocks(in_shape, y.itemsize):
-        ab = arg[:, block]
-        # flat index of each winner in the block: plane, window origin, tap
-        row, col = np.divmod(ab, kernel)
-        idx = row.astype(np.intp)
-        idx *= w
-        idx += col
-        idx += origin
-        idx += (np.arange(n * ab.shape[1]) * (h * w)).reshape(n, -1, 1, 1)
-        db = np.zeros((n, ab.shape[1], h, w), dtype=y.dtype)
-        db.reshape(-1)[idx.reshape(-1)] = y[:, block].reshape(-1)
-        dst[:, block] = db
-    return dst
-
-
 @lru_cache(maxsize=256)
 def _bilinear_matrix(factor: int, n_in: int) -> np.ndarray:
     """Sampling matrix (n_in*factor, n_in) for align-corners-false upsampling."""
@@ -398,7 +373,10 @@ def prelu_backward(dy: np.ndarray, x: np.ndarray, slopes: np.ndarray,
     exactly where the input is, so dx is the same bytes, except at a
     negative subnormal input whose product with its slope rounds to -0;
     the slope gradient divides by a * c once per channel, so it moves at
-    float rounding level.
+    float rounding level.  That output may also be max-pooled (and
+    dropped out after the pool), with dy on the pooled grid: each window's
+    value is its winner's output, so dx is the winner's gradient per
+    window, for max_pool_backward to route.
 
     The slope gradient sums min(x, 0) * dy per channel, formed in one
     temporary.  Cells with x >= 0 add a zero product, so for finite x and
@@ -455,12 +433,7 @@ def dropout_backward(dy: np.ndarray, keep: np.ndarray | None, p: float) -> np.nd
     return dx
 
 
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Channel concatenation; inputs must agree on N, H, W."""
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ValueError(f"concat: spatial/batch mismatch {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
 def concat_backward(dy: np.ndarray, channels_a: int):
+    """Gradients of np.concatenate([a, b], axis=1), where a has
+    ``channels_a`` channels: views of dy."""
     return dy[:, :channels_a], dy[:, channels_a:]

@@ -39,8 +39,8 @@ from .layers import (ConvSpec, bilinear_upsample_backward,
                      bilinear_upsample_forward, concat_backward, conv_backward,
                      conv_forward, deconv_backward, deconv_forward,
                      dropout_backward, dropout_forward, dropout_scale,
-                     max_pool_backward, max_pool_forward, max_pool_unpool,
-                     prelu_backward, prelu_forward)
+                     max_pool_backward, max_pool_forward, prelu_backward,
+                     prelu_forward)
 from .rng import Rng
 
 PRELU_INIT = 0.25
@@ -213,10 +213,16 @@ class Network:
         ``out``, if given, receives the result: a slice of the next layer's
         concatenated input.  The step keeps what its backward reads: the
         conv inputs, the pool's winning taps, the dropout mask and its own
-        output, which the next layer keeps as well.  While every slope is
-        positive, the PReLU backward reads its input from that output, or
-        from the pool's output at the winning taps; a layer with any other
-        slope keeps the PReLU input as well.
+        output, which the next layer keeps as well.
+
+        While every slope is positive, backward runs dropout, then PReLU on
+        the grid of the step's output, reading the PReLU output from it,
+        then the pool.  The pool routes each window's gradient to its
+        winner, whose PReLU output is the window's output.  A negative cell
+        that wins k overlapping windows gets sum(a * dy_i), not
+        a * sum(dy_i), so its dx moves at float rounding level.  A layer
+        with any other slope keeps the PReLU input and runs dropout, pool,
+        then PReLU at full size.
         """
         w, b = self.params[f"{name}.weight"], self.params[f"{name}.bias"]
         a = self.params.get(f"{name}.slope")
@@ -244,8 +250,6 @@ class Network:
             if record:
                 y, arg = y
         if drop is not None:
-            # the PReLU backward reads each cell back from the one window it won
-            assert pool is None or pool[0] <= pool[1], "dropout after overlapping pool windows"
             y, keep = dropout_forward(y, p, drop[1], drop[0])
         if out is not None:
             assert y.shape == out.shape, f"{name}: output {y.shape} does not fit {out.shape}"
@@ -259,15 +263,12 @@ class Network:
         def backward(dy, input_grad=True):
             if drop is not None:
                 dy = dropout_backward(dy, keep, p)
+            if kept_out is not None:
+                dy, da = prelu_backward(dy, kept_out, a.value, out_scale=scale)
             if pool is not None:
                 dy = max_pool_backward(dy, arg, pre_shape, *pool)
             if kept_in is not None:
                 dy, da = prelu_backward(dy, kept_in, a.value)
-            elif a is not None:
-                # the unpooled output is a temporary that prelu_backward frees
-                dy, da = prelu_backward(
-                    dy, kept_out if pool is None else max_pool_unpool(kept_out, arg, pre_shape, *pool),
-                    a.value, out_scale=scale)
             if a is not None:
                 a.grad += da
             if groups is None:

@@ -6,12 +6,11 @@ import pytest
 
 from intrinsics import layers
 from intrinsics.layers import (ConvSpec, bilinear_upsample_forward,
-                               concat_backward, concat_channels, conv_backward,
-                               conv_forward, deconv_backward, deconv_forward,
+                               concat_backward, conv_backward, conv_forward,
+                               deconv_backward, deconv_forward,
                                dropout_backward, dropout_forward,
                                dropout_scale, max_pool_backward,
-                               max_pool_forward, max_pool_unpool,
-                               prelu_backward, prelu_forward)
+                               max_pool_forward, prelu_backward, prelu_forward)
 from intrinsics.rng import Rng
 from intrinsics.verify import (LAYER_H, _block_budget, check_all,
                                dropout_probe, max_pool_oracle)
@@ -201,10 +200,6 @@ class TestMaxPool:
                 assert max_pool_forward(x, kernel, 2).tobytes() == want_y.tobytes()
                 assert max_pool_backward(dy, arg, x.shape, kernel, 2).tobytes() \
                     == want_dx.tobytes()
-                # unpool: the input on every cell that won a window, 0 elsewhere
-                v = max_pool_unpool(y, arg, x.shape, kernel, 2)
-                won = max_pool_backward(np.ones_like(y), arg, x.shape, kernel, 2) > 0
-                assert v[won].tobytes() == x[won].tobytes() and not v[~won].any()
 
 
 class TestBilinearUpsample:
@@ -337,25 +332,9 @@ class TestDropout:
 
 
 class TestConcat:
-    def test_concat_with_empty(self):
-        x = Rng(19).normal((1, 3, 2, 2))
-        empty = np.zeros((1, 0, 2, 2))
-        assert np.array_equal(concat_channels(x, empty), x)
-
-    def test_values_in_order(self):
-        a = np.array([2.0]).reshape(1, 1, 1, 1)
-        b = np.array([3.0, 4.0]).reshape(1, 2, 1, 1)
-        out = concat_channels(a, b)
-        assert out.shape == (1, 3, 1, 1)
-        assert np.array_equal(out.ravel(), [2.0, 3.0, 4.0])
-
     def test_roundtrip(self):
         a = Rng(20).normal((2, 3, 4, 4))
         b = Rng(21).normal((2, 2, 4, 4))
-        da, db = concat_backward(concat_channels(a, b), a.shape[1])
+        da, db = concat_backward(np.concatenate([a, b], axis=1), a.shape[1])
         assert np.array_equal(da, a)
         assert np.array_equal(db, b)
-
-    def test_spatial_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            concat_channels(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 4)))

@@ -7,6 +7,8 @@ from intrinsics import layers
 from intrinsics.network import NetworkConfig, _Var, build_network
 from intrinsics.rng import Rng
 
+EPS32 = np.finfo(np.float32).eps
+
 
 def tiny_net(seed=0, dtype=np.float64, **kw):
     cfg = NetworkConfig(channel_scale=1 / 16, **kw)
@@ -170,6 +172,27 @@ class TestTape:
             tracemalloc.stop()
         assert held < 40e6, f"the tape holds {held / 1e6:.1f} MB"
 
+    def test_backward_peaks_under_36_mb_above_the_tape(self):
+        """What a full-topology 416x416 train step's backward allocates on
+        top of the tape and its own output gradients, image gradient
+        declined: about 29 MB, set in the shading head's conv backward.
+        Unpooling the pool's output for a full-size PReLU backward made
+        s2.conv1's backward the peak, at about 44 MB."""
+        net = build_network(NetworkConfig(dropout_prob=0.5), Rng(0))
+        x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            outs = net.forward(x, train_mode=True, rng=Rng(2), keep_cache=True)
+            dys = [Rng(3 + i).normal(o.shape).astype(np.float32) for i, o in enumerate(outs)]
+            del outs
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            net.backward(*dys, image_grad=False)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 36e6, f"backward peaks {peak / 1e6:.1f} MB above the tape"
+
 
 def run_block(net, name, x, pool=None, drop=False, seed=40):
     """One recorded layer step and its backward on a fresh tape: (output,
@@ -205,6 +228,40 @@ def input_path(net, name, x, dy, pool=None, drop=False, seed=40):
     return y, dx, {"weight": dw, "bias": db, "slope": da}, mass
 
 
+def pooled_grid_path(net, name, x, dy, pool, drop=False, seed=40):
+    """The same layer with the PReLU backward on the pooled grid, before the
+    pool's, reading the layer's output: ({input, weight, bias gradients},
+    the same composed from absolute values, and for each cell with a
+    negative PReLU input the windows it won and the kept ones among them)."""
+    w, b, a = (net.params[f"{name}.{k}"].value for k in ("weight", "bias", "slope"))
+    spec, p = net.specs[name], net.cfg.dropout_prob
+    pre = layers.conv_forward(x, w, b, spec)
+    y, arg = layers.max_pool_forward(layers.prelu_forward(pre, a), *pool, winners=True)
+    keep, scale = np.ones(y.shape, bool), 1.0
+    if drop:
+        y, keep = layers.dropout_forward(y, p, Rng(seed), True)
+        dy = layers.dropout_backward(dy, keep, p)
+        scale = layers.dropout_scale(y.dtype, p)
+    d, _ = layers.prelu_backward(dy, y, a, out_scale=scale)
+    mag = np.abs(dy) * np.where(y < 0, a.reshape(1, -1, 1, 1), 1)
+    keys = ("input", "weight", "bias")
+    got = layers.conv_backward(layers.max_pool_backward(d, arg, pre.shape, *pool), x, w, spec)
+    mags = layers.conv_backward(layers.max_pool_backward(mag, arg, pre.shape, *pool),
+                                np.abs(x), np.abs(w), spec)
+    won, kept = (layers.max_pool_backward(v.astype(x.dtype), arg, pre.shape, *pool)[pre < 0]
+                 for v in (np.ones(y.shape, bool), keep))
+    return dict(zip(keys, got)), dict(zip(keys, mags)), won, kept
+
+
+def negative_winners(net, name):
+    """Slopes in [0.30, 0.55), which are not powers of two, and a bias of
+    -1.5, so that most PReLU inputs are negative and some of them win
+    several windows of an overlapping pool."""
+    a = net.params[f"{name}.slope"].value
+    a[:] = 0.30 + 0.25 * Rng(30).uniform(a.shape)
+    net.params[f"{name}.bias"].value[:] = -1.5
+
+
 class TestBlock:
     # (layer, input channels, input extent, pool, dropout)
     CASES = [("s1.conv1", 3, 32, (3, 2), False), ("s2.conv1", 3, 32, (2, 2), True),
@@ -231,6 +288,44 @@ class TestBlock:
         else:
             bound = 32 * np.finfo(np.float32).eps * mass
             assert np.all(np.abs(grads["slope"] - want["slope"]) <= bound)
+
+    # CASES, plus s1.conv1's overlapping pool with dropout after it
+    GRID_CASES = CASES + [("s1.conv1", 3, 32, (3, 2), True)]
+
+    @pytest.mark.parametrize("name,cin,hw,pool,drop", GRID_CASES,
+                             ids=[c[0] for c in CASES] + ["s1.conv1-dropout"])
+    def test_pooled_grid_rounding(self, name, cin, hw, pool, drop):
+        """With positive slopes the PReLU backward runs on the pooled grid, so
+        a cell with a negative PReLU input that wins k windows gets
+        sum(a * dy_i), where the input path forms a * sum(dy_i).  Both are
+        within k rounding units of the exact value, scaled by
+        sum(a * |dy_i|).  A 3x3 stride-2 pool gives a cell at most 4 windows,
+        so the two differ by at most 4 eps of that scale.  The conv backward
+        is linear and carries this to 4 eps of the same composition over
+        absolute values; rounding the two inputs separately adds less than
+        as much again at these sizes, hence 8 eps.  Without a pool, or
+        with the 2x2 stride-2 pool, where no cell wins two windows, the
+        bytes are the input path's.  With dropout after the 3x3 pool some
+        negative cells win a kept and a dropped window."""
+        net = tiny_net(seed=11, dtype=np.float32, dropout_prob=0.5)
+        negative_winners(net, name)
+        x = Rng(12).normal((2, cin, hw, hw)).astype(np.float32)
+        y, dx, grads, dy = run_block(net, name, x, pool, drop)
+        want_y, want_dx, want, mass = input_path(net, name, x, dy, pool, drop)
+        assert y.tobytes() == want_y.tobytes()
+        assert np.all(np.abs(grads["slope"] - want["slope"]) <= 32 * EPS32 * mass)
+        got = {"input": dx, "weight": grads["weight"], "bias": grads["bias"]}
+        want["input"] = want_dx
+        if pool != (3, 2):
+            for k, g in got.items():
+                assert g.tobytes() == want[k].tobytes(), k
+            return
+        grid, mags, won, kept = pooled_grid_path(net, name, x, dy, pool, drop)
+        assert (won >= 2).any()
+        assert not drop or ((kept >= 1) & (kept < won)).any()
+        for k, g in got.items():
+            assert g.tobytes() == grid[k].tobytes(), k
+            assert np.all(np.abs(g - want[k]) <= 8 * EPS32 * mags[k]), k
 
     @pytest.mark.parametrize("hc", [False, True])
     def test_conv6_commutes_with_the_upsample(self, hc):
