@@ -12,10 +12,10 @@ from intrinsics import NetworkConfig, Rng, build_network, make_synthetic_sample
 print("== full-scale topology (channel_scale = 1) ==")
 net = build_network(NetworkConfig(channel_scale=1.0, use_deconv_head=True), Rng(0))
 total = 0
-for name, value in net.named_parameters():
-    total += value.size
+for name, p in net.params.items():
+    total += p.value.size
     if name.endswith(".weight"):
-        print(f"  {name:24s} {str(value.shape):20s}")
+        print(f"  {name:24s} {str(p.value.shape):20s}")
 print(f"total parameters: {total:,}")
 
 print("\n== a desk-scale instance runs in milliseconds ==")
@@ -50,12 +50,12 @@ for hc in (False, True):
         print(f"  hypercolumn={str(hc):5s} head={head:8s} "
           f"conv6 input width={conv6_in:3d} params={sum(p.value.size for p in v.params.values()):,}")
 
-print("\n== dropout makes train-mode forwards stochastic, eval stays fixed ==")
-a1, _ = tiny.forward(sample.image, train_mode=False)
-a2, _ = tiny.forward(sample.image, train_mode=False)
+print("\n== a dropout rng makes training forwards stochastic, eval stays fixed ==")
+a1, _ = tiny.forward(sample.image)
+a2, _ = tiny.forward(sample.image)
 print(f"eval twice, identical: {np.array_equal(a1, a2)}")
 hc_net = build_network(NetworkConfig(channel_scale=1 / 16, dropout_prob=0.5),
                        Rng(4), dtype=np.float32)
-t1, _ = hc_net.forward(sample.image, train_mode=True, rng=Rng(10))
-t2, _ = hc_net.forward(sample.image, train_mode=True, rng=Rng(11))
+t1, _ = hc_net.forward(sample.image, rng=Rng(10))
+t2, _ = hc_net.forward(sample.image, rng=Rng(11))
 print(f"train with different streams, identical: {np.array_equal(t1, t2)}")

@@ -133,18 +133,10 @@ def load_sample(entry: ManifestEntry, base_dir: str) -> Sample:
     image = to_nchw(load(entry.image_path))
     albedo = to_nchw(load(entry.albedo_path))
     shading = to_nchw(load(entry.shading_path))
-    if albedo.shape != image.shape or shading.shape != image.shape:
-        raise ValueError(
-            f"sample {entry.id}: extents differ between image "
-            f"{image.shape[2:]}, albedo {albedo.shape[2:]}, shading "
-            f"{shading.shape[2:]}")
     if entry.mask_path is not None:
         m = load(entry.mask_path)
         if m.ndim == 3:
             m = m.mean(axis=2)
-        if m.shape != image.shape[2:]:
-            raise ValueError(f"sample {entry.id}: mask extents {m.shape} differ "
-                             f"from image {image.shape[2:]}")
         mask = (m > 0).astype(np.float64)[None, None]
     else:
         mask = np.ones((1, 1, *image.shape[2:]))

@@ -404,9 +404,9 @@ def dropout_scale(dtype, p: float) -> np.ndarray:
     return np.asarray(1.0, dtype=dtype) / np.asarray(1.0 - p, dtype=dtype)
 
 
-def dropout_forward(x: np.ndarray, p: float, rng: Rng, train_mode: bool):
-    """Inverted dropout; returns (output, bool keep mask). Eval mode is
-    identity and returns the mask None.
+def dropout_forward(x: np.ndarray, p: float, rng: Rng | None):
+    """Inverted dropout; returns (output, bool keep mask).  Without an rng
+    (eval) or at p = 0 it is the identity and returns the mask None.
 
     Cell i is kept where rng.uniform(x.shape)[i] >= p.  That uniform is
     (raw >> 11) * 2**-53 of the raw uint64 draw, so the mask compares the
@@ -415,7 +415,7 @@ def dropout_forward(x: np.ndarray, p: float, rng: Rng, train_mode: bool):
     zero keeps x's sign and a non-finite x stays NaN."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: probability {p} outside [0, 1)")
-    if not train_mode or p == 0.0:
+    if rng is None or p == 0.0:
         return x, None
     threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
     keep = (rng._raw(x.size) >= threshold).reshape(x.shape)
@@ -432,8 +432,3 @@ def dropout_backward(dy: np.ndarray, keep: np.ndarray | None, p: float) -> np.nd
     dx *= dropout_scale(dy.dtype, p)
     return dx
 
-
-def concat_backward(dy: np.ndarray, channels_a: int):
-    """Gradients of np.concatenate([a, b], axis=1), where a has
-    ``channels_a`` channels: views of dy."""
-    return dy[:, :channels_a], dy[:, channels_a:]

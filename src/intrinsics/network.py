@@ -36,14 +36,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .layers import (ConvSpec, bilinear_upsample_backward,
-                     bilinear_upsample_forward, concat_backward, conv_backward,
-                     conv_forward, deconv_backward, deconv_forward,
-                     dropout_backward, dropout_forward, dropout_scale,
-                     max_pool_backward, max_pool_forward, prelu_backward,
-                     prelu_forward)
+                     bilinear_upsample_forward, conv_backward, conv_forward,
+                     deconv_backward, deconv_forward, dropout_backward,
+                     dropout_forward, dropout_scale, max_pool_backward,
+                     max_pool_forward, prelu_backward, prelu_forward)
 from .rng import Rng
 
 PRELU_INIT = 0.25
+# conv1's stride 4 times the three stride-2 pools that follow it
+TOTAL_STRIDE = 32
+# each key of Network.widths -> (its width at channel_scale 1, the layer
+# whose weight's first axis carries it)
+WIDTHS = {"c1": (96, "s1.conv1"), "c2": (256, "s1.conv2"), "c3": (384, "s1.conv3"),
+          "c4": (384, "s1.conv4"), "c5": (256, "s1.conv5"), "c6": (64, "s1.conv6"),
+          "s2c1": (96, "s2.conv1"), "mid": (64, "s2.conv2"), "head": (64, "albedo.conv")}
 
 
 @dataclass
@@ -60,8 +66,10 @@ class NetworkConfig:
                              f"got {self.channel_scale}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("NetworkConfig: dropout_prob outside [0, 1)")
-        if self.input_multiple < 1:
-            raise ValueError("NetworkConfig: input_multiple must be >= 1")
+        if self.input_multiple < 1 or self.input_multiple % TOTAL_STRIDE:
+            raise ValueError(f"NetworkConfig: input_multiple must be a positive "
+                             f"multiple of {TOTAL_STRIDE}, the network's total "
+                             f"stride, got {self.input_multiple}")
 
     def width(self, base: int) -> int:
         return max(1, math.ceil(base * self.channel_scale))
@@ -103,17 +111,17 @@ def _record(y, backward, *inputs) -> _Var:
 class Network:
     """Built topology plus the named parameter registry.
 
-    ``forward`` runs eval- or train-mode inference; with ``keep_cache=True``
-    it records a tape: one entry per step, holding what that step's
-    backward reads.  A step is one layer (see ``_block``); the others are
-    scale 2's concatenation, which keeps nothing, and the bilinear head's
-    upsample, which keeps a shape.  A layer keeps its conv input, which is
-    the previous layer's output, its pool's winning taps (uint8) and its
-    dropout mask (bool), and reads its PReLU input back from its own
-    output.  ``backward`` replays the tape once, in reverse.
-    Parameter gradients accumulate across backward calls until
-    ``zero_grads``.  With ``rng`` None the weights are left zero, for a
-    caller that installs its own (a checkpoint).
+    ``forward`` runs inference, with dropout only when it is given an rng
+    (a training forward); with ``keep_cache=True`` it records a tape: one
+    entry per step, holding what that step's backward reads.  A step is one
+    layer (see ``_block``); the others are scale 2's concatenation, which
+    keeps nothing, and the bilinear head's upsample, which keeps a shape.
+    A layer keeps its conv input, which is the previous layer's output, its
+    pool's winning taps (uint8) and its dropout mask (bool), and reads its
+    PReLU input back from its own output.  ``backward`` replays the tape
+    once, in reverse.  Parameter gradients accumulate across backward calls
+    until ``zero_grads``.  With ``rng`` None the weights are left zero, for
+    a caller that installs its own (``network_from_shapes``).
     """
 
     def __init__(self, cfg: NetworkConfig, rng: Rng | None, dtype=np.float32,
@@ -123,20 +131,16 @@ class Network:
         self.params: dict[str, Param] = {}
         self.specs: dict[str, ConvSpec] = {}
         self._tape = None
-        w = cfg.width
         self.widths = dict(widths) if widths else {
-            "c1": w(96), "c2": w(256), "c3": w(384), "c4": w(384),
-            "c5": w(256), "c6": w(64), "s2c1": w(96), "mid": w(64),
-            "head": w(64)}
+            key: cfg.width(base) for key, (base, _) in WIDTHS.items()}
         self._build(rng)
 
     # -- construction -----------------------------------------------------
 
-    def _add_conv(self, name: str, spec: ConvSpec, rng: Rng | None, prelu: bool = True,
-                  deconv: bool = False):
+    def _add_conv(self, name: str, spec: ConvSpec, rng: Rng | None, prelu: bool = True):
         self.specs[name] = spec
         w_shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        if deconv:
+        if name.endswith(".deconv"):
             # data flows out_channels -> in_channels through a deconv
             fan_in = spec.out_channels * spec.kernel_h * spec.kernel_w
             out_ch = spec.in_channels
@@ -187,16 +191,12 @@ class Network:
                                ConvSpec(wd["mid"], wd["head"], 5, 5, 1, 1, 2, 2), rng)
                 self._add_conv(f"{head}.deconv",
                                ConvSpec(3, wd["head"], 8, 8, 4, 4, 2, 2),
-                               rng, prelu=False, deconv=True)
+                               rng, prelu=False)
             else:
                 self._add_conv(f"{head}.conv", ConvSpec(wd["mid"], 3, 5, 5, 1, 1, 2, 2),
                                rng, prelu=False)
 
     # -- registry ---------------------------------------------------------
-
-    def named_parameters(self):
-        """Parameters as (name, array) in fixed registry order."""
-        return [(p.name, p.value) for p in self.params.values()]
 
     def zero_grads(self):
         for p in self.params.values():
@@ -209,11 +209,12 @@ class Network:
         conv6 is the sum over its input groups of a 1x1 conv at the group's
         own resolution, upsampled, plus one bias.
 
-        ``pool`` is (kernel, stride), ``drop`` is (train_mode, rng), and
-        ``out``, if given, receives the result: a slice of the next layer's
-        concatenated input.  The step keeps what its backward reads: the
-        conv inputs, the pool's winning taps, the dropout mask and its own
-        output, which the next layer keeps as well.
+        ``pool`` is (kernel, stride), ``drop`` is the dropout rng (None in
+        eval, or for a layer without dropout), and ``out``, if given,
+        receives the result: a slice of the next layer's concatenated input.
+        The step keeps what its backward reads: the conv inputs, the pool's
+        winning taps, the dropout mask and its own output, which the next
+        layer keeps as well.
 
         While every slope is positive, backward runs dropout, then PReLU on
         the grid of the step's output, reading the PReLU output from it,
@@ -250,7 +251,7 @@ class Network:
             if record:
                 y, arg = y
         if drop is not None:
-            y, keep = dropout_forward(y, p, drop[1], drop[0])
+            y, keep = dropout_forward(y, p, drop)
         if out is not None:
             assert y.shape == out.shape, f"{name}: output {y.shape} does not fit {out.shape}"
             out[...] = y
@@ -300,9 +301,11 @@ class Network:
 
     # -- inference ---------------------------------------------------------
 
-    def forward(self, image: np.ndarray, train_mode: bool = False,
-                rng: Rng | None = None, keep_cache: bool = False):
-        """Run the network; returns (log_albedo, log_shading) at input resolution."""
+    def forward(self, image: np.ndarray, rng: Rng | None = None,
+                keep_cache: bool = False):
+        """Run the network; returns (log_albedo, log_shading) at input
+        resolution.  ``rng`` draws the dropout masks: a forward with an rng
+        is a training forward, one without is eval, with no dropout."""
         if image.ndim != 4 or image.shape[1] != 3:
             raise ValueError(f"forward: expected (N,3,H,W) input, got {image.shape}")
         m = self.cfg.input_multiple
@@ -313,13 +316,11 @@ class Network:
             raise ValueError(
                 f"forward: input {h}x{w} must be a multiple of {m}; "
                 f"pad by ({pad_h}, {pad_w}) first (see data.pad_to_multiple)")
-        if train_mode and self.cfg.dropout_prob > 0 and rng is None:
-            raise ValueError("forward: train_mode with dropout needs an rng")
 
         self._tape = None
         tape = [(None, ())] if keep_cache else None  # position 0: the image
         x = _Var(np.ascontiguousarray(image, dtype=self.dtype), tape, 0)
-        block, drop = self._block, (train_mode, rng)
+        block = self._block
 
         # scale 1
         p1 = block("s1.conv1", [x], pool=(3, 2))
@@ -329,20 +330,20 @@ class Network:
         q = self.widths["s2c1"]
         cat = np.empty((image.shape[0], q + self.widths["c6"], h // 4, w // 4), self.dtype)
         s1_out = block("s1.conv6", [p1, p2, p5] if self.cfg.use_hypercolumn else [p5],
-                       drop=drop, out=cat[:, q:])
+                       drop=rng, out=cat[:, q:])
 
         # scale 2
-        q1 = block("s2.conv1", [x], pool=(2, 2), drop=drop, out=cat[:, :q])
-        b = _record(cat, lambda dy: concat_backward(dy, q), q1, s1_out)
+        q1 = block("s2.conv1", [x], pool=(2, 2), drop=rng, out=cat[:, :q])
+        b = _record(cat, lambda dy: (dy[:, :q], dy[:, q:]), q1, s1_out)
         for name in ("s2.conv2", "s2.conv3", "s2.conv4"):
-            b = block(name, [b], drop=drop)
+            b = block(name, [b], drop=rng)
 
         outs = []
         for head in ("albedo", "shading"):
             if self.cfg.use_deconv_head:
-                out = block(f"{head}.deconv", [block(f"{head}.conv", [b], drop=drop)])
+                out = block(f"{head}.deconv", [block(f"{head}.conv", [b], drop=rng)])
             else:
-                out = self._upsample(block(f"{head}.conv", [b], drop=drop), 4)
+                out = self._upsample(block(f"{head}.conv", [b], drop=rng), 4)
             assert out.value.shape == (image.shape[0], 3, h, w)
             outs.append(out)
 
@@ -384,3 +385,23 @@ def build_network(cfg: NetworkConfig, rng: Rng, dtype=np.float32) -> Network:
     PReLU slopes 0.25; identical seeds give bit-identical parameters.
     """
     return Network(cfg, rng, dtype=dtype)
+
+
+def network_from_shapes(shapes) -> Network:
+    """A zero-weight network whose widths and variant are read from parameter
+    shapes (name -> shape), such as a checkpoint's.
+
+    Each width is the first axis of its layer's weight (``WIDTHS``); the
+    head is a deconv head when ``albedo.deconv.weight`` is present, and
+    conv6 takes the hypercolumn when its input width is not conv5's.  Only
+    the widths are checked here: installing the weights checks every shape.
+    """
+    widths = {}
+    for key, (_, layer) in WIDTHS.items():
+        name = f"{layer}.weight"
+        if len(shapes.get(name, ())) != 4:
+            raise ValueError(f"network: tensor {name!r} is missing or not 4-D")
+        widths[key] = shapes[name][0]
+    cfg = NetworkConfig(use_hypercolumn=shapes["s1.conv6.weight"][1] != widths["c5"],
+                        use_deconv_head="albedo.deconv.weight" in shapes)
+    return Network(cfg, None, widths=widths)

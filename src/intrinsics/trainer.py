@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import AugmentConfig, Sample, augment, crop_to, pad_to_multiple
 from .losses import LossConfig, log_guarded, total_loss
-from .network import Network, NetworkConfig, Param
+from .network import Network, NetworkConfig, Param, network_from_shapes
 from .png_io import write_atomic
 from .rng import Rng, derive_seed
 
@@ -223,30 +223,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 def network_from_checkpoint(ck: Checkpoint) -> Network:
     """Rebuild the topology recorded in a checkpoint and install its weights."""
-    shapes = {name: arr.shape for name, arr in ck.params}
-    try:
-        widths = {
-            "c1": shapes["s1.conv1.weight"][0],
-            "c2": shapes["s1.conv2.weight"][0],
-            "c3": shapes["s1.conv3.weight"][0],
-            "c4": shapes["s1.conv4.weight"][0],
-            "c5": shapes["s1.conv5.weight"][0],
-            "c6": shapes["s1.conv6.weight"][0],
-            "s2c1": shapes["s2.conv1.weight"][0],
-            "mid": shapes["s2.conv2.weight"][0],
-        }
-    except KeyError as e:
-        raise ValueError(f"checkpoint: missing tensor {e} (not a network checkpoint)")
-    use_deconv = "albedo.deconv.weight" in shapes
-    widths["head"] = (shapes["albedo.deconv.weight"][0] if use_deconv
-                      else widths["mid"])
-    conv6_in = shapes["s1.conv6.weight"][1]
-    use_hc = conv6_in == widths["c1"] + widths["c2"] + widths["c5"]
-    if not use_hc and conv6_in != widths["c5"]:
-        raise ValueError(f"checkpoint: conv6 input width {conv6_in} matches "
-                         "neither plain nor hypercolumn wiring")
-    cfg = NetworkConfig(use_hypercolumn=use_hc, use_deconv_head=use_deconv)
-    net = Network(cfg, None, widths=widths)
+    net = network_from_shapes({name: arr.shape for name, arr in ck.params})
     ck.apply_to(net)
     return net
 
@@ -261,11 +238,13 @@ def _assemble_batch(samples, cfg: TrainConfig, iteration: int, multiple: int):
     """Pick, augment, and pad one mini-batch; returns stacked arrays.
 
     Sample order wraps around the dataset with a fresh shuffle per epoch.
-    Images and targets are replicate-padded to the extent multiple; the
-    padded border is synthetic, so the validity mask is zero there.
+    Every augmented sample has the crop's extents, so the batch is stacked
+    first; images and targets are then replicate-padded to the extent
+    multiple, and the padded border is synthetic, so the validity mask is
+    zero there.
     """
     n = len(samples)
-    ids, imgs, albs, shds, masks = [], [], [], [], []
+    ids, augs = [], []
     perms = {}
     for j in range(cfg.batch_size):
         g = iteration * cfg.batch_size + j
@@ -273,20 +252,15 @@ def _assemble_batch(samples, cfg: TrainConfig, iteration: int, multiple: int):
         if epoch not in perms:
             perms[epoch] = _epoch_permutation(cfg.seed, epoch, n)
         s = samples[perms[epoch][pos]]
-        aug = augment(s, cfg.augment, Rng(derive_seed(cfg.seed, "aug", iteration, j)))
-        img, extents = pad_to_multiple(aug.image, multiple)
-        alb, _ = pad_to_multiple(aug.albedo, multiple)
-        shd, _ = pad_to_multiple(aug.shading, multiple)
-        h, w = extents
-        mask = np.zeros((1, 1, img.shape[2], img.shape[3]))
-        mask[:, :, :h, :w] = aug.mask
         ids.append(s.id)
-        imgs.append(img)
-        albs.append(alb)
-        shds.append(shd)
-        masks.append(mask)
-    return (ids, np.concatenate(imgs), np.concatenate(albs),
-            np.concatenate(shds), np.concatenate(masks))
+        augs.append(augment(s, cfg.augment, Rng(derive_seed(cfg.seed, "aug", iteration, j))))
+    img, alb, shd = (pad_to_multiple(np.concatenate([getattr(a, k) for a in augs]),
+                                     multiple)[0] for k in ("image", "albedo", "shading"))
+    h, w = augs[0].image.shape[2:]
+    mask = np.zeros((len(augs), 1, *img.shape[2:]))
+    for k, a in enumerate(augs):  # no stacked copy of the masks
+        mask[k, :, :h, :w] = a.mask
+    return ids, img, alb, shd, mask
 
 
 def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
@@ -329,8 +303,8 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
         log_shd = log_guarded(shd, eps).astype(dtype)
         mask = mask.astype(dtype)
         del alb, shd
-        drop_rng = Rng(derive_seed(cfg.seed, "dropout", it))
-        la, ls = net.forward(img, train_mode=True, rng=drop_rng, keep_cache=True)
+        la, ls = net.forward(img, rng=Rng(derive_seed(cfg.seed, "dropout", it)),
+                             keep_cache=True)
         loss, d_la, d_ls = total_loss(log_alb, log_shd, la, ls, mask, cfg.loss)
         del la, ls, log_alb, log_shd, mask
         if not np.isfinite(loss):

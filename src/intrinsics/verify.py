@@ -300,19 +300,10 @@ def prelu_probes(rng, n):
 
 def dropout_probe(rng, shape):
     x = rng.normal(shape)
-    _, keep = layers.dropout_forward(x, 0.5, Rng(9), True)
+    _, keep = layers.dropout_forward(x, 0.5, Rng(9))
     dy = rng.normal(shape)
     return _probe(f"dropout backward (frozen mask, {shape})", x, dy,
                   lambda v: v * keep / 0.5, layers.dropout_backward(dy, keep, 0.5))
-
-
-def concat_probe(rng, cb):
-    a = rng.normal((1, 2, 3, 3))
-    b = rng.normal((1, cb, 3, 3))
-    dy = rng.normal((1, 2 + cb, 3, 3))
-    return _probe(f"concat backward (2 + {cb} channels)", a, dy,
-                  lambda v: np.concatenate([v, b], axis=1),
-                  layers.concat_backward(dy, 2)[0])
 
 
 def _layer_probes():
@@ -328,7 +319,6 @@ def _layer_probes():
                ((2, (3, 4)), (3, (4, 4)), (4, (3, 4)), (2, (4, 4)), (3, (3, 4)))]
     probes += prelu_probes(rng, 1) + prelu_probes(rng, 2)
     probes += [dropout_probe(rng, shape) for shape in ((1, 2, 5, 5), (1, 1, 8, 8))]
-    probes += [concat_probe(rng, cb) for cb in (1, 2, 3)]
     return probes
 
 
@@ -641,7 +631,7 @@ def _suite_network_shapes():
 
 def _suite_topology_audit():
     net = build_network(NetworkConfig(channel_scale=1.0), Rng(12))
-    shapes = {n: v.shape for n, v in net.named_parameters()}
+    shapes = {n: p.value.shape for n, p in net.params.items()}
     stated = {"s1.conv1.weight": (96, 3, 11, 11), "s1.conv2.weight": (256, 96, 5, 5),
               "s1.conv3.weight": (384, 256, 3, 3), "s1.conv4.weight": (384, 384, 3, 3),
               "s1.conv5.weight": (256, 384, 3, 3), "s1.conv6.weight": (64, 256, 1, 1),

@@ -221,7 +221,7 @@ class TestManifest:
 
 class TestLoading:
     def _write_triple(self, tmp_path, sid="s0", h=8, w=8, with_mask=False,
-                      shading_extents=None):
+                      shading_extents=None, mask_extents=None):
         rng = Rng(3)
         write_png(tmp_path / f"{sid}_i.png", rng.uniform((h, w, 3)))
         write_png(tmp_path / f"{sid}_a.png", rng.uniform((h, w, 3)))
@@ -229,7 +229,7 @@ class TestLoading:
         write_png(tmp_path / f"{sid}_s.png", rng.uniform((sh, sw)))
         fields = [sid, f"{sid}_i.png", f"{sid}_a.png", f"{sid}_s.png"]
         if with_mask:
-            mask = (rng.uniform((h, w)) > 0.3).astype(float)
+            mask = (rng.uniform(mask_extents or (h, w)) > 0.3).astype(float)
             write_png(tmp_path / f"{sid}_m.png", mask, bit_depth=8)
             fields.append(f"{sid}_m.png")
         fields.append("scene0")
@@ -256,6 +256,13 @@ class TestLoading:
         line = self._write_triple(tmp_path, sid="bad", shading_extents=(4, 8))
         (tmp_path / "m.tsv").write_text(line + "\n")
         with pytest.raises(ValueError, match="bad"):
+            load_dataset(parse_manifest(tmp_path / "m.tsv"))
+
+    def test_mask_extent_mismatch_names_sample(self, tmp_path):
+        line = self._write_triple(tmp_path, sid="badmask", with_mask=True,
+                                  mask_extents=(8, 7))
+        (tmp_path / "m.tsv").write_text(line + "\n")
+        with pytest.raises(ValueError, match="sample badmask: mask"):
             load_dataset(parse_manifest(tmp_path / "m.tsv"))
 
     def test_missing_file_names_path(self, tmp_path):

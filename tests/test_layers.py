@@ -6,14 +6,13 @@ import pytest
 
 from intrinsics import layers
 from intrinsics.layers import (ConvSpec, bilinear_upsample_forward,
-                               concat_backward, conv_backward, conv_forward,
-                               deconv_backward, deconv_forward,
-                               dropout_backward, dropout_forward,
-                               dropout_scale, max_pool_backward,
-                               max_pool_forward, prelu_backward, prelu_forward)
+                               conv_backward, conv_forward, deconv_backward,
+                               deconv_forward, dropout_backward,
+                               dropout_forward, dropout_scale,
+                               max_pool_backward, max_pool_forward,
+                               prelu_backward, prelu_forward)
 from intrinsics.rng import Rng
-from intrinsics.verify import (LAYER_H, _block_budget, check_all,
-                               dropout_probe, max_pool_oracle)
+from intrinsics.verify import _block_budget, max_pool_oracle
 
 
 class TestConv:
@@ -242,7 +241,7 @@ class TestPrelu:
         x[:, :, 1::5] = -0.0
         x[1, :, 2, :4] = -np.finfo(dtype).smallest_subnormal
         a = np.array([0.3, 0.25, 1.7, 3.0], dtype=dtype)
-        z, keep = dropout_forward(prelu_forward(x, a), p, Rng(31), True)
+        z, keep = dropout_forward(prelu_forward(x, a), p, Rng(31))
         dy = dropout_backward(Rng(32).normal(x.shape).astype(dtype), keep, p)
         scale = dropout_scale(dtype, p)
         dx_in, da_in = prelu_backward(dy, x, a)
@@ -264,35 +263,32 @@ class TestPrelu:
 class TestDropout:
     def test_p_zero_identity(self):
         x = Rng(13).normal((1, 2, 4, 4))
-        y, mask = dropout_forward(x, 0.0, Rng(1), train_mode=True)
+        y, mask = dropout_forward(x, 0.0, Rng(1))
         assert np.array_equal(y, x)
         assert mask is None
 
     def test_eval_identity(self):
         x = Rng(14).normal((1, 2, 4, 4))
-        y, mask = dropout_forward(x, 0.7, Rng(1), train_mode=False)
+        y, mask = dropout_forward(x, 0.7, None)
         assert np.array_equal(y, x)
         assert mask is None
 
     def test_keep_fraction_and_scaling(self):
         x = np.ones((1, 1, 100, 100))
-        y, mask = dropout_forward(x, 0.5, Rng(15), train_mode=True)
+        y, mask = dropout_forward(x, 0.5, Rng(15))
         kept = float((mask > 0).mean())
         assert abs(kept - 0.5) < 0.02
         assert abs(float(y.mean()) - 1.0) < 0.03  # inverted scaling keeps E[out] = x
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            dropout_forward(np.zeros((1, 1, 1, 1)), 1.0, Rng(0), True)
-
-    def test_backward_uses_frozen_mask(self):
-        check_all([dropout_probe(Rng(16), (1, 1, 8, 8))], LAYER_H)
+            dropout_forward(np.zeros((1, 1, 1, 1)), 1.0, Rng(0))
 
     # 0.9 * 2**53 and 0.5 * 2**53 are integers, 0.1 * 2**53 and 2**53 / 3 are not
     @pytest.mark.parametrize("p", [0.1, 0.25, 1 / 3, 0.5, 0.9, 1 - 2.0 ** -53, 2.0 ** -50])
     def test_mask_is_uniform_threshold(self, p):
         shape = (2, 3, 17, 19)
-        _, keep = dropout_forward(np.ones(shape, np.float32), p, Rng(21), True)
+        _, keep = dropout_forward(np.ones(shape, np.float32), p, Rng(21))
         assert keep.dtype == bool
         assert np.array_equal(keep, Rng(21).uniform(shape) >= p)
 
@@ -308,7 +304,7 @@ class TestDropout:
         class Fixed(Rng):
             def _raw(self, n):
                 return raw[:n].copy()
-        _, keep = dropout_forward(np.ones((1, 1, 1, 4)), p, Fixed(0), True)
+        _, keep = dropout_forward(np.ones((1, 1, 1, 4)), p, Fixed(0))
         assert keep.ravel().tolist() == [False, True, True, True]
         assert (Fixed(0).uniform((4,)) >= p).tolist() == [False, True, True, True]
 
@@ -324,17 +320,9 @@ class TestDropout:
         mask = (Rng(24).uniform(shape) >= p).astype(np.float32)
         mask = mask / np.asarray(1.0 - p, dtype=np.float32)
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, 3e38 / (1 - p)
-            y, keep = dropout_forward(x, p, Rng(24), True)
+            y, keep = dropout_forward(x, p, Rng(24))
             pairs = ((y, x * mask), (dropout_backward(dy, keep, p), dy * mask))
         for got, want in pairs:
             assert got.dtype == np.float32
             assert got.tobytes() == want.tobytes()
 
-
-class TestConcat:
-    def test_roundtrip(self):
-        a = Rng(20).normal((2, 3, 4, 4))
-        b = Rng(21).normal((2, 2, 4, 4))
-        da, db = concat_backward(np.concatenate([a, b], axis=1), a.shape[1])
-        assert np.array_equal(da, a)
-        assert np.array_equal(db, b)

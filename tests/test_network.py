@@ -19,9 +19,9 @@ class TestBuild:
     def test_same_seed_bit_identical(self):
         a = tiny_net(seed=5)
         b = tiny_net(seed=5)
-        for (na, va), (nb, vb) in zip(a.named_parameters(), b.named_parameters()):
-            assert na == nb
-            assert np.array_equal(va, vb)
+        assert list(a.params) == list(b.params)
+        for name, p in a.params.items():
+            assert np.array_equal(p.value, b.params[name].value)
 
     def test_different_seed_differs(self):
         a = tiny_net(seed=5)
@@ -32,9 +32,8 @@ class TestBuild:
     def test_scale2_identical_across_variants(self):
         plain = tiny_net(seed=1, use_hypercolumn=False)
         hc = tiny_net(seed=1, use_hypercolumn=True)
-        names_p = [n for n, _ in plain.named_parameters()]
-        names_h = [n for n, _ in hc.named_parameters()]
-        assert names_p == names_h
+        names_p = list(plain.params)
+        assert names_p == list(hc.params)
         for name in names_p:
             a = plain.params[name].value
             b = hc.params[name].value
@@ -48,20 +47,15 @@ class TestBuild:
         with pytest.raises(ValueError):
             NetworkConfig(channel_scale=0.0)
 
+    @pytest.mark.parametrize("m", [16, 48, 0, -32])
+    def test_input_multiple_not_of_the_total_stride_rejected(self, m):
+        """conv1's stride 4 and three stride-2 pools: a multiple of 16
+        leaves conv6's output half the size of scale 2's."""
+        with pytest.raises(ValueError, match="input_multiple must be a positive multiple of 32"):
+            NetworkConfig(input_multiple=m)
+
 
 class TestForward:
-    @pytest.mark.parametrize("hc", [False, True])
-    @pytest.mark.parametrize("deconv", [False, True])
-    def test_shape_contract(self, hc, deconv):
-        net = tiny_net(seed=2, use_hypercolumn=hc, use_deconv_head=deconv,
-                       dtype=np.float32)
-        for h in (32, 64, 96):
-            for w in (32, 64):
-                x = Rng(3).uniform((1, 3, h, w))
-                la, ls = net.forward(x)
-                assert la.shape == (1, 3, h, w)
-                assert ls.shape == (1, 3, h, w)
-
     def test_nonsquare_input(self):
         net = tiny_net(seed=2, dtype=np.float32)
         la, ls = net.forward(Rng(4).uniform((1, 3, 96, 160)))
@@ -80,12 +74,12 @@ class TestForward:
         assert np.array_equal(a1, a2)
         assert np.array_equal(s1, s2)
 
-    def test_train_mode_dropout_varies_with_seed(self):
+    def test_dropout_rng_varies_with_seed(self):
         net = tiny_net(seed=3, dtype=np.float32)
         x = Rng(5).uniform((1, 3, 64, 64))
-        a1, _ = net.forward(x, train_mode=True, rng=Rng(1))
-        a2, _ = net.forward(x, train_mode=True, rng=Rng(2))
-        a3, _ = net.forward(x, train_mode=True, rng=Rng(1))
+        a1, _ = net.forward(x, rng=Rng(1))
+        a2, _ = net.forward(x, rng=Rng(2))
+        a3, _ = net.forward(x, rng=Rng(1))
         assert not np.array_equal(a1, a2)
         assert np.array_equal(a1, a3)
 
@@ -147,7 +141,7 @@ class TestBackward:
         grads = []
         for image_grad in (True, False):
             net.zero_grads()
-            net.forward(x, train_mode=True, rng=Rng(13), keep_cache=True)
+            net.forward(x, rng=Rng(13), keep_cache=True)
             di = net.backward(da, ds, image_grad=image_grad)
             assert (di is None) == (not image_grad)
             grads.append({n: p.grad.copy() for n, p in net.params.items()})
@@ -165,7 +159,7 @@ class TestTape:
         x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
         tracemalloc.start()
         try:
-            outs = net.forward(x, train_mode=True, rng=Rng(2), keep_cache=True)
+            outs = net.forward(x, rng=Rng(2), keep_cache=True)
             del outs
             held = tracemalloc.get_traced_memory()[0]
         finally:
@@ -182,7 +176,7 @@ class TestTape:
         x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
         tracemalloc.start()
         try:
-            outs = net.forward(x, train_mode=True, rng=Rng(2), keep_cache=True)
+            outs = net.forward(x, rng=Rng(2), keep_cache=True)
             dys = [Rng(3 + i).normal(o.shape).astype(np.float32) for i, o in enumerate(outs)]
             del outs
             held = tracemalloc.get_traced_memory()[0]
@@ -199,7 +193,7 @@ def run_block(net, name, x, pool=None, drop=False, seed=40):
     input gradient, {weight, bias, slope gradients})."""
     tape = [(None, ())]
     out = net._block(name, [_Var(x, tape, 0)], pool=pool,
-                     drop=(True, Rng(seed)) if drop else None)
+                     drop=Rng(seed) if drop else None)
     dy = Rng(seed + 1).normal(out.value.shape).astype(x.dtype)
     net.zero_grads()
     (dx,) = tape[-1][0](dy)
@@ -218,7 +212,7 @@ def input_path(net, name, x, dy, pool=None, drop=False, seed=40):
     if pool:
         y, arg = layers.max_pool_forward(y, *pool, winners=True)
     if drop:
-        y, keep = layers.dropout_forward(y, p, Rng(seed), True)
+        y, keep = layers.dropout_forward(y, p, Rng(seed))
         dy = layers.dropout_backward(dy, keep, p)
     if pool:
         dy = layers.max_pool_backward(dy, arg, pre.shape, *pool)
@@ -239,7 +233,7 @@ def pooled_grid_path(net, name, x, dy, pool, drop=False, seed=40):
     y, arg = layers.max_pool_forward(layers.prelu_forward(pre, a), *pool, winners=True)
     keep, scale = np.ones(y.shape, bool), 1.0
     if drop:
-        y, keep = layers.dropout_forward(y, p, Rng(seed), True)
+        y, keep = layers.dropout_forward(y, p, Rng(seed))
         dy = layers.dropout_backward(dy, keep, p)
         scale = layers.dropout_scale(y.dtype, p)
     d, _ = layers.prelu_backward(dy, y, a, out_scale=scale)

@@ -188,6 +188,23 @@ class TestCheckpointIO:
                 assert np.array_equal(a0, a1)
                 assert np.array_equal(s0, s1)
 
+    def test_rank0_width_tensor_names_it(self, tmp_path):
+        ck = Checkpoint.from_network(build_network(tiny_cfg(), Rng(5)), 0,
+                                     (0, 0, 0, 0), b"\x00" * 32)
+        ck.params[0] = ("s1.conv1.weight", np.zeros((), np.float32))
+        save_checkpoint(ck, tmp_path / "rank0.ckpt")
+        with pytest.raises(ValueError, match=r"'s1\.conv1\.weight' is missing or not 4-D"):
+            network_from_checkpoint(load_checkpoint(tmp_path / "rank0.ckpt"))
+
+    def test_conv6_width_of_neither_variant_names_it(self):
+        ck = Checkpoint.from_network(build_network(tiny_cfg(), Rng(5)), 0,
+                                     (0, 0, 0, 0), b"\x00" * 32)
+        i = [name for name, _ in ck.params].index("s1.conv6.weight")
+        c6, c5 = ck.params[i][1].shape[:2]
+        ck.params[i] = ("s1.conv6.weight", np.zeros((c6, c5 + 1, 1, 1), np.float32))
+        with pytest.raises(ValueError, match=r"'s1\.conv6\.weight' shape"):
+            network_from_checkpoint(ck)
+
 
 class TestTrainLoop:
     def test_zero_iterations_noop(self):

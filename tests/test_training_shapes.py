@@ -110,7 +110,7 @@ def test_max_pool_input_gradient(shape, kernel):
 def test_dropout(channels):
     shape, p = (N, channels, 104, 104), 0.5
     x, dy = f32(10, shape), f32(11, shape)
-    y, keep = layers.dropout_forward(x, p, Rng(12), True)
+    y, keep = layers.dropout_forward(x, p, Rng(12))
     mask = (Rng(12).uniform(shape) >= p).astype(np.float32)
     mask = mask / np.asarray(1.0 - p, dtype=np.float32)
     assert keep.dtype == bool and np.array_equal(keep, mask > 0)

@@ -20,7 +20,6 @@ BACKWARDS = {
     "bilinear": "bilinear_upsample_backward",
     "prelu": "prelu_backward",
     "dropout": "dropout_backward",
-    "concat": "concat_backward",
 }
 
 
@@ -47,10 +46,11 @@ def test_corrupted_backward_fails_naming_layer(kind, monkeypatch):
 
 
 def network_input_gradient():
-    # hypercolumn + deconv head: the one variant that runs all seven layers
+    # hypercolumn + deconv head: the one variant that runs all six layers; a
+    # training forward (an rng), since an eval forward runs no dropout
     net = build_network(NetworkConfig(channel_scale=1 / 16, use_hypercolumn=True,
                                       use_deconv_head=True), Rng(0), dtype=np.float64)
-    la, ls = net.forward(Rng(1).uniform((1, 3, 32, 32)), keep_cache=True)
+    la, ls = net.forward(Rng(1).uniform((1, 3, 32, 32)), rng=Rng(4), keep_cache=True)
     return net.backward(Rng(2).normal(la.shape), Rng(3).normal(ls.shape))
 
 
