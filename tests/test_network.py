@@ -49,8 +49,8 @@ class TestBuild:
 
     @pytest.mark.parametrize("m", [16, 48, 0, -32])
     def test_input_multiple_not_of_the_total_stride_rejected(self, m):
-        """conv1's stride 4 and three stride-2 pools: a multiple of 16
-        leaves conv6's output half the size of scale 2's."""
+        """conv1's stride 4 and three stride-2 pools: at 48x48, which 16
+        divides, conv6's upsampled output is 8x8 where scale 2's is 12x12."""
         with pytest.raises(ValueError, match="input_multiple must be a positive multiple of 32"):
             NetworkConfig(input_multiple=m)
 
