@@ -23,8 +23,9 @@ downstream of conv6 is identical across variants.
 Widths scale with ``channel_scale`` (rounded up) so that shape contracts
 and gradient checks can run on tiny instances; channel_scale 1 is the full
 topology (96/256/384/384/256 + 64, scale-2 9x9/96).  PReLU follows every
-conv except the two 3-channel predictors; dropout follows every conv
-except scale-1 conv1-conv5.
+layer except each head's 3-channel predictor (the deconv, or the bilinear
+head's conv), and dropout follows every PReLU layer except scale-1
+conv1-conv5, so no prediction is ever dropped out.
 """
 
 from __future__ import annotations
@@ -114,11 +115,10 @@ class Network:
     ``forward`` runs inference, with dropout only when it is given an rng
     (a training forward); with ``keep_cache=True`` it records a tape: one
     entry per step, holding what that step's backward reads.  A step is one
-    layer (see ``_block``); the others are scale 2's concatenation, which
-    keeps nothing, and the bilinear head's upsample, which keeps a shape.
-    A layer keeps its conv input, which is the previous layer's output, its
-    pool's winning taps (uint8) and its dropout mask (bool), and reads its
-    PReLU input back from its own output.  ``backward`` replays the tape
+    layer (see ``_block``), except scale 2's concatenation and the output
+    seed, which keep nothing.  A layer keeps its conv inputs, which are
+    earlier layers' outputs, its pool's winning taps (uint8) and its dropout
+    mask (bool), and reads its PReLU input back from its own output.  ``backward`` replays the tape
     once, in reverse.  Parameter gradients accumulate across backward calls
     until ``zero_grads``.  With ``rng`` None the weights are left zero, for
     a caller that installs its own (``network_from_shapes``).
@@ -171,8 +171,9 @@ class Network:
         taps = ([(wd["c1"], 2), (wd["c2"], 4)] if cfg.use_hypercolumn else []) + [(wd["c5"], 8)]
         conv6 = ConvSpec(sum(c for c, _ in taps), wd["c6"], 1, 1)
         self._add_conv("s1.conv6", conv6, rng)
-        # each group's 1x1 conv runs at the group's own resolution on its
-        # columns of the weight: (spec, weight columns, upsample factor)
+        # layer -> its input groups, (spec, weight columns, upsample factor),
+        # where that is not one group of every column at factor 1: conv6's
+        # 1x1 conv runs on each group at the group's own resolution
         starts = np.cumsum([0] + [c for c, _ in taps])
         self._groups = {"s1.conv6": [
             (conv6 if len(taps) == 1 else ConvSpec(c, wd["c6"], 1, 1),
@@ -193,8 +194,9 @@ class Network:
                                ConvSpec(3, wd["head"], 8, 8, 4, 4, 2, 2),
                                rng, prelu=False)
             else:
-                self._add_conv(f"{head}.conv", ConvSpec(wd["mid"], 3, 5, 5, 1, 1, 2, 2),
-                               rng, prelu=False)
+                pred = ConvSpec(wd["mid"], 3, 5, 5, 1, 1, 2, 2)
+                self._add_conv(f"{head}.conv", pred, rng, prelu=False)
+                self._groups[f"{head}.conv"] = [(pred, slice(None), 4)]
 
     # -- registry ---------------------------------------------------------
 
@@ -205,9 +207,12 @@ class Network:
     # -- steps: each runs one layer and records its backward on the tape ---
 
     def _block(self, name, xs, pool=None, drop=None, out=None):
-        """One layer as one tape step: conv -> [PReLU] -> [max pool | dropout].
-        conv6 is the sum over its input groups of a 1x1 conv at the group's
-        own resolution, upsampled, plus one bias.
+        """One layer as one tape step: the sum over its input groups of a
+        conv (a deconv for ``*.deconv``) on the group's columns of the
+        weight, upsampled by the group's factor when it is above 1, plus one
+        bias; then [PReLU] -> [max pool | dropout].  A layer has one group
+        of every column at factor 1, except conv6, whose groups each run at
+        their own resolution, and the bilinear head's predictor, at factor 4.
 
         ``pool`` is (kernel, stride), ``drop`` is the dropout rng (None in
         eval, or for a layer without dropout), and ``out``, if given,
@@ -228,19 +233,19 @@ class Network:
         w, b = self.params[f"{name}.weight"], self.params[f"{name}.bias"]
         a = self.params.get(f"{name}.slope")
         p = self.cfg.dropout_prob
-        groups = self._groups.get(name)
+        groups = self._groups.get(name, [(self.specs[name], slice(None), 1)])
+        deconv = name.endswith(".deconv")
         xvs = [v.value for v in xs]
         record = xs[0].tape is not None
-        if groups is None:
-            spec = self.specs[name]
-            deconv = name.endswith(".deconv")
-            y = (deconv_forward if deconv else conv_forward)(xvs[0], w.value, b.value, spec)
-        else:
-            y = None
-            for i, (xv, (spec_g, cols, factor)) in enumerate(zip(xvs, groups)):
-                part = conv_forward(xv, w.value[:, cols], b.value if i == 0 else None, spec_g)
+        y = None
+        lows = []  # each group's conv output shape, for the upsample adjoint
+        for i, (xv, (spec, cols, factor)) in enumerate(zip(xvs, groups)):
+            part = (deconv_forward if deconv else conv_forward)(
+                xv, w.value[:, cols], b.value if i == 0 else None, spec)
+            lows.append(part.shape)
+            if factor > 1:
                 part = bilinear_upsample_forward(part, factor)
-                y = part if y is None else y + part
+            y = part if y is None else y + part
         pre_shape = y.shape
         kept_in = y if a is not None and record and not (a.value > 0).all() else None
         if a is not None:
@@ -272,20 +277,14 @@ class Network:
                 dy, da = prelu_backward(dy, kept_in, a.value)
             if a is not None:
                 a.grad += da
-            if groups is None:
-                if deconv:
-                    dx, dw, db = deconv_backward(dy, xvs[0], w.value, spec)
-                else:
-                    dx, dw, db = conv_backward(dy, xvs[0], w.value, spec,
-                                               input_grad=input_grad)
-                w.grad += dw
-                b.grad += db
-                return (dx,)
             dxs = []
-            for i, (xv, (spec_g, cols, factor)) in enumerate(zip(xvs, groups)):
-                low = (xv.shape[0], spec_g.out_channels, *xv.shape[2:])
-                dx, dw, db = conv_backward(bilinear_upsample_backward(dy, factor, low), xv,
-                                           w.value[:, cols], spec_g, input_grad=input_grad)
+            for i, (xv, low, (spec, cols, factor)) in enumerate(zip(xvs, lows, groups)):
+                d = bilinear_upsample_backward(dy, factor, low) if factor > 1 else dy
+                if deconv:
+                    dx, dw, db = deconv_backward(d, xv, w.value[:, cols], spec)
+                else:
+                    dx, dw, db = conv_backward(d, xv, w.value[:, cols], spec,
+                                               input_grad=input_grad)
                 w.grad[:, cols] += dw
                 if i == 0:
                     b.grad += db
@@ -293,19 +292,15 @@ class Network:
             return tuple(dxs)
         return _record(y, backward, *xs)
 
-    @staticmethod
-    def _upsample(x, factor):
-        shape = x.value.shape
-        return _record(bilinear_upsample_forward(x.value, factor),
-                       lambda dy: (bilinear_upsample_backward(dy, factor, shape),), x)
-
     # -- inference ---------------------------------------------------------
 
     def forward(self, image: np.ndarray, rng: Rng | None = None,
                 keep_cache: bool = False):
         """Run the network; returns (log_albedo, log_shading) at input
         resolution.  ``rng`` draws the dropout masks: a forward with an rng
-        is a training forward, one without is eval, with no dropout."""
+        is a training forward, one without is eval, with no dropout.  Every
+        layer, the bilinear head's x4 upsample included, is one ``_block``
+        step."""
         if image.ndim != 4 or image.shape[1] != 3:
             raise ValueError(f"forward: expected (N,3,H,W) input, got {image.shape}")
         m = self.cfg.input_multiple
@@ -343,7 +338,7 @@ class Network:
             if self.cfg.use_deconv_head:
                 out = block(f"{head}.deconv", [block(f"{head}.conv", [b], drop=rng)])
             else:
-                out = self._upsample(block(f"{head}.conv", [b], drop=rng), 4)
+                out = block(f"{head}.conv", [b])
             assert out.value.shape == (image.shape[0], 3, h, w)
             outs.append(out)
 

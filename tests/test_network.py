@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from intrinsics import layers
+from intrinsics import layers, network
 from intrinsics.network import NetworkConfig, _Var, build_network
 from intrinsics.rng import Rng
 
@@ -87,6 +87,26 @@ class TestForward:
         net = tiny_net(seed=7, dtype=np.float32)
         la, ls = net.forward(Rng(8).uniform((2, 3, 32, 32)))
         assert np.all(np.isfinite(la)) and np.all(np.isfinite(ls))
+
+    @pytest.mark.parametrize("hc", [False, True], ids=["plain", "hypercolumn"])
+    @pytest.mark.parametrize("deconv", [False, True], ids=["bilinear", "deconv"])
+    def test_dropout_never_touches_a_prediction(self, hc, deconv, monkeypatch):
+        """A training forward drops out conv6 and s2.conv1-conv4, plus each
+        deconv head's hidden conv, and never a 3-channel prediction.  At 1/16
+        width no hidden width is 3."""
+        widths = []
+        orig = network.dropout_forward
+
+        def spy(x, p, rng):
+            widths.append(x.shape[1])
+            return orig(x, p, rng)
+
+        monkeypatch.setattr(network, "dropout_forward", spy)
+        net = tiny_net(seed=16, dtype=np.float32, use_hypercolumn=hc,
+                       use_deconv_head=deconv, dropout_prob=0.5)
+        net.forward(Rng(17).uniform((1, 3, 32, 32)), rng=Rng(18))
+        assert 3 not in widths
+        assert len(widths) == 5 + 2 * deconv
 
 
 class TestBackward:
@@ -197,7 +217,8 @@ def run_block(net, name, x, pool=None, drop=False, seed=40):
     dy = Rng(seed + 1).normal(out.value.shape).astype(x.dtype)
     net.zero_grads()
     (dx,) = tape[-1][0](dy)
-    grads = {k: net.params[f"{name}.{k}"].grad.copy() for k in ("weight", "bias", "slope")}
+    grads = {k: net.params[f"{name}.{k}"].grad.copy() for k in ("weight", "bias", "slope")
+             if f"{name}.{k}" in net.params}
     return out.value, dx, grads, dy
 
 
@@ -320,6 +341,25 @@ class TestBlock:
         for k, g in got.items():
             assert g.tobytes() == grid[k].tobytes(), k
             assert np.all(np.abs(g - want[k]) <= 8 * EPS32 * mags[k]), k
+
+    def test_bilinear_head_upsamples_in_its_block(self):
+        """The bilinear head's predictor is one step: its conv, then the
+        fixed x4 upsample, with no PReLU.  Float32 output and input, weight
+        and bias gradients are the bytes of the composed layer functions."""
+        net = tiny_net(seed=11, dtype=np.float32, use_deconv_head=False)
+        name = "albedo.conv"
+        net.params[f"{name}.bias"].value[:] = Rng(14).normal((3,))
+        x = Rng(12).normal((2, net.widths["mid"], 8, 6)).astype(np.float32)
+        y, dx, grads, dy = run_block(net, name, x)
+        w, b = net.params[f"{name}.weight"].value, net.params[f"{name}.bias"].value
+        spec = net.specs[name]
+        low = layers.conv_forward(x, w, b, spec)
+        want_dx, want_dw, want_db = layers.conv_backward(
+            layers.bilinear_upsample_backward(dy, 4, low.shape), x, w, spec)
+        assert y.shape == (2, 3, 32, 24)
+        for got, ref in [(y, layers.bilinear_upsample_forward(low, 4)), (dx, want_dx),
+                         (grads["weight"], want_dw), (grads["bias"], want_db)]:
+            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("hc", [False, True])
     def test_conv6_commutes_with_the_upsample(self, hc):

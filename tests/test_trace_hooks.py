@@ -16,6 +16,8 @@ into 0; the second test catches that.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import intrinsics.cli as cli
 from conftest import write_config, write_dataset
 
@@ -29,11 +31,14 @@ def load_spans():
     return module
 
 
-def test_tracer_sees_every_layer_of_a_training_run(tmp_path):
+@pytest.mark.parametrize("deconv", [True, False], ids=["deconv", "bilinear"])
+def test_tracer_sees_every_layer_of_a_training_run(tmp_path, deconv):
+    """A bilinear-head run has no deconv layer; its predictors' convs, each
+    with its x4 upsample in the same step, still file under their names."""
     spans = load_spans()
     manifest = write_dataset(tmp_path / "data")
     cfg = write_config(tmp_path / "run.cfg", manifest, tmp_path / "out",
-                       max_iterations=2, dropout=0.5)
+                       max_iterations=2, dropout=0.5, use_deconv_head=deconv)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -42,11 +47,13 @@ def test_tracer_sees_every_layer_of_a_training_run(tmp_path):
         tracer.uninstall()
 
     seen = {s[spans.NAME] for s in tracer.spans}
-    wanted = [f"layers.{f}" for f in spans.LAYER_FUNCS] + ["network.backward"]
+    wanted = [f"layers.{f}" for f in spans.LAYER_FUNCS
+              if deconv or not f.startswith("deconv")] + ["network.backward"]
     assert [name for name in wanted if name not in seen] == []
     conv_layers = {tracer.attrs[i]["layer"] for i, s in enumerate(tracer.spans)
                    if s[spans.NAME].removeprefix("layers.") in spans.CONV_FUNCS}
-    assert conv_layers == set(spans.NET_LAYERS)
+    assert conv_layers == {layer for layer in spans.NET_LAYERS
+                           if deconv or not layer.endswith(".deconv")}
 
 
 def test_tracer_sees_png_reads_and_writes_of_decompose_and_eval(tmp_path):
