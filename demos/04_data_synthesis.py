@@ -1,4 +1,4 @@
-"""Dataset machinery: shading generation, resynthesis, augmentation, padding.
+"""Dataset machinery: shading generation, resynthesis, augmentation.
 
 Two synthesis procedures feed training:
   * shading generation: given an image and its reflectance, derive the
@@ -13,9 +13,9 @@ import tempfile
 
 import numpy as np
 
-from intrinsics import (AugmentConfig, Rng, augment, crop_to,
-                        generate_mit_shading, make_synthetic_sample,
-                        pad_to_multiple, read_png, resynthesize, write_png)
+from intrinsics import (AugmentConfig, Rng, augment, generate_mit_shading,
+                        make_synthetic_sample, read_png, resynthesize,
+                        write_png)
 
 rng = Rng(0)
 
@@ -56,9 +56,3 @@ for seed in range(3):
           f"I=A*S gap at valid pixels {gap:.2e}")
 print("rotation marks out-of-source corners invalid; the identity survives "
       "bilinear resampling at valid pixels")
-
-print("\n== padding to the network's multiple-of-32 contract ==")
-odd = rng.uniform((1, 3, 70, 65))
-padded, extents = pad_to_multiple(odd, 32)
-print(f"70x65 -> {padded.shape[2]}x{padded.shape[3]}, "
-      f"crop restores bit-exactly: {np.array_equal(crop_to(padded, extents), odd)}")

@@ -14,9 +14,9 @@ bit-exact resume).
 """
 
 from .data import (AugmentConfig, Manifest, ManifestEntry, Sample, augment,
-                   crop_to, ensure_disjoint_split, generate_mit_shading,
-                   load_dataset, load_sample, make_synthetic_sample,
-                   pad_to_multiple, parse_manifest, resynthesize)
+                   ensure_disjoint_split, generate_mit_shading, load_dataset,
+                   load_sample, make_synthetic_sample, parse_manifest,
+                   resynthesize)
 from .layers import ConvSpec
 from .losses import (LossConfig, gradient_loss, log_guarded, sil2_loss,
                      total_loss)
@@ -36,11 +36,11 @@ __all__ = [
     "AugmentConfig", "Checkpoint", "ConvSpec", "LossConfig", "Manifest",
     "ManifestEntry", "Network", "NetworkConfig", "PredictionRecord", "Rng",
     "Sample", "TrainConfig", "augment", "build_network", "check_gradient",
-    "crop_to", "decompose_image", "derive_seed", "dssim", "ensure_disjoint_split",
+    "decompose_image", "derive_seed", "dssim", "ensure_disjoint_split",
     "evaluate_report", "fit_alpha", "generate_mit_shading", "gradient_loss",
     "lmse", "lmse_window_sums", "load_checkpoint", "load_dataset",
     "load_sample", "log_guarded", "make_synthetic_sample", "mit_total_lmse",
-    "network_from_checkpoint", "pad_to_multiple", "parse_manifest",
+    "network_from_checkpoint", "parse_manifest",
     "read_png", "resynthesize", "save_checkpoint", "sgd_momentum_step",
     "si_mse", "sil2_loss", "ssim_map", "total_loss", "train_loop", "write_png",
 ]

@@ -15,14 +15,14 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
 import numpy as np
 
 from .data import (SPLIT_MODES, AugmentConfig, ensure_disjoint_split,
                    generate_mit_shading, load_dataset, load_sample,
-                   parse_manifest, resynthesize, to_nchw)
+                   load_targets, parse_manifest, resynthesize, to_nchw)
 from .losses import LossConfig
 from .metrics import PredictionRecord, evaluate_report
 from .network import NetworkConfig, build_network
@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
         raise ValueError("train: --config is required")
     run = load_run_config(args.config)
     if args.seed is not None:
-        run.train.seed = args.seed
+        run.train = replace(run.train, seed=args.seed)
     if run.train_manifest is None:
         raise ValueError("config: [data] train_manifest is required to train")
     manifest = parse_manifest(run.train_manifest)
@@ -160,24 +160,27 @@ def cmd_decompose(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest = parse_manifest(args.manifest)
-    records = []
-    missing = []
+    if not manifest.entries:
+        raise ValueError("eval: manifest has no samples")
+    scored, missing = [], []
     for entry in manifest.entries:
-        sample = load_sample(entry, manifest.base_dir)
         pa = os.path.join(args.pred_dir, f"{entry.id}_albedo.png")
         ps = os.path.join(args.pred_dir, f"{entry.id}_shading.png")
-        if not (os.path.exists(pa) and os.path.exists(ps)):
+        if os.path.exists(pa) and os.path.exists(ps):
+            scored.append((entry, pa, ps))
+        else:
             missing.append({"id": entry.id,
                             "error": f"missing prediction files {pa} / {ps}"})
-            continue
-        records.append(PredictionRecord(
-            entry.id, sample.albedo, sample.shading,
-            to_nchw(read_png(pa)), to_nchw(read_png(ps)),
-            sample.mask))
-    if not records and not missing:
-        raise ValueError("eval: manifest has no samples")
-    report = (evaluate_report(records, include_mit_total=args.mit_total)
-              if records else {"per_sample": [], "errors": []})
+
+    def record(entry, pa, ps):
+        albedo, shading, mask = load_targets(entry, manifest.base_dir)
+        return PredictionRecord(entry.id, albedo, shading, to_nchw(read_png(pa)),
+                                to_nchw(read_png(ps)), mask)
+
+    # one sample's maps at a time: each record is read as the report scores it
+    report = (evaluate_report((record(*s) for s in scored),
+                              include_mit_total=args.mit_total)
+              if scored else {"per_sample": [], "errors": []})
     report["errors"] = missing + report.get("errors", [])
     write_atomic(args.out, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     if args.verbose and "mean" in report:
@@ -200,21 +203,20 @@ def cmd_synth(args) -> int:
         return 0
     lines = []
     for entry in manifest.entries:
-        sample = load_sample(entry, manifest.base_dir)
         sid = entry.id
-        mask = sample.mask
         if args.mode == "gen-mit-shading":
-            shading, alpha, valid = generate_mit_shading(sample.image, sample.albedo)
-            image = sample.image
-            mask = mask * valid
+            sample = load_sample(entry, manifest.base_dir)
+            image, albedo = sample.image, sample.albedo
+            shading, alpha, valid = generate_mit_shading(image, albedo)
+            mask = sample.mask * valid
             if args.verbose:
                 print(f"{sid}: alpha={alpha:.6f} "
                       f"valid={float(valid.mean()):.4f}")
-        else:  # resynth-sintel
-            shading = sample.shading
-            image = resynthesize(sample.albedo, sample.shading)
+        else:  # resynth-sintel, which never reads the input image
+            albedo, shading, mask = load_targets(entry, manifest.base_dir)
+            image = resynthesize(albedo, shading)
         names = []
-        for kind, t, depth in (("image", image, 16), ("albedo", sample.albedo, 16),
+        for kind, t, depth in (("image", image, 16), ("albedo", albedo, 16),
                                ("shading", shading, 16), ("mask", mask, 8)):
             names.append(f"{sid}_{kind}.png")
             write_png(os.path.join(args.out_dir, names[-1]),

@@ -1,6 +1,5 @@
 """Dataset handling: manifests, sample loading, shading generation from
-image/reflectance pairs, image resynthesis, paired augmentation, and
-multiple-of-32 padding.
+image/reflectance pairs, image resynthesis, and paired augmentation.
 
 A Sample carries image, albedo, and shading as (1,3,H,W) linear-intensity
 tensors plus a (1,1,H,W) validity mask (1 = contributes to losses and
@@ -122,25 +121,35 @@ def to_nchw(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
 
 
-def load_sample(entry: ManifestEntry, base_dir: str) -> Sample:
-    def load(path):
-        full = os.path.join(base_dir, path)
-        try:
-            return read_png(full)
-        except OSError as e:
-            raise ValueError(f"sample {entry.id}: cannot read {full}: {e}") from e
+def _read(entry: ManifestEntry, base_dir: str, path: str) -> np.ndarray:
+    full = os.path.join(base_dir, path)
+    try:
+        return read_png(full)
+    except OSError as e:
+        raise ValueError(f"sample {entry.id}: cannot read {full}: {e}") from e
 
-    image = to_nchw(load(entry.image_path))
-    albedo = to_nchw(load(entry.albedo_path))
-    shading = to_nchw(load(entry.shading_path))
+
+def load_targets(entry: ManifestEntry, base_dir: str):
+    """(albedo, shading, mask) of one entry, without decoding its image."""
+    albedo = to_nchw(_read(entry, base_dir, entry.albedo_path))
+    shading = to_nchw(_read(entry, base_dir, entry.shading_path))
     if entry.mask_path is not None:
-        m = load(entry.mask_path)
+        m = _read(entry, base_dir, entry.mask_path)
         if m.ndim == 3:
             m = m.mean(axis=2)
         mask = (m > 0).astype(np.float64)[None, None]
     else:
-        mask = np.ones((1, 1, *image.shape[2:]))
-    return Sample(entry.id, image, albedo, shading, mask)
+        mask = np.ones((1, 1, *albedo.shape[2:]))
+    for name, t in (("shading", shading), ("mask", mask)):
+        if t.shape[2:] != albedo.shape[2:]:
+            raise ValueError(f"sample {entry.id}: {name} extents {t.shape[2:]} "
+                             f"differ from albedo {albedo.shape[2:]}")
+    return albedo, shading, mask
+
+
+def load_sample(entry: ManifestEntry, base_dir: str) -> Sample:
+    image = to_nchw(_read(entry, base_dir, entry.image_path))
+    return Sample(entry.id, image, *load_targets(entry, base_dir))
 
 
 def load_dataset(manifest: Manifest) -> list[Sample]:
@@ -305,27 +314,3 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
     for t in (image, albedo, shading):
         t[0, :, zero] = 0.0
     return Sample(sample.id, image, albedo, shading, mask[None, None].astype(np.float64))
-
-
-# -- padding ---------------------------------------------------------------
-
-def pad_to_multiple(t: np.ndarray, m: int):
-    """Replicate-edge pad on the right/bottom to the next multiple of m.
-
-    Returns (padded, (h, w)); ``crop_to(padded, (h, w))`` restores the
-    original bit-exactly.
-    """
-    if m < 1:
-        raise ValueError("pad_to_multiple: m must be >= 1")
-    h, w = t.shape[-2], t.shape[-1]
-    ph = (-h) % m
-    pw = (-w) % m
-    if ph == 0 and pw == 0:
-        return t, (h, w)
-    pad = [(0, 0)] * (t.ndim - 2) + [(0, ph), (0, pw)]
-    return np.pad(t, pad, mode="edge"), (h, w)
-
-
-def crop_to(t: np.ndarray, extents) -> np.ndarray:
-    h, w = extents
-    return t[..., :h, :w]

@@ -173,13 +173,12 @@ def evaluate_report(records, include_mit_total: bool = False) -> dict:
     """Per-sample metrics plus dataset means and albedo/shading averages.
 
     Failing samples are reported in an ``errors`` list rather than silently
-    dropped.  Outputs a JSON-ready dict:
+    dropped.  ``records`` may be an iterator: each record is scored as it is
+    drawn, so a lazy one holds one sample's maps at a time.  Outputs a
+    JSON-ready dict:
     ``{per_sample: [...], mean: {...}, avg: {...}, errors: [...],
     mit_total_lmse?, mit_total_lmse_note?}``.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("evaluate_report: no samples")
     per_sample = []
     errors = []
     totals = []
@@ -201,6 +200,8 @@ def evaluate_report(records, include_mit_total: bool = False) -> dict:
             per_sample.append(row)
         except ValueError as e:
             errors.append({"id": rec.id, "error": str(e)})
+    if not (per_sample or errors):
+        raise ValueError("evaluate_report: no samples")
     report = {"per_sample": per_sample, "errors": errors}
     if per_sample:
         mean = {k: float(np.mean([r[k] for r in per_sample])) for k in _METRIC_KEYS}

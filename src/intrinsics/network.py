@@ -20,6 +20,10 @@ and x8 to quarter resolution, sums them and adds its bias once, which is
 conv6 over the concatenation of the upsampled maps.  Everything
 downstream of conv6 is identical across variants.
 
+Images of any extents go in: ``Network.forward`` edge-pads the bottom and
+right to a multiple of ``input_multiple`` (of the total stride 32) and crops
+the outputs back, and ``Network.backward`` applies the pad's adjoint.
+
 Widths scale with ``channel_scale`` (rounded up) so that shape contracts
 and gradient checks can run on tiny instances; channel_scale 1 is the full
 topology (96/256/384/384/256 + 64, scale-2 9x9/96).  PReLU follows every
@@ -296,25 +300,33 @@ class Network:
 
     def forward(self, image: np.ndarray, rng: Rng | None = None,
                 keep_cache: bool = False):
-        """Run the network; returns (log_albedo, log_shading) at input
-        resolution.  ``rng`` draws the dropout masks: a forward with an rng
-        is a training forward, one without is eval, with no dropout.  Every
-        layer, the bilinear head's x4 upsample included, is one ``_block``
-        step."""
+        """Run the network on an image of any extents; returns (log_albedo,
+        log_shading) at its extents, as views of the padded maps.  ``rng``
+        draws the dropout masks: a forward with an rng is a training
+        forward, one without is eval, with no dropout.  Every layer, the
+        bilinear head's x4 upsample included, is one ``_block`` step."""
         if image.ndim != 4 or image.shape[1] != 3:
             raise ValueError(f"forward: expected (N,3,H,W) input, got {image.shape}")
+        n, _, h, w = image.shape
         m = self.cfg.input_multiple
-        h, w = image.shape[2], image.shape[3]
-        if h % m or w % m:
-            pad_h = (-h) % m
-            pad_w = (-w) % m
-            raise ValueError(
-                f"forward: input {h}x{w} must be a multiple of {m}; "
-                f"pad by ({pad_h}, {pad_w}) first (see data.pad_to_multiple)")
+        ph, pw = -h % m, -w % m
+        pad = ((0, 0), (0, 0), (0, ph), (0, pw))
+        x = np.ascontiguousarray(image, dtype=self.dtype)
+        unpad = None
+        if ph or pw:
+            x = np.pad(x, pad, mode="edge")
+
+            def unpad(dx):  # the pad's adjoint: copies fold onto the edge
+                if ph:
+                    dx[:, :, h - 1] += dx[:, :, h:].sum(axis=2)
+                if pw:
+                    dx[:, :, :h, w - 1] += dx[:, :, :h, w:].sum(axis=3)
+                return dx[:, :, :h, :w]
 
         self._tape = None
-        tape = [(None, ())] if keep_cache else None  # position 0: the image
-        x = _Var(np.ascontiguousarray(image, dtype=self.dtype), tape, 0)
+        # position 0: the padded image, with the pad's adjoint if any
+        tape = [(unpad, ())] if keep_cache else None
+        x = _Var(x, tape, 0)
         block = self._block
 
         # scale 1
@@ -323,7 +335,7 @@ class Network:
         p5 = block("s1.conv5", [block("s1.conv4", [block("s1.conv3", [p2])])], pool=(3, 2))
         # scale 2's concatenated input: the pooled scale-2 features, then scale 1
         q = self.widths["s2c1"]
-        cat = np.empty((image.shape[0], q + self.widths["c6"], h // 4, w // 4), self.dtype)
+        cat = np.empty((n, q + self.widths["c6"], (h + ph) // 4, (w + pw) // 4), self.dtype)
         s1_out = block("s1.conv6", [p1, p2, p5] if self.cfg.use_hypercolumn else [p5],
                        drop=rng, out=cat[:, q:])
 
@@ -339,20 +351,23 @@ class Network:
                 out = block(f"{head}.deconv", [block(f"{head}.conv", [b], drop=rng)])
             else:
                 out = block(f"{head}.conv", [b])
-            assert out.value.shape == (image.shape[0], 3, h, w)
+            assert out.value.shape == (n, 3, h + ph, w + pw)
             outs.append(out)
 
         if tape is not None:
-            # last entry: backward seeds it with (d_log_albedo, d_log_shading)
+            # last entry: backward seeds it with (d_log_albedo, d_log_shading),
+            # zero on the pad
             dtype = self.dtype
-            _record(None, lambda d: [g.astype(dtype, copy=False) for g in d], *outs)
+            _record(None, lambda d: [np.pad(g.astype(dtype, copy=False), pad) if unpad
+                                     else g.astype(dtype, copy=False) for g in d], *outs)
             self._tape = tape
-        return outs[0].value, outs[1].value
+        return outs[0].value[:, :, :h, :w], outs[1].value[:, :, :h, :w]
 
     def backward(self, d_log_albedo: np.ndarray, d_log_shading: np.ndarray,
                  image_grad: bool = True):
-        """Accumulate parameter gradients; returns the input-image gradient,
-        or None with ``image_grad=False``, which skips computing it.
+        """Accumulate parameter gradients from output gradients at the
+        input's extents; returns the input-image gradient, or None with
+        ``image_grad=False``, which skips computing it.
 
         Replays the tape of the last ``forward(keep_cache=True)`` in reverse
         and consumes it, freeing each step's activations as it goes.  A
@@ -370,7 +385,8 @@ class Network:
             for slot, g in zip(inputs, outs):
                 if g is not None:
                     grads[slot] = g if grads[slot] is None else grads[slot] + g
-        return grads[0]
+        unpad = tape[0][0]
+        return grads[0] if unpad is None or grads[0] is None else unpad(grads[0])
 
 
 def build_network(cfg: NetworkConfig, rng: Rng, dtype=np.float32) -> Network:

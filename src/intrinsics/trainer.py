@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentConfig, Sample, augment, crop_to, pad_to_multiple
+from .data import AugmentConfig, Sample, augment
 from .losses import LossConfig, log_guarded, total_loss
 from .network import Network, NetworkConfig, Param, network_from_shapes
 from .png_io import write_atomic
@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("TrainConfig: max_iterations must be >= 0")
         if self.checkpoint_every < 0:
             raise ValueError("TrainConfig: checkpoint_every must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:  # a checkpoint stores it as a u64
+            raise ValueError(f"TrainConfig: seed must be in [0, 2**64), got {self.seed}")
         for prefix, mult in self.lr_multipliers.items():
             if not (math.isfinite(mult) and mult >= 0):  # 0 freezes a layer
                 raise ValueError(f"TrainConfig: lr_multipliers {prefix!r} must be "
@@ -234,14 +236,11 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return Rng(derive_seed(seed, "epoch", epoch)).permutation(n)
 
 
-def _assemble_batch(samples, cfg: TrainConfig, iteration: int, multiple: int):
-    """Pick, augment, and pad one mini-batch; returns stacked arrays.
+def _assemble_batch(samples, cfg: TrainConfig, iteration: int):
+    """Pick and augment one mini-batch; returns stacked arrays.
 
     Sample order wraps around the dataset with a fresh shuffle per epoch.
-    Every augmented sample has the crop's extents, so the batch is stacked
-    first; images and targets are then replicate-padded to the extent
-    multiple, and the padded border is synthetic, so the validity mask is
-    zero there.
+    Every augmented sample has the crop's extents, so the batch stacks.
     """
     n = len(samples)
     ids, augs = [], []
@@ -254,12 +253,8 @@ def _assemble_batch(samples, cfg: TrainConfig, iteration: int, multiple: int):
         s = samples[perms[epoch][pos]]
         ids.append(s.id)
         augs.append(augment(s, cfg.augment, Rng(derive_seed(cfg.seed, "aug", iteration, j))))
-    img, alb, shd = (pad_to_multiple(np.concatenate([getattr(a, k) for a in augs]),
-                                     multiple)[0] for k in ("image", "albedo", "shading"))
-    h, w = augs[0].image.shape[2:]
-    mask = np.zeros((len(augs), 1, *img.shape[2:]))
-    for k, a in enumerate(augs):  # no stacked copy of the masks
-        mask[k, :, :h, :w] = a.mask
+    img, alb, shd, mask = (np.concatenate([getattr(a, k) for a in augs])
+                           for k in ("image", "albedo", "shading", "mask"))
     return ids, img, alb, shd, mask
 
 
@@ -295,8 +290,7 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     eps = cfg.loss.log_epsilon
     net.zero_grads()  # sgd_momentum_step zeroes them after each update
     for it in range(start, cfg.max_iterations):
-        ids, img, alb, shd, mask = _assemble_batch(samples, cfg, it,
-                                                   net.cfg.input_multiple)
+        ids, img, alb, shd, mask = _assemble_batch(samples, cfg, it)
         # only the network-dtype forms stay alive through forward and backward
         img = img.astype(dtype)
         log_alb = log_guarded(alb, eps).astype(dtype)
@@ -326,14 +320,11 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
 
 
 def decompose_image(net: Network, image: np.ndarray):
-    """Eval-mode decomposition of a linear [0,1] image of any extents.
-
-    Pads to the input multiple, runs the network, crops back, and returns
+    """Eval-mode decomposition of a linear [0,1] image of any extents into
     linear-domain (albedo, shading) clipped to [0, 1].  A non-finite log
     map raises FloatingPointError, since clipping would hide +inf as 1.
     """
-    padded, extents = pad_to_multiple(image, net.cfg.input_multiple)
-    log_a, log_s = (crop_to(t, extents) for t in net.forward(padded.astype(net.dtype)))
+    log_a, log_s = net.forward(image)
     for t in (log_a, log_s):
         # min and max carry NaN and ±inf without a full-size mask
         if not (np.isfinite(t.min()) and np.isfinite(t.max())):

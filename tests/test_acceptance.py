@@ -39,8 +39,8 @@ CRITERIA = {
     5: ("resynthesis identity (memory + 16-bit PNG), shading generation on "
         "exact factorizations, augmentation identity",
         ("data-synthesis", "augmentation")),
-    6: ("output extents equal input extents for all variants "
-        "and 70x65 pad/crop round trip", ("network-shapes",)),
+    6: ("output extents equal input extents for all variants, at multiples "
+        "of 32 and not (1, 33, 70), and a 70x65 decompose", ("network-shapes",)),
     7: ("overfit run", ()),
     8: ("bit-identical traces/checkpoints/PNGs and bit-exact resume", ("trainer",)),
     9: ("parameter registry vs stated topology constants "
@@ -107,7 +107,7 @@ class TestCriterion6ShapeContract:
     @pytest.mark.slow
     def test_all_extents_all_variants(self, tmp_path):
         failures = suite_failures(6)
-        # 70x65 via the decompose command's pad/crop round trip
+        # 70x65 through the decompose command
         manifest = write_dataset(tmp_path / "data", n=1)
         out = tmp_path / "train"
         cfg_path = write_config(tmp_path / "c.cfg", manifest, out, max_iterations=1)
@@ -124,10 +124,10 @@ class TestCriterion6ShapeContract:
             for kind in ("a", "s"):
                 t = read_png(tmp_path / f"o{kind}.png")
                 if t.shape != (70, 65, 3):
-                    failures.append(f"70x65 round trip: o{kind}.png {t.shape}")
+                    failures.append(f"70x65 decompose: o{kind}.png {t.shape}")
                 elif not (np.all(np.isfinite(t)) and 0.0 <= t.min()
                           and t.max() <= 1.0):
-                    failures.append(f"70x65 round trip: o{kind}.png is "
+                    failures.append(f"70x65 decompose: o{kind}.png is "
                                     "non-finite or outside [0, 1]")
         report(n=6, desc=CRITERIA[6][0], failures=failures)
 

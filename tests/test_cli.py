@@ -1,13 +1,14 @@
 import configparser
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_config, write_dataset
-from intrinsics import data, verify
+from intrinsics import cli, data, verify
 from intrinsics.cli import _SCHEMA, load_run_config, main
 from intrinsics.network import NetworkConfig, build_network
 from intrinsics.png_io import read_png, write_png
@@ -161,6 +162,16 @@ class TestTrainCommand:
             outs.append((out / "loss_trace.csv").read_text())
         assert outs[0] != outs[1]
 
+    def test_unstorable_seed_flag_rejected_before_training(self, tmp_path, capsys,
+                                                          monkeypatch):
+        manifest = write_dataset(tmp_path / "data", n=1)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", manifest, out, max_iterations=2)
+        monkeypatch.setattr(cli, "train_loop", lambda *a, **k: pytest.fail("trained"))
+        assert run_cli("train", "--config", cfg, "--seed", "-1") == 1
+        assert "seed must be in [0, 2**64), got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_reproduces_trace(self, tmp_path):
         manifest = write_dataset(tmp_path / "data")
         out_full = tmp_path / "full"
@@ -272,13 +283,46 @@ class TestEvalCommand:
         assert report["errors"][0]["id"] == "s1"
         assert "missing" in report["errors"][0]["error"]
 
+    def test_reads_ground_truth_only_one_sample_at_a_time(self, tmp_path, monkeypatch):
+        """eval decodes no input image, and scores each sample before it
+        reads the next: its traced peak grows from 2 to 8 samples by less
+        than one sample's maps, where holding every record adds six."""
+        manifest = write_dataset(tmp_path / "data", n=8, h=64, w=64)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for i in range(8):
+            for kind, name in (("a", "albedo"), ("s", "shading")):
+                write_png(pred / f"s{i}_{name}.png",
+                          read_png(tmp_path / "data" / f"s{i}_{kind}.png"), bit_depth=16)
+        lines = manifest.read_text().splitlines()
+        (tmp_path / "data" / "two.tsv").write_text("\n".join(lines[:2]) + "\n")
+        reads = []
+        monkeypatch.setattr(data, "read_png", lambda p, orig=data.read_png:
+                            reads.append(Path(p).name) or orig(p))
+        peaks = []
+        for m in (tmp_path / "data" / "two.tsv", manifest):
+            tracemalloc.start()
+            try:
+                assert run_cli("eval", "--pred-dir", pred, "--manifest", m,
+                               "--out", tmp_path / "r.json") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert reads and not [r for r in reads if r.endswith("_i.png")]
+        one_sample = (4 * 3 + 1) * 64 * 64 * 8  # two truths, two predictions, a mask
+        assert peaks[1] - peaks[0] < one_sample, peaks
+
 
 class TestSynthCommand:
-    def test_resynth_identity_after_decode(self, tmp_path):
+    def test_resynth_identity_after_decode(self, tmp_path, monkeypatch):
         manifest = write_dataset(tmp_path / "data", n=2, h=16, w=16)
         out = tmp_path / "resynth"
+        reads = []
+        monkeypatch.setattr(data, "read_png", lambda p, orig=data.read_png:
+                            reads.append(Path(p).name) or orig(p))
         assert run_cli("synth", "--mode", "resynth-sintel",
                        "--manifest", manifest, "--out-dir", out) == 0
+        assert reads == ["s0_a.png", "s0_s.png", "s1_a.png", "s1_s.png"]  # no input image
         for i in range(2):
             img = read_png(out / f"s{i}_image.png")
             alb = read_png(out / f"s{i}_albedo.png")

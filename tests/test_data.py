@@ -7,7 +7,7 @@ import pytest
 from intrinsics.data import (AugmentConfig, Manifest, ManifestEntry, Sample,
                              augment, ensure_disjoint_split,
                              generate_mit_shading, load_dataset,
-                             pad_to_multiple, parse_manifest, resynthesize)
+                             parse_manifest, resynthesize)
 from intrinsics.metrics import fit_alpha
 from intrinsics.png_io import _SIGNATURE, _chunk, read_png, write_png
 from intrinsics.rng import Rng
@@ -382,16 +382,3 @@ class TestAugment:
         with pytest.raises(ValueError, match="impossible"):
             augment(s, cfg, Rng(3))
 
-
-class TestPadToMultiple:
-    def test_already_multiple_unchanged(self):
-        t = Rng(18).uniform((1, 3, 64, 64))
-        padded, extents = pad_to_multiple(t, 32)
-        assert padded is t
-        assert extents == (64, 64)
-
-    def test_replicates_edges(self):
-        t = np.full((1, 1, 5, 7), 0.3)
-        padded, _ = pad_to_multiple(t, 4)
-        assert padded.shape == (1, 1, 8, 8)
-        assert np.all(padded == 0.3)

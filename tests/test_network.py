@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from intrinsics import layers, network
+from intrinsics.losses import LossConfig, total_loss
 from intrinsics.network import NetworkConfig, _Var, build_network
 from intrinsics.rng import Rng
+from intrinsics.verify import GRAD_TOL, NETWORK_H
 
 EPS32 = np.finfo(np.float32).eps
 
@@ -61,10 +63,19 @@ class TestForward:
         la, ls = net.forward(Rng(4).uniform((1, 3, 96, 160)))
         assert la.shape == (1, 3, 96, 160)
 
-    def test_non_multiple_rejected_with_padding_amount(self):
-        net = tiny_net(seed=2)
-        with pytest.raises(ValueError, match=r"pad by \(26, 31\)"):
-            net.forward(np.zeros((1, 3, 70, 65)))
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_non_multiple_is_the_crop_of_the_edge_padded_forward(self, train):
+        """At 70x65 forward pads to 96x96 itself: its float32 outputs are the
+        bytes of the crop of a forward on the edge-padded input, with the
+        same dropout masks in training mode."""
+        net = tiny_net(seed=2, dtype=np.float32, dropout_prob=0.5)
+        x = Rng(4).uniform((2, 3, 70, 65))
+        padded = np.pad(x, ((0, 0), (0, 0), (0, 26), (0, 31)), mode="edge")
+        got = net.forward(x, rng=Rng(5) if train else None)
+        want = net.forward(padded, rng=Rng(5) if train else None)
+        for g, w in zip(got, want):
+            assert g.shape == (2, 3, 70, 65)
+            assert g.tobytes() == w[:, :, :70, :65].tobytes()
 
     def test_eval_deterministic(self):
         net = tiny_net(seed=3, dtype=np.float32)
@@ -167,6 +178,35 @@ class TestBackward:
             grads.append({n: p.grad.copy() for n, p in net.params.items()})
         for n, g in grads[0].items():
             assert g.tobytes() == grads[1][n].tobytes(), n
+
+
+    @pytest.mark.parametrize("hc", [False, True], ids=["plain", "hypercolumn"])
+    @pytest.mark.parametrize("deconv", [False, True], ids=["bilinear", "deconv"])
+    def test_image_gradient_through_the_pad(self, hc, deconv):
+        """At 40x37, which forward pads to 64x64, the image gradient matches
+        central differences of the total loss at the last row, the last
+        column, the corner and an interior pixel, float64."""
+        net = tiny_net(seed=21, use_hypercolumn=hc, use_deconv_head=deconv)
+        rng = Rng(22)
+        x = rng.uniform((1, 3, 40, 37))
+        ta, ts = rng.normal((2, 1, 3, 40, 37)) * 0.1
+        mask = np.ones((1, 1, 40, 37))
+        cfg = LossConfig(lam=0.5, use_gradient_loss=True)
+
+        def loss(v):
+            return total_loss(ta, ts, *net.forward(v), mask, cfg)[0]
+
+        _, da, ds = total_loss(ta, ts, *net.forward(x, keep_cache=True), mask, cfg)
+        grad = net.backward(da, ds)
+        assert grad.shape == x.shape
+        for c, i, j in [(0, 39, 5), (1, 17, 36), (2, 39, 36), (0, 20, 20)]:
+            v = x.copy()
+            v[0, c, i, j] += NETWORK_H
+            fp = loss(v)
+            v[0, c, i, j] -= 2 * NETWORK_H
+            numeric = (fp - loss(v)) / (2 * NETWORK_H)
+            err = abs(grad[0, c, i, j] - numeric) / max(abs(numeric), 1e-8)
+            assert err < GRAD_TOL, (c, i, j, grad[0, c, i, j], numeric)
 
 
 class TestTape:

@@ -215,6 +215,14 @@ class TestTrainLoop:
         for n, p in net.params.items():
             assert np.array_equal(before[n], p.value)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_the_checkpoint_cannot_store_rejected(self, seed):
+        """The checkpoint stores the seed as a u64: a seed outside [0, 2**64)
+        fails at construction, not at the final checkpoint write."""
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            small_train_cfg(seed=seed)
+        assert small_train_cfg(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
     def test_empty_dataset_rejected(self):
         net = build_network(tiny_cfg(), Rng(7))
         with pytest.raises(ValueError, match="empty"):
