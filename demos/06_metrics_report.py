@@ -1,7 +1,8 @@
 """The evaluation measures: si-MSE, windowed LMSE, DSSIM, and the report.
 
 All three align a single brightness scale to the prediction before
-scoring, because ground-truth intensity is only defined up to scale.
+scoring, because ground-truth intensity is only defined up to scale, and
+all three score valid pixels only.
 LMSE repeats the alignment independently inside overlapping windows sized
 10% of the larger image dimension.
 """
@@ -34,10 +35,16 @@ print(f"  drifting gain: si-MSE {si_mse(sample.albedo, drifted, mask):.6f}  "
 print("per-window alpha absorbs most of the drift, so LMSE comes out lower")
 
 print("\n== DSSIM is a perceptual dissimilarity in [0, 1] ==")
-print(f"  identical images: {dssim(sample.albedo, sample.albedo):.4f}")
-print(f"  noisy prediction: {dssim(sample.albedo, noisy):.4f}")
+print(f"  identical images: {dssim(sample.albedo, sample.albedo, mask):.4f}")
+print(f"  noisy prediction: {dssim(sample.albedo, noisy, mask):.4f}")
 print(f"  unrelated image:  "
-      f"{dssim(sample.albedo, make_synthetic_sample(5, h=40, w=40).albedo):.4f}")
+      f"{dssim(sample.albedo, make_synthetic_sample(5, h=40, w=40).albedo, mask):.4f}")
+# like si-MSE and LMSE, DSSIM scores only valid pixels: a prediction that is
+# wrong only where the mask is 0 scores 0
+left = mask.copy()
+left[..., 20:] = 0.0
+wrong_right = np.where(left > 0, sample.albedo, noisy)
+print(f"  noise on masked pixels only: {dssim(sample.albedo, wrong_right, left):.4f}")
 
 print("\n== the aggregate report ==")
 records = []

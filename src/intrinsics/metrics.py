@@ -1,11 +1,13 @@
 """Benchmark measures: scale-invariant MSE, local MSE over sliding windows,
 and DSSIM, plus report aggregation.
 
-All metrics operate on linear-intensity images and first fit the
-prediction's brightness (never the ground truth's) with ``fit_alpha``, the
-one home of that least-squares scale: si_mse and LMSE (per window) as in
-Grosse et al. 2009, and DSSIM, which always takes SSIM (Wang et al. 2004)
-of the rescaled prediction clipped to [0, 1].
+All metrics operate on linear-intensity images, score only the pixels the
+validity mask marks, and first fit the prediction's brightness (never the
+ground truth's) on those pixels with ``fit_alpha``, the one home of that
+least-squares scale: si_mse and LMSE (per window) as in Grosse et al. 2009,
+and DSSIM, which always takes SSIM (Wang et al. 2004) of the rescaled
+prediction clipped to [0, 1], averaged over the windows whose centre pixel
+is valid.  SSIM's Gaussian blurs run as banded GEMMs on BLAS.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 LMSE_WINDOW_FRACTION = 0.1  # of the larger image side
 LMSE_STRIDE_FRACTION = 0.5  # of a window
+_BLUR_TILE = 64  # output rows or columns per GEMM of the SSIM blur
 
 
 def fit_alpha(target: np.ndarray, pred: np.ndarray,
@@ -113,18 +116,29 @@ def _gaussian_kernel() -> np.ndarray:
 
 
 def _blur_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable 'valid' filtering of (N,C,H,W) along H then W: one
-    multiply-add of a shifted view per tap, with no window copies."""
+    """Separable 'valid' filtering of (N,C,H,W) along H then W, as banded
+    GEMMs on BLAS.  Each tile of ``_BLUR_TILE`` output rows (columns) is one
+    product of its ``_BLUR_TILE + k - 1`` input rows (columns) with the
+    kernel's band matrix, written in place; a remainder tile uses the band's
+    top-left corner.  No product in a band's zeros changes a sum, so the
+    result differs from the direct sums by summation order only."""
     k = kernel.shape[0]
-    h = x.shape[2] - k + 1
-    y = x[:, :, :h] * kernel[0]
-    for i in range(1, k):
-        y += x[:, :, i:i + h] * kernel[i]
-    w = x.shape[3] - k + 1
-    out = y[..., :w] * kernel[0]
-    for j in range(1, k):
-        out += y[..., j:j + w] * kernel[j]
-    return out
+    t = _BLUR_TILE
+    band = np.zeros((t + k - 1, t))
+    for j in range(t):
+        band[j:j + k, j] = kernel
+    n, c, hi, wi = x.shape
+    h, w = hi - k + 1, wi - k + 1
+    y = np.empty((n, c, h, wi))
+    for i in range(0, h, t):
+        r = min(t, h - i)
+        np.matmul(band[:r + k - 1, :r].T, x[:, :, i:i + r + k - 1], out=y[:, :, i:i + r])
+    y = y.reshape(n * c * h, wi)
+    out = np.empty((n * c * h, w))
+    for j in range(0, w, t):
+        r = min(t, w - j)
+        np.matmul(y[:, j:j + r + k - 1], band[:r + k - 1, :r], out=out[:, j:j + r])
+    return out.reshape(n, c, h, w)
 
 
 def ssim_map(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -141,18 +155,46 @@ def ssim_map(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
     c2 = SSIM_K2 ** 2
     mu_x = _blur_valid(target, kernel)
     mu_y = _blur_valid(pred, kernel)
-    var_x = _blur_valid(target * target, kernel) - mu_x * mu_x
-    var_y = _blur_valid(pred * pred, kernel) - mu_y * mu_y
-    cov = _blur_valid(target * pred, kernel) - mu_x * mu_y
-    return (((2 * mu_x * mu_y + c1) * (2 * cov + c2))
-            / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
+    var_x = _blur_valid(target * target, kernel)
+    var_y = _blur_valid(pred * pred, kernel)
+    cov = _blur_valid(target * pred, kernel)
+    # ((2 mu_x mu_y + c1)(2 cov + c2)) / ((mu_x^2 + mu_y^2 + c1)(var_x + var_y + c2)),
+    # folded in place in the same operation order
+    num = mu_x * mu_y
+    cov -= num
+    cov *= 2
+    cov += c2
+    num *= 2
+    num += c1
+    num *= cov
+    mu_x *= mu_x
+    mu_y *= mu_y
+    var_x -= mu_x
+    var_y -= mu_y
+    var_x += var_y
+    var_x += c2
+    mu_x += mu_y
+    mu_x += c1
+    mu_x *= var_x
+    num /= mu_x
+    return num
 
 
-def dssim(target: np.ndarray, pred: np.ndarray) -> float:
-    """(1 - mean SSIM)/2 in [0, 1], after the prediction is brightness-scaled
-    to the target by ``fit_alpha`` and clipped to [0, 1]."""
-    pred = np.clip(fit_alpha(target, pred) * pred, 0.0, 1.0)
-    return float((1.0 - ssim_map(target, pred).mean()) / 2.0)
+def dssim(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
+    """(1 - mean SSIM)/2 in [0, 1] over the windows whose centre pixel is
+    valid, weighted by the mask there.  The prediction is first
+    brightness-scaled to the target by ``fit_alpha`` on valid pixels and
+    clipped to [0, 1]; masked pixels then enter both images as 0, so they
+    add no disagreement to any window."""
+    r = SSIM_WINDOW // 2
+    pred = np.clip(fit_alpha(target, pred, mask) * pred, 0.0, 1.0)
+    pred *= mask
+    s = ssim_map(target * mask, pred)
+    centre = mask[:, :, r:r + s.shape[2], r:r + s.shape[3]]
+    n = float(centre.sum()) * s.shape[1]
+    if n == 0:
+        raise ValueError("dssim: no window has a valid centre pixel")
+    return float((1.0 - float((s * centre).sum()) / n) / 2.0)
 
 
 @dataclass
@@ -190,8 +232,8 @@ def evaluate_report(records, include_mit_total: bool = False) -> dict:
                 "mse_s": si_mse(rec.shading_true, rec.shading_pred, rec.mask),
                 "lmse_a": lmse(rec.albedo_true, rec.albedo_pred, rec.mask),
                 "lmse_s": lmse(rec.shading_true, rec.shading_pred, rec.mask),
-                "dssim_a": dssim(rec.albedo_true, rec.albedo_pred),
-                "dssim_s": dssim(rec.shading_true, rec.shading_pred),
+                "dssim_a": dssim(rec.albedo_true, rec.albedo_pred, rec.mask),
+                "dssim_s": dssim(rec.shading_true, rec.shading_pred, rec.mask),
             }
             if include_mit_total:
                 totals.append(mit_total_lmse(

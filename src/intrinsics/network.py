@@ -311,10 +311,12 @@ class Network:
         m = self.cfg.input_multiple
         ph, pw = -h % m, -w % m
         pad = ((0, 0), (0, 0), (0, ph), (0, pw))
-        x = np.ascontiguousarray(image, dtype=self.dtype)
         unpad = None
-        if ph or pw:
-            x = np.pad(x, pad, mode="edge")
+        if ph or pw:  # one padded array: cast into, then edge-filled in place
+            x = np.empty((n, 3, h + ph, w + pw), self.dtype)
+            x[:, :, :h, :w] = image
+            x[:, :, :h, w:] = x[:, :, :h, w - 1:w]
+            x[:, :, h:] = x[:, :, h - 1:h]
 
             def unpad(dx):  # the pad's adjoint: copies fold onto the edge
                 if ph:
@@ -322,6 +324,8 @@ class Network:
                 if pw:
                     dx[:, :, :h, w - 1] += dx[:, :, :h, w:].sum(axis=3)
                 return dx[:, :, :h, :w]
+        else:
+            x = np.ascontiguousarray(image, dtype=self.dtype)
 
         self._tape = None
         # position 0: the padded image, with the pad's adjoint if any

@@ -148,8 +148,10 @@ def lmse_oracle(target, pred, mask):
     return float(np.mean(vals))
 
 
-def ssim_oracle(target, pred):
-    """Direct per-pixel 2-D Gaussian sums, no separability tricks."""
+def ssim_oracle(target, pred, mask):
+    """Direct per-pixel 2-D Gaussian sums, no separability tricks: the SSIM
+    of each window whose centre pixel is valid, with masked pixels entering
+    both windows as 0, and NaN where the centre is masked."""
     size, sigma = SSIM_WINDOW, SSIM_SIGMA
     ax = np.arange(size) - (size - 1) / 2.0
     g1 = np.exp(-(ax ** 2) / (2 * sigma ** 2))
@@ -158,13 +160,16 @@ def ssim_oracle(target, pred):
     c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
     n, c, h, w = target.shape
     oh, ow = h - size + 1, w - size + 1
-    out = np.zeros((n, c, oh, ow))
+    out = np.full((n, c, oh, ow), np.nan)
     for ni in range(n):
+        valid = mask[ni, 0]
         for ci in range(c):
-            x = target[ni, ci]
-            y = pred[ni, ci]
+            x = target[ni, ci] * valid
+            y = pred[ni, ci] * valid
             for i in range(oh):
                 for j in range(ow):
+                    if valid[i + size // 2, j + size // 2] == 0:
+                        continue
                     wx = x[i:i + size, j:j + size]
                     wy = y[i:i + size, j:j + size]
                     mx = float((g2d * wx).sum())
@@ -176,6 +181,14 @@ def ssim_oracle(target, pred):
                                          / ((mx * mx + my * my + c1)
                                             * (vx + vy + c2)))
     return out
+
+
+def dssim_oracle(target, pred, mask):
+    """(1 - mean SSIM)/2 over the valid window centres, after the
+    prediction's least-squares scale on valid pixels and a clip to [0, 1]."""
+    m = np.broadcast_to(mask, target.shape)
+    a = float((target * pred)[m > 0].sum()) / float((pred * pred)[m > 0].sum())
+    return (1 - np.nanmean(ssim_oracle(target, np.clip(a * pred, 0.0, 1.0), mask))) / 2
 
 
 def _full_mask(shape):
@@ -527,19 +540,22 @@ def _suite_lmse_oracle():
 
 def _suite_dssim_oracle():
     rng = Rng(7)
-    for shape in ((1, 1, 14, 14), (1, 3, 16, 16), (2, 2, 13, 12)):
+    # (1, 1, 76, 140) blurs to 66x130: two row tiles and three column tiles
+    # of the banded GEMMs, each ending in a remainder
+    for shape in ((1, 1, 14, 14), (1, 3, 16, 16), (2, 2, 13, 12), (1, 1, 76, 140)):
         t = rng.uniform(shape)
         p = rng.uniform(shape)
+        full = _full_mask(shape)
         got = ssim_map(t, p)
-        want = ssim_oracle(t, p)
+        want = ssim_oracle(t, p, full)
         assert got.shape == want.shape, f"ssim extents {got.shape} != {want.shape}"
         gap = np.max(np.abs(got - want))
         assert gap < 1e-8, f"ssim vs direct-sum oracle ({shape}): {gap:.2e}"
-        # dssim first rescales the prediction by its least-squares scale
-        aligned = np.clip(float((t * p).sum()) / float((p * p).sum()) * p, 0.0, 1.0)
-        want = (1 - ssim_oracle(t, aligned).mean()) / 2
-        assert abs(dssim(t, p) - want) < 1e-8, f"dssim vs direct-sum oracle ({shape})"
-        assert dssim(t, t) == 0.0, "dssim of identical images"
+        half = (rng.uniform(full.shape) > 0.5).astype(float)
+        for name, mask in (("unmasked", full), ("masked", half)):
+            gap = abs(dssim(t, p, mask) - dssim_oracle(t, p, mask))
+            assert gap < 1e-8, f"{name} dssim vs direct-sum oracle ({shape}): {gap:.2e}"
+            assert dssim(t, t, mask) == 0.0, f"{name} dssim of identical images"
 
 
 def _suite_data_synthesis():

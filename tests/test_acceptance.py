@@ -33,7 +33,7 @@ CRITERIA = {
         ("loss-algebra",)),
     4: ("implementation vs independent oracles "
         "(conv, deconv and bilinear adjoints, max pool, alpha grid, lmse windows, "
-        "aligned dssim)",
+        "aligned and masked dssim)",
         ("conv-oracle", "deconv-adjoint", "bilinear-adjoint", "max-pool-oracle",
          "alpha-grid-oracle", "lmse-window-oracle", "dssim-oracle")),
     5: ("resynthesis identity (memory + 16-bit PNG), shading generation on "

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from intrinsics.losses import LossConfig, gradient_loss, sil2_loss, total_loss
+from intrinsics.losses import (LossConfig, gradient_loss, log_guarded, sil2_loss,
+                               total_loss)
 from intrinsics.rng import Rng
 
 
@@ -87,3 +88,9 @@ class TestTotalLoss:
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ValueError):
             LossConfig(lam=1.5)
+
+
+class TestLogGuarded:
+    def test_guarded_log(self):
+        out = log_guarded(np.array([0.0, 1.0]))
+        assert np.array_equal(out, [np.log(1e-4), 0.0])

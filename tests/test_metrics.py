@@ -1,9 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from intrinsics.metrics import (PredictionRecord, dssim, evaluate_report,
                                 lmse, lmse_window_sums, mit_total_lmse, si_mse)
 from intrinsics.rng import Rng
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def full_mask(shape):
@@ -93,20 +100,57 @@ class TestMitTotal:
 class TestDssim:
     def test_identical_images_zero(self):
         x = Rng(10).uniform((1, 3, 16, 16))
-        assert dssim(x, x) == 0.0
+        assert dssim(x, x, full_mask(x.shape)) == 0.0
 
     def test_bounded(self):
         rng = Rng(11)
         for _ in range(100):
             a = rng.uniform((1, 1, 12, 12))
             b = rng.uniform((1, 1, 12, 12))
-            v = dssim(a, b)
+            v = dssim(a, b, full_mask(a.shape))
             assert 0.0 <= v <= 1.0
 
     def test_too_small_rejected(self):
         t = np.ones((1, 3, 8, 8))
         with pytest.raises(ValueError, match="window"):
-            dssim(t, t)
+            dssim(t, t, full_mask(t.shape))
+
+    def test_masked_pixels_ignored(self):
+        # perfect on the valid half, random on the masked half
+        rng = Rng(12)
+        target = rng.uniform((1, 3, 40, 40))
+        mask = full_mask(target.shape)
+        mask[..., 20:] = 0.0
+        pred = np.where(mask > 0, target, rng.uniform(target.shape))
+        assert dssim(target, pred, mask) == 0.0
+
+    def test_no_valid_window_centre_rejected(self):
+        # valid pixels only within half a window of the border
+        t = Rng(13).uniform((1, 3, 24, 24))
+        mask = full_mask(t.shape)
+        mask[..., 5:-5, 5:-5] = 0.0
+        with pytest.raises(ValueError, match="valid centre"):
+            dssim(t, t, mask)
+        report = evaluate_report([PredictionRecord("r13", t, t, t, t, mask)])
+        assert report["per_sample"] == []
+        assert "valid centre" in report["errors"][0]["error"]
+
+    def test_same_value_at_one_and_two_blas_threads(self):
+        # eval's blurs are BLAS GEMMs: several row and column tiles, each
+        # with a remainder, scored at each thread count in its own process
+        code = ("from intrinsics.metrics import dssim; from intrinsics.rng import Rng; "
+                "import numpy as np; r = Rng(14); t = r.uniform((1, 3, 150, 300)); "
+                "m = np.ones((1, 1, 150, 300)); m[..., :40, :70] = 0; "
+                "print(repr(dssim(t, r.uniform(t.shape), m)))")
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                   "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
 
 
 # -- report ----------------------------------------------------------------------

@@ -77,6 +77,28 @@ class TestForward:
             assert g.shape == (2, 3, 70, 65)
             assert g.tobytes() == w[:, :, :70, :65].tobytes()
 
+    def test_pad_allocates_only_the_padded_input(self, monkeypatch):
+        """Casting and edge-padding a 436x1024 float64 frame allocates one
+        448x1024 float32 array (5.5 MB).  A cast copy padded by ``np.pad``
+        peaked at twice that."""
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        net = tiny_net(seed=2, dtype=np.float32)
+        x = Rng(4).uniform((1, 3, 436, 1024))
+        monkeypatch.setattr(network.Network, "_block", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 3 * 448 * 1024 * 4, f"the pad peaked at {peak / 1e6:.1f} MB"
+
     def test_eval_deterministic(self):
         net = tiny_net(seed=3, dtype=np.float32)
         x = Rng(5).uniform((1, 3, 64, 64))

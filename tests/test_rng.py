@@ -1,50 +1,6 @@
 import numpy as np
-import pytest
 
-from intrinsics import check_gradient, log_guarded
 from intrinsics.rng import Rng, derive_seed
-
-
-class TestCheckGradient:
-    def test_quadratic(self):
-        x = np.array([1.0, 2.0])
-
-        def f(v):
-            return float((v * v).sum()), 2 * v
-
-        assert check_gradient(f, x, h=1e-3) < 1e-8
-
-    def test_linear(self):
-        x = Rng(4).normal((5,))
-
-        def f(v):
-            return float(v.sum()), np.ones_like(v)
-
-        assert check_gradient(f, x, h=1e-3) < 1e-10
-
-    def test_wrong_gradient_detected(self):
-        x = np.array([1.0, 2.0])
-
-        def f(v):
-            return float((v * v).sum()), 3 * v
-
-        assert check_gradient(f, x, h=1e-3) > 0.1
-
-    def test_nonfinite_reported(self):
-        x = np.array([0.0])
-
-        def f(v):
-            val = 1.0 / v[0] if v[0] > 0 else np.inf
-            return val, np.zeros_like(v)
-
-        with pytest.raises(ValueError, match="non-finite"):
-            check_gradient(f, x, h=1e-3)
-
-
-class TestLogGuarded:
-    def test_guarded_log(self):
-        out = log_guarded(np.array([0.0, 1.0]))
-        assert np.array_equal(out, [np.log(1e-4), 0.0])
 
 
 class TestRng:

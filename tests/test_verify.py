@@ -1,4 +1,5 @@
-"""Meta-tests of the gate: a broken backward is caught and named.
+"""Meta-tests of the gate: a broken backward is caught and named, and the
+finite-difference checker itself tells right gradients from wrong ones.
 
 ``break_backward`` scales one layer's input gradient by 1.01.  ``network``
 binds the layer functions at import, so the broken function replaces both
@@ -8,7 +9,7 @@ its ``layers`` and its ``network`` binding.
 import numpy as np
 import pytest
 
-from intrinsics import layers, network, verify
+from intrinsics import check_gradient, layers, network, verify
 from intrinsics.network import NetworkConfig, build_network
 from intrinsics.rng import Rng
 
@@ -69,3 +70,39 @@ def test_corrupted_conv_fails_whole_network_gradient(monkeypatch):
     break_backward(monkeypatch, "conv")
     name, passed, _ = verify.run_suite("whole-network-gradient")
     assert (name, passed) == ("whole-network-gradient", False)
+
+
+class TestCheckGradient:
+    def test_quadratic(self):
+        x = np.array([1.0, 2.0])
+
+        def f(v):
+            return float((v * v).sum()), 2 * v
+
+        assert check_gradient(f, x, h=1e-3) < 1e-8
+
+    def test_linear(self):
+        x = Rng(4).normal((5,))
+
+        def f(v):
+            return float(v.sum()), np.ones_like(v)
+
+        assert check_gradient(f, x, h=1e-3) < 1e-10
+
+    def test_wrong_gradient_detected(self):
+        x = np.array([1.0, 2.0])
+
+        def f(v):
+            return float((v * v).sum()), 3 * v
+
+        assert check_gradient(f, x, h=1e-3) > 0.1
+
+    def test_nonfinite_reported(self):
+        x = np.array([0.0])
+
+        def f(v):
+            val = 1.0 / v[0] if v[0] > 0 else np.inf
+            return val, np.zeros_like(v)
+
+        with pytest.raises(ValueError, match="non-finite"):
+            check_gradient(f, x, h=1e-3)
