@@ -1,3 +1,8 @@
+"""Tests of ``intrinsics.rng``: the counter-based stream and ``derive_seed``.
+
+The file keeps the name it had when it also tested ``tensor.py``, so the
+ids of these tests stay as they were.
+"""
 import numpy as np
 
 from intrinsics.rng import Rng, derive_seed
