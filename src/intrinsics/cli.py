@@ -142,8 +142,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
-    net = network_from_checkpoint(ck)
+    # no name holds the Checkpoint: its parameter and momentum copies are
+    # freed before the forward
+    net = network_from_checkpoint(load_checkpoint(args.checkpoint))
     image = to_nchw(read_png(args.input))
     try:
         albedo, shading = decompose_image(net, image)
@@ -162,26 +163,32 @@ def cmd_eval(args) -> int:
     manifest = parse_manifest(args.manifest)
     if not manifest.entries:
         raise ValueError("eval: manifest has no samples")
-    scored, missing = [], []
-    for entry in manifest.entries:
-        pa = os.path.join(args.pred_dir, f"{entry.id}_albedo.png")
-        ps = os.path.join(args.pred_dir, f"{entry.id}_shading.png")
-        if os.path.exists(pa) and os.path.exists(ps):
-            scored.append((entry, pa, ps))
-        else:
-            missing.append({"id": entry.id,
-                            "error": f"missing prediction files {pa} / {ps}"})
+    errors = []
 
-    def record(entry, pa, ps):
-        albedo, shading, mask = load_targets(entry, manifest.base_dir)
-        return PredictionRecord(entry.id, albedo, shading, to_nchw(read_png(pa)),
-                                to_nchw(read_png(ps)), mask)
+    # one sample's maps at a time: each record is read as the report scores
+    # it, and a sample whose files are missing or unreadable goes to errors
+    def records():
+        for entry in manifest.entries:
+            pa = os.path.join(args.pred_dir, f"{entry.id}_albedo.png")
+            ps = os.path.join(args.pred_dir, f"{entry.id}_shading.png")
+            try:
+                if not (os.path.exists(pa) and os.path.exists(ps)):
+                    raise ValueError(f"missing prediction files {pa} / {ps}")
+                albedo, shading, mask = load_targets(entry, manifest.base_dir)
+                rec = PredictionRecord(entry.id, albedo, shading, to_nchw(read_png(pa)),
+                                       to_nchw(read_png(ps)), mask)
+            except (OSError, ValueError) as e:
+                errors.append({"id": entry.id, "error": str(e)})
+                continue
+            yield rec
 
-    # one sample's maps at a time: each record is read as the report scores it
-    report = (evaluate_report((record(*s) for s in scored),
-                              include_mit_total=args.mit_total)
-              if scored else {"per_sample": [], "errors": []})
-    report["errors"] = missing + report.get("errors", [])
+    try:
+        report = evaluate_report(records(), include_mit_total=args.mit_total)
+    except ValueError:
+        if not errors:
+            raise
+        report = {"per_sample": [], "errors": []}  # no sample could be read
+    report["errors"] = errors + report["errors"]
     write_atomic(args.out, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     if args.verbose and "mean" in report:
         m = report["mean"]

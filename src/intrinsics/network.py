@@ -30,6 +30,10 @@ topology (96/256/384/384/256 + 64, scale-2 9x9/96).  PReLU follows every
 layer except each head's 3-channel predictor (the deconv, or the bilinear
 head's conv), and dropout follows every PReLU layer except scale-1
 conv1-conv5, so no prediction is ever dropped out.
+
+The dropout rng is the one train/eval switch: a forward given one draws
+dropout masks and records the tape that ``Network.backward`` replays, and a
+forward without one does neither.
 """
 
 from __future__ import annotations
@@ -116,16 +120,17 @@ def _record(y, backward, *inputs) -> _Var:
 class Network:
     """Built topology plus the named parameter registry.
 
-    ``forward`` runs inference, with dropout only when it is given an rng
-    (a training forward); with ``keep_cache=True`` it records a tape: one
-    entry per step, holding what that step's backward reads.  A step is one
-    layer (see ``_block``), except scale 2's concatenation and the output
-    seed, which keep nothing.  A layer keeps its conv inputs, which are
-    earlier layers' outputs, its pool's winning taps (uint8) and its dropout
-    mask (bool), and reads its PReLU input back from its own output.  ``backward`` replays the tape
-    once, in reverse.  Parameter gradients accumulate across backward calls
-    until ``zero_grads``.  With ``rng`` None the weights are left zero, for
-    a caller that installs its own (``network_from_shapes``).
+    ``forward`` given an rng is a training forward: it draws the dropout
+    masks and records a tape, one entry per step, holding what that step's
+    backward reads.  Without an rng it is eval: no dropout and no tape.  A
+    step is one layer (see ``_block``), except scale 2's concatenation and
+    the output seed, which keep nothing.  A layer keeps its conv inputs,
+    which are earlier layers' outputs, its pool's winning taps (uint8) and
+    its dropout mask (bool), and reads its PReLU input back from its own
+    output.  ``backward`` replays the tape once, in reverse.  Parameter
+    gradients accumulate across backward calls until ``zero_grads``.  A
+    network built with ``rng`` None has zero weights, for a caller that
+    installs its own (``network_from_shapes``).
     """
 
     def __init__(self, cfg: NetworkConfig, rng: Rng | None, dtype=np.float32,
@@ -298,13 +303,16 @@ class Network:
 
     # -- inference ---------------------------------------------------------
 
-    def forward(self, image: np.ndarray, rng: Rng | None = None,
-                keep_cache: bool = False):
+    def forward(self, image: np.ndarray, rng: Rng | None = None):
         """Run the network on an image of any extents; returns (log_albedo,
-        log_shading) at its extents, as views of the padded maps.  ``rng``
-        draws the dropout masks: a forward with an rng is a training
-        forward, one without is eval, with no dropout.  Every layer, the
-        bilinear head's x4 upsample included, is one ``_block`` step."""
+        log_shading) at its extents, as views of the padded maps.
+
+        ``rng`` is the one train/eval switch.  A forward given an rng is a
+        training forward: it draws the dropout masks from it and records
+        the tape for one ``backward``.  A forward without one is eval: no
+        dropout, no tape, and each activation is freed once its consumer
+        has run.  Every layer, the bilinear head's x4 upsample included, is
+        one ``_block`` step."""
         if image.ndim != 4 or image.shape[1] != 3:
             raise ValueError(f"forward: expected (N,3,H,W) input, got {image.shape}")
         n, _, h, w = image.shape
@@ -329,7 +337,7 @@ class Network:
 
         self._tape = None
         # position 0: the padded image, with the pad's adjoint if any
-        tape = [(unpad, ())] if keep_cache else None
+        tape = [(unpad, ())] if rng is not None else None
         x = _Var(x, tape, 0)
         block = self._block
 
@@ -373,13 +381,15 @@ class Network:
         input's extents; returns the input-image gradient, or None with
         ``image_grad=False``, which skips computing it.
 
-        Replays the tape of the last ``forward(keep_cache=True)`` in reverse
-        and consumes it, freeing each step's activations as it goes.  A
-        step's output gradient is the sum of what its consumers returned.
+        Replays the tape of the last training forward (one given an rng) in
+        reverse and consumes it, freeing each step's activations as it goes.
+        A step's output gradient is the sum of what its consumers returned.
+        An eval forward leaves no tape, so ``backward`` after it raises.
         """
         tape, self._tape = self._tape, None
         if tape is None:
-            raise ValueError("backward: no cached forward (run forward with keep_cache)")
+            raise ValueError("backward: no cached forward (backward needs a "
+                             "training forward, one given an rng)")
         grads = [None] * (len(tape) - 1) + [(d_log_albedo, d_log_shading)]
         while len(tape) > 1:
             step, inputs = tape.pop()

@@ -297,8 +297,7 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
         log_shd = log_guarded(shd, eps).astype(dtype)
         mask = mask.astype(dtype)
         del alb, shd
-        la, ls = net.forward(img, rng=Rng(derive_seed(cfg.seed, "dropout", it)),
-                             keep_cache=True)
+        la, ls = net.forward(img, rng=Rng(derive_seed(cfg.seed, "dropout", it)))
         loss, d_la, d_ls = total_loss(log_alb, log_shd, la, ls, mask, cfg.loss)
         del la, ls, log_alb, log_shd, mask
         if not np.isfinite(loss):

@@ -456,9 +456,14 @@ def _suite_loss_algebra():
         t, p = rng.normal(shape), rng.normal(shape)
         mask = _full_mask(shape)
         base, _ = sil2_loss(t, p, mask, 1.0)
+        last = np.zeros((shape[0], 1, 1, 1))
+        last[-1] = 1.0
         for c in (-3.0, -2.0, 0.1, 0.7, 1.7, 17.0, 42.0):
-            gap = abs(sil2_loss(t, p + c, mask, 1.0)[0] - base)
-            assert gap < 1e-10, f"lambda=1 offset invariance at c={c}: {gap:.2e}"
+            # the loss is per image: one image's offset leaves it unchanged too
+            for which, offset in (("every image", c), ("the last image", c * last)):
+                gap = abs(sil2_loss(t, p + offset, mask, 1.0)[0] - base)
+                assert gap < 1e-10, \
+                    f"lambda=1 offset invariance ({which}, {shape}) at c={c}: {gap:.2e}"
         mse, _ = sil2_loss(t, p, mask, 0.0)
         assert abs(mse - float(((t - p) ** 2).mean())) < 1e-12, "lambda=0 = plain MSE"
         for use_grad in (False, True):
@@ -481,6 +486,21 @@ def _suite_loss_algebra():
             assert abs(l0 - l1) < 1e-12 and np.max(np.abs(g0 - g1)) < 1e-12, \
                 f"{name}: masked perturbation leaked into loss/gradients"
             assert np.all(g0[0, :, 1, 2] == 0.0), f"{name}: gradient at a masked pixel"
+        if shape[0] == 1:
+            continue
+        # the batch loss is the mean of its images' losses, each over its own
+        # valid entries (the holed image has fewer), and an image with no
+        # valid pixel adds nothing
+        empty = holed.copy()
+        empty[1:] = 0.0
+        for name, loss_fn in (("sil2", lambda t, v, m: sil2_loss(t, v, m, 0.5)),
+                              ("gradient loss", gradient_loss)):
+            each = [loss_fn(t[i:i + 1], p[i:i + 1], holed[i:i + 1])[0]
+                    for i in range(shape[0])]
+            gap = abs(loss_fn(t, p, holed)[0] - float(np.mean(each)))
+            assert gap < 1e-12, f"{name}: batch loss is not the per-image mean ({gap:.2e})"
+            gap = abs(loss_fn(t, p, empty)[0] - each[0])
+            assert gap < 1e-12, f"{name}: an image with no valid pixel moved the loss"
 
 
 def _suite_loss_gradients():
@@ -661,7 +681,10 @@ def _suite_topology_audit():
 
 def whole_network_gradient(hc: bool, deconv: bool) -> list[str]:
     """Finite differences of the total loss through one network variant at
-    the input and at every parameter tensor; returns the failing checks."""
+    the input and at every parameter tensor; returns the failing checks.
+    Every forward is a training forward with the same fixed-seed rng, so
+    all of them draw the same dropout masks and dropout's backward is
+    checked too."""
     rng = Rng(14)
     x = rng.uniform((1, 3, 32, 32))
     ta = rng.normal((1, 3, 32, 32)) * 0.1
@@ -673,22 +696,20 @@ def whole_network_gradient(hc: bool, deconv: bool) -> list[str]:
                         Rng(13), dtype=np.float64)
 
     def loss(v):
-        la, ls = net.forward(v)
-        return total_loss(ta, ts, la, ls, mask, cfg)[0]
+        return total_loss(ta, ts, *net.forward(v, rng=Rng(15)), mask, cfg)
 
     # one backward gives every analytic gradient; the finite differences
     # need only forward passes
-    la, ls = net.forward(x, keep_cache=True)
-    _, d_la, d_ls = total_loss(ta, ts, la, ls, mask, cfg)
+    _, d_la, d_ls = loss(x)
     net.zero_grads()
     d_image = net.backward(d_la, d_ls)
-    checks = [("input", lambda v: (loss(v), d_image), x, 8)]
+    checks = [("input", lambda v: (loss(v)[0], d_image), x, 8)]
     for name, p in net.params.items():
         def f(v, p=p, grad=p.grad.copy()):
             saved = p.value
             p.value = v
             try:
-                return loss(x), grad
+                return loss(x)[0], grad
             finally:
                 p.value = saved
 

@@ -27,9 +27,11 @@ from intrinsics.trainer import TrainConfig, decompose_image, train_loop
 # criterion -> (description, verify suites it runs)
 CRITERIA = {
     1: ("layer and loss gradient checks", ("layer-gradients", "loss-gradients")),
-    2: ("whole-network gradient check (all four variants, channel scale 1/16, 32x32)",
+    2: ("whole-network gradient check (all four variants through dropout, "
+        "channel scale 1/16, 32x32)",
         ("whole-network-gradient",)),
-    3: ("loss algebra (offset invariance, MSE reduction, composition, masking)",
+    3: ("loss algebra (offset invariance, per image too, MSE reduction, "
+        "per-image batch mean, composition, masking)",
         ("loss-algebra",)),
     4: ("implementation vs independent oracles "
         "(conv, deconv and bilinear adjoints, max pool, alpha grid, lmse windows, "

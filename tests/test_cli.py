@@ -2,6 +2,7 @@ import configparser
 import json
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,34 @@ class TestDecomposeCommand:
         assert not (tmp_path / "s.png").exists()
 
 
+    def test_checkpoint_released_before_the_forward(self, tmp_path, monkeypatch):
+        """The checkpoint's parameter and momentum copies are not held
+        through the forward: nothing refers to the loaded ``Checkpoint`` by
+        the time ``decompose_image`` runs."""
+        net = build_network(NetworkConfig(channel_scale=1 / 16), Rng(3))
+        save_checkpoint(Checkpoint.from_network(net, 1, (0, 0, 0, 0), b"\x00" * 32),
+                        tmp_path / "a.ckpt")
+        write_png(tmp_path / "in.png", np.full((32, 32, 3), 0.5), bit_depth=8)
+        refs, alive = [], []
+
+        def load(path, orig=cli.load_checkpoint):
+            ck = orig(path)
+            refs.append(weakref.ref(ck))
+            return ck
+
+        def decompose(*args, orig=cli.decompose_image):
+            alive.append(refs[0]() is not None)
+            return orig(*args)
+
+        monkeypatch.setattr(cli, "load_checkpoint", load)
+        monkeypatch.setattr(cli, "decompose_image", decompose)
+        assert run_cli("decompose", "--checkpoint", tmp_path / "a.ckpt",
+                       "--input", tmp_path / "in.png",
+                       "--out-albedo", tmp_path / "a.png",
+                       "--out-shading", tmp_path / "s.png") == 0
+        assert alive == [False]
+
+
 class TestEvalCommand:
     def test_ground_truth_predictions_score_zero(self, tmp_path):
         manifest = write_dataset(tmp_path / "data", n=2, h=32, w=32)
@@ -282,6 +311,35 @@ class TestEvalCommand:
         assert len(report["per_sample"]) == 1
         assert report["errors"][0]["id"] == "s1"
         assert "missing" in report["errors"][0]["error"]
+
+    def test_unreadable_file_reported_and_the_rest_scored(self, tmp_path, capsys):
+        """A prediction that is not a PNG is listed under ``errors`` with
+        the reader's message, the other sample is scored, and the report is
+        written, as it is when every sample fails."""
+        manifest = write_dataset(tmp_path / "data", n=2, h=32, w=32)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for i in range(2):
+            for kind, name in (("a", "albedo"), ("s", "shading")):
+                write_png(pred / f"s{i}_{name}.png",
+                          read_png(tmp_path / "data" / f"s{i}_{kind}.png"), bit_depth=16)
+        out = tmp_path / "report.json"
+        (pred / "s1_albedo.png").write_bytes(b"not a png")
+        assert run_cli("eval", "--pred-dir", pred,
+                       "--manifest", manifest, "--out", out) == 1
+        report = json.loads(out.read_text())
+        assert [r["id"] for r in report["per_sample"]] == ["s0"]
+        [err] = report["errors"]
+        assert err["id"] == "s1" and "is not a PNG file" in err["error"]
+        assert "eval error [s1]" in capsys.readouterr().err
+
+        (pred / "s0_shading.png").write_bytes(b"not a png either")
+        out.unlink()
+        assert run_cli("eval", "--pred-dir", pred,
+                       "--manifest", manifest, "--out", out) == 1
+        report = json.loads(out.read_text())
+        assert report["per_sample"] == []
+        assert [e["id"] for e in report["errors"]] == ["s0", "s1"]
 
     def test_reads_ground_truth_only_one_sample_at_a_time(self, tmp_path, monkeypatch):
         """eval decodes no input image, and scores each sample before it

@@ -150,35 +150,61 @@ class TestBackward:
 
     def test_backward_consumes_the_tape(self):
         net = tiny_net(seed=9)
-        net.forward(Rng(10).uniform((1, 3, 32, 32)), keep_cache=True)
+        net.forward(Rng(10).uniform((1, 3, 32, 32)), rng=Rng(11))
         zeros = np.zeros((1, 3, 32, 32))
         net.backward(zeros, zeros)
         with pytest.raises(ValueError, match="no cached forward"):
             net.backward(zeros, zeros)
 
+    def test_eval_forward_leaves_no_tape(self):
+        """A forward without an rng records nothing, and drops the tape of
+        an earlier training forward: backward after it raises."""
+        net = tiny_net(seed=9)
+        x = Rng(10).uniform((1, 3, 32, 32))
+        net.forward(x, rng=Rng(11))
+        net.forward(x)
+        zeros = np.zeros((1, 3, 32, 32))
+        with pytest.raises(ValueError, match="no cached forward"):
+            net.backward(zeros, zeros)
+
+    def test_rng_only_draws_masks_at_zero_dropout(self):
+        """At dropout_prob 0, training forwards given different rngs record
+        tapes whose backward gives the same bytes."""
+        net = tiny_net(seed=9, dtype=np.float32, use_hypercolumn=True, dropout_prob=0.0)
+        x = Rng(10).uniform((2, 3, 32, 32))
+        da = Rng(11).normal((2, 3, 32, 32))
+        ds = Rng(12).normal((2, 3, 32, 32))
+        grads = []
+        for seed in (13, 14):
+            net.zero_grads()
+            net.forward(x, rng=Rng(seed))
+            di = net.backward(da, ds)
+            grads.append([di.tobytes()] + [p.grad.tobytes() for p in net.params.values()])
+        assert grads[0] == grads[1]
+
     def test_zero_upstream_zero_grads(self):
         net = tiny_net(seed=9)
         x = Rng(10).uniform((1, 3, 32, 32))
-        net.forward(x, keep_cache=True)
+        net.forward(x, rng=Rng(11))
         di = net.backward(np.zeros((1, 3, 32, 32)), np.zeros((1, 3, 32, 32)))
         assert np.all(di == 0.0)
         for p in net.params.values():
             assert np.all(p.grad == 0.0)
 
     def test_gradients_accumulate_linearly(self):
-        net = tiny_net(seed=9)
+        net = tiny_net(seed=9, dropout_prob=0.0)
         x = Rng(10).uniform((1, 3, 32, 32))
         da = Rng(11).normal((1, 3, 32, 32))
         ds = Rng(12).normal((1, 3, 32, 32))
 
-        net.forward(x, keep_cache=True)
+        net.forward(x, rng=Rng(13))
         net.backward(da, ds)
-        net.forward(x, keep_cache=True)
+        net.forward(x, rng=Rng(14))
         net.backward(da, ds)
         twice = {n: p.grad.copy() for n, p in net.params.items()}
 
         net.zero_grads()
-        net.forward(x, keep_cache=True)
+        net.forward(x, rng=Rng(15))
         net.backward(2 * da, 2 * ds)
         for n, p in net.params.items():
             assert np.allclose(twice[n], p.grad, rtol=1e-10, atol=1e-12), n
@@ -194,7 +220,7 @@ class TestBackward:
         grads = []
         for image_grad in (True, False):
             net.zero_grads()
-            net.forward(x, rng=Rng(13), keep_cache=True)
+            net.forward(x, rng=Rng(13))
             di = net.backward(da, ds, image_grad=image_grad)
             assert (di is None) == (not image_grad)
             grads.append({n: p.grad.copy() for n, p in net.params.items()})
@@ -207,7 +233,8 @@ class TestBackward:
     def test_image_gradient_through_the_pad(self, hc, deconv):
         """At 40x37, which forward pads to 64x64, the image gradient matches
         central differences of the total loss at the last row, the last
-        column, the corner and an interior pixel, float64."""
+        column, the corner and an interior pixel, float64.  Every forward
+        draws the same dropout masks from one fixed-seed rng."""
         net = tiny_net(seed=21, use_hypercolumn=hc, use_deconv_head=deconv)
         rng = Rng(22)
         x = rng.uniform((1, 3, 40, 37))
@@ -216,9 +243,9 @@ class TestBackward:
         cfg = LossConfig(lam=0.5, use_gradient_loss=True)
 
         def loss(v):
-            return total_loss(ta, ts, *net.forward(v), mask, cfg)[0]
+            return total_loss(ta, ts, *net.forward(v, rng=Rng(23)), mask, cfg)[0]
 
-        _, da, ds = total_loss(ta, ts, *net.forward(x, keep_cache=True), mask, cfg)
+        _, da, ds = total_loss(ta, ts, *net.forward(x, rng=Rng(23)), mask, cfg)
         grad = net.backward(da, ds)
         assert grad.shape == x.shape
         for c, i, j in [(0, 39, 5), (1, 17, 36), (2, 39, 36), (0, 20, 20)]:
@@ -241,7 +268,7 @@ class TestTape:
         x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
         tracemalloc.start()
         try:
-            outs = net.forward(x, rng=Rng(2), keep_cache=True)
+            outs = net.forward(x, rng=Rng(2))
             del outs
             held = tracemalloc.get_traced_memory()[0]
         finally:
@@ -258,7 +285,7 @@ class TestTape:
         x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
         tracemalloc.start()
         try:
-            outs = net.forward(x, rng=Rng(2), keep_cache=True)
+            outs = net.forward(x, rng=Rng(2))
             dys = [Rng(3 + i).normal(o.shape).astype(np.float32) for i, o in enumerate(outs)]
             del outs
             held = tracemalloc.get_traced_memory()[0]
