@@ -123,7 +123,6 @@ def cmd_train(args) -> int:
     samples = load_dataset(manifest)
     os.makedirs(run.out_dir, exist_ok=True)
     net = build_network(run.network, Rng(derive_seed(run.train.seed, "init")))
-    resume = load_checkpoint(args.resume) if args.resume else None
     if args.verbose:
         print(f"training {len(samples)} samples for "
               f"{run.train.max_iterations} iterations")
@@ -131,8 +130,9 @@ def cmd_train(args) -> int:
     def ck_path(iteration):
         return os.path.join(run.out_dir, f"checkpoint_{iteration:06d}.ckpt")
 
+    # no name holds a resumed Checkpoint: train_loop frees it once installed
     _, trace = train_loop(net, samples, run.train, checkpoint_path=ck_path,
-                          resume=resume)
+                          resume=load_checkpoint(args.resume) if args.resume else None)
     trace_path = os.path.join(run.out_dir, "loss_trace.csv")
     write_atomic(trace_path, "".join(
         ["iteration,loss\n"] + [f"{it},{loss!r}\n" for it, loss in trace]).encode())

@@ -12,7 +12,11 @@ Max pooling uses ceil-mode output extents with windows clipped to the
 input, which is what makes a stack of stride-2 pools halve extents exactly
 without pool padding.  Its forward keeps a running maximum over strided
 views; for training it also keeps which tap of each window won, one uint8
-per output cell, and the backward routes dy through those taps alone.
+per output cell, and the backward routes dy through those taps alone,
+into a channel-major (C, N, H, W) array returned as an (N, C, H, W) view:
+the layout of the (C, N*H*W) matrix that the conv weight gradient behind
+the pool multiplies, which is then a view of it.  Every function takes
+such a view as it takes any other array.
 """
 
 from __future__ import annotations
@@ -94,6 +98,12 @@ def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return win[:, :, ::spec.stride_h, ::spec.stride_w].transpose(0, 1, 4, 5, 2, 3)
 
 
+def _channel_rows(a: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) as its (C, N*H*W) matrix: a view of a channel-major
+    array, such as max_pool_backward's dx, and a copy of any other."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+
+
 def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.ndarray:
     """Conv weight gradient from output gradient dy and input x; with the
     two swapped it is the deconv weight gradient.
@@ -103,7 +113,7 @@ def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.n
     N*Ho*Wo and each block writes contiguous rows."""
     win = _windows(x, spec)
     n, c, kh, kw, ho, wo = win.shape
-    dy_cm = dy.transpose(1, 0, 2, 3).reshape(dy.shape[1], -1)  # (O, N*Ho*Wo)
+    dy_cm = _channel_rows(dy)
     taps, p = kh * kw, n * ho * wo
     dw_t = np.empty((c * taps, dy_cm.shape[0]), dtype=np.result_type(dy, x))
     chans = _block(taps * p * x.itemsize, c, _BLOCK_BYTES)
@@ -187,7 +197,11 @@ def conv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec,
                   input_grad: bool = True):
     """Gradients of conv_forward w.r.t. input, weights, and bias; the input
     gradient is None with ``input_grad=False``, which skips its conv."""
-    db = dy.reshape(x.shape[0], spec.out_channels, -1).sum(axis=(0, 2))
+    # per image over H*W, then over the images in order: the sums and their
+    # order of NCHW's sum(axis=(0, 2)), also on a channel-major dy, where
+    # that one call would merge N and H*W into one pairwise sum
+    db = np.ascontiguousarray(
+        dy.reshape(x.shape[0], spec.out_channels, -1).sum(axis=2)).sum(axis=0)
     dx = _transposed_conv(dy, w, spec, x.shape[2:]) if input_grad else None
     return dx, _weight_grad(dy, x, spec, w.shape), db
 
@@ -296,15 +310,19 @@ def max_pool_backward(dy: np.ndarray, arg: np.ndarray, in_shape, kernel: int,
     """Route each window's dy to its winning tap ``arg`` from
     max_pool_forward(x, kernel, stride, winners=True); ``in_shape`` is
     x.shape.  Taps are added last to first, so that a cell that won
-    several windows sums their dy in row-major output order."""
+    several windows sums their dy in row-major output order.
+
+    dx is an (N, C, H, W) view of a C-contiguous (C, N, H, W) array, so
+    the conv weight gradient that consumes it reads its (C, N*H*W) matrix
+    without a copy."""
     n, c, h, w = in_shape
     oh, ow, hp, wp = _pool_extents(in_shape, kernel, stride)
     # dy * 0 is NaN where dy is not finite, so such a dy is masked instead
     finite = np.isfinite(dy).all()
-    dx = np.empty(in_shape, dtype=dy.dtype)
+    dx = np.empty((c, n, h, w), dtype=dy.dtype).transpose(1, 0, 2, 3)
     for block in _channel_blocks(in_shape, dy.itemsize):
         dyb, ab = dy[:, block], arg[:, block]
-        dxp = np.zeros((n, ab.shape[1], hp, wp), dtype=dy.dtype)
+        dxp = np.zeros((ab.shape[1], n, hp, wp), dtype=dy.dtype).transpose(1, 0, 2, 3)
         views = _pool_taps(dxp, kernel, stride, oh, ow)
         for t in reversed(range(len(views))):
             hit = ab == t

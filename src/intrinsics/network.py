@@ -29,7 +29,9 @@ and gradient checks can run on tiny instances; channel_scale 1 is the full
 topology (96/256/384/384/256 + 64, scale-2 9x9/96).  PReLU follows every
 layer except each head's 3-channel predictor (the deconv, or the bilinear
 head's conv), and dropout follows every PReLU layer except scale-1
-conv1-conv5, so no prediction is ever dropped out.
+conv1-conv5, so no prediction is ever dropped out.  A pooled layer whose
+slopes are all positive runs its PReLU after the pool, which it commutes
+with (see ``Network._block``).
 
 The dropout rng is the one train/eval switch: a forward given one draws
 dropout masks and records the tape that ``Network.backward`` replays, and a
@@ -92,8 +94,10 @@ class Param:
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = value
-        self.grad = np.zeros_like(value)
-        self.momentum = np.zeros_like(value)
+        # np.zeros, unlike zeros_like, leaves untouched pages unmapped: an
+        # eval process never makes its gradient and momentum resident
+        self.grad = np.zeros(value.shape, value.dtype)
+        self.momentum = np.zeros(value.shape, value.dtype)
 
     def zero_grad(self):
         self.grad.fill(0.0)
@@ -127,10 +131,11 @@ class Network:
     the output seed, which keep nothing.  A layer keeps its conv inputs,
     which are earlier layers' outputs, its pool's winning taps (uint8) and
     its dropout mask (bool), and reads its PReLU input back from its own
-    output.  ``backward`` replays the tape once, in reverse.  Parameter
-    gradients accumulate across backward calls until ``zero_grads``.  A
-    network built with ``rng`` None has zero weights, for a caller that
-    installs its own (``network_from_shapes``).
+    output.  Where every slope of a pooled layer is positive, its PReLU
+    runs after the pool.  ``backward`` replays the tape once, in reverse.
+    Parameter gradients accumulate across backward calls until
+    ``zero_grads``.  A network built with ``rng`` None has zero weights, for
+    a caller that installs its own (``network_from_shapes``).
     """
 
     def __init__(self, cfg: NetworkConfig, rng: Rng | None, dtype=np.float32,
@@ -219,9 +224,18 @@ class Network:
         """One layer as one tape step: the sum over its input groups of a
         conv (a deconv for ``*.deconv``) on the group's columns of the
         weight, upsampled by the group's factor when it is above 1, plus one
-        bias; then [PReLU] -> [max pool | dropout].  A layer has one group
-        of every column at factor 1, except conv6, whose groups each run at
-        their own resolution, and the bilinear head's predictor, at factor 4.
+        bias; then [max pool] -> [PReLU] -> [dropout] while every slope is
+        positive, and [PReLU] -> [max pool | dropout] otherwise.  A layer has
+        one group of every column at factor 1, except conv6, whose groups
+        each run at their own resolution, and the bilinear head's predictor,
+        at factor 4.
+
+        A PReLU with positive slopes is strictly increasing, so it commutes
+        with max and runs on the pooled grid, on a quarter of the cells.  The
+        pool then picks its winners on the conv output.  The one difference
+        from pooling the PReLU output is two negative taps whose products
+        with the slope round to one value: the larger input wins, not the
+        first of the two.
 
         ``pool`` is (kernel, stride), ``drop`` is the dropout rng (None in
         eval, or for a layer without dropout), and ``out``, if given,
@@ -256,14 +270,17 @@ class Network:
                 part = bilinear_upsample_forward(part, factor)
             y = part if y is None else y + part
         pre_shape = y.shape
-        kept_in = y if a is not None and record and not (a.value > 0).all() else None
-        if a is not None:
+        after_pool = a is not None and (a.value > 0).all()
+        kept_in = y if a is not None and record and not after_pool else None
+        if a is not None and not after_pool:
             y = prelu_forward(y, a.value)
         arg = keep = None
         if pool is not None:
             y = max_pool_forward(y, *pool, winners=record)
             if record:
                 y, arg = y
+        if after_pool:
+            y = prelu_forward(y, a.value)
         if drop is not None:
             y, keep = dropout_forward(y, p, drop)
         if out is not None:

@@ -100,23 +100,13 @@ class Checkpoint:
     rng_state: tuple  # 4 x u64
     fingerprint: bytes  # 32 bytes
 
-    def apply_to(self, net: Network) -> None:
-        """Install parameters and momentum; shapes must match the network."""
-        for section, attr in ((self.params, "value"), (self.momentum, "momentum")):
-            seen = set()
-            for name, arr in section:
-                if name not in net.params:
-                    raise ValueError(f"checkpoint: tensor {name!r} not in network")
-                p = net.params[name]
-                if p.value.shape != arr.shape:
-                    raise ValueError(
-                        f"checkpoint: tensor {name!r} shape {arr.shape} does not "
-                        f"match network shape {p.value.shape}")
-                setattr(p, attr, arr.astype(net.dtype))
-                seen.add(name)
-            missing = set(net.params) - seen
-            if missing:
-                raise ValueError(f"checkpoint: missing tensor {sorted(missing)[0]!r}")
+    def apply_params(self, net: Network) -> None:
+        """Install the parameters; shapes must match the network."""
+        _install(net, self.params, "value")
+
+    def apply_momentum(self, net: Network) -> None:
+        """Install the momentum buffers; shapes must match the network."""
+        _install(net, self.momentum, "momentum")
 
     @classmethod
     def from_network(cls, net: Network, iteration: int, rng_state, fingerprint):
@@ -126,6 +116,25 @@ class Checkpoint:
                    [(n, p.momentum.astype(np.float32).copy())
                     for n, p in net.params.items()],
                    tuple(rng_state), fingerprint)
+
+
+def _install(net: Network, section, attr: str) -> None:
+    """Set attribute ``attr`` of every parameter to a copy of its tensor in
+    ``section``, checking that the names and shapes match the network's."""
+    seen = set()
+    for name, arr in section:
+        if name not in net.params:
+            raise ValueError(f"checkpoint: tensor {name!r} not in network")
+        p = net.params[name]
+        if p.value.shape != arr.shape:
+            raise ValueError(
+                f"checkpoint: tensor {name!r} shape {arr.shape} does not "
+                f"match network shape {p.value.shape}")
+        setattr(p, attr, arr.astype(net.dtype))
+        seen.add(name)
+    missing = set(net.params) - seen
+    if missing:
+        raise ValueError(f"checkpoint: missing tensor {sorted(missing)[0]!r}")
 
 
 def config_fingerprint(network_cfg: NetworkConfig, train_cfg: TrainConfig) -> bytes:
@@ -224,9 +233,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def network_from_checkpoint(ck: Checkpoint) -> Network:
-    """Rebuild the topology recorded in a checkpoint and install its weights."""
+    """Rebuild the topology recorded in a checkpoint and install its
+    parameters; the momentum, which only training reads, stays zero."""
     net = network_from_shapes({name: arr.shape for name, arr in ck.params})
-    ck.apply_to(net)
+    ck.apply_params(net)
     return net
 
 
@@ -264,7 +274,9 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
 
     ``checkpoint_path`` is a callable iteration -> path (or None to skip
     writing intermediates).  Resuming from a checkpoint taken at iteration k
-    continues the exact trajectory of the uninterrupted run.
+    continues the exact trajectory of the uninterrupted run.  The loop drops
+    its reference to ``resume`` once installed, so a caller that keeps none
+    frees the checkpoint's copies before the first iteration.
     """
     if not samples:
         raise ValueError("train_loop: dataset is empty")
@@ -281,8 +293,10 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
         if resume.iteration > cfg.max_iterations:
             raise ValueError(f"resume: checkpoint is at iteration {resume.iteration}, "
                              f"past max_iterations {cfg.max_iterations}")
-        resume.apply_to(net)
+        resume.apply_params(net)
+        resume.apply_momentum(net)
         start = resume.iteration
+        del resume
     rng_state = (cfg.seed, 0, 0, 0)
 
     trace = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config, write_dataset
-from intrinsics import cli, data, verify
+from intrinsics import cli, data, trainer, verify
 from intrinsics.cli import _SCHEMA, load_run_config, main
 from intrinsics.network import NetworkConfig, build_network
 from intrinsics.png_io import read_png, write_png
@@ -194,6 +194,31 @@ class TestTrainCommand:
         resumed = (out_resumed / "loss_trace.csv").read_text().splitlines()[1:]
         half = (out_half / "loss_trace.csv").read_text().splitlines()[1:]
         assert half + resumed == full
+
+    def test_resumed_checkpoint_released_before_training(self, tmp_path, monkeypatch):
+        """Once installed, the resumed ``Checkpoint``'s parameter and momentum
+        copies are not held through the iterations: a weakref taken through
+        a wrapped ``cli.load_checkpoint`` is dead at every update."""
+        manifest = write_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path / "a.cfg", manifest, tmp_path / "a", max_iterations=1)
+        assert run_cli("train", "--config", cfg) == 0
+        refs, alive = [], []
+
+        def load(path, orig=cli.load_checkpoint):
+            ck = orig(path)
+            refs.append(weakref.ref(ck))
+            return ck
+
+        def step(*args, orig=trainer.sgd_momentum_step):
+            alive.append(refs[0]() is not None)
+            return orig(*args)
+
+        monkeypatch.setattr(cli, "load_checkpoint", load)
+        monkeypatch.setattr(trainer, "sgd_momentum_step", step)
+        cfg = write_config(tmp_path / "b.cfg", manifest, tmp_path / "b", max_iterations=3)
+        assert run_cli("train", "--config", cfg, "--resume",
+                       tmp_path / "a" / "checkpoint_000001.ckpt") == 0
+        assert alive == [False, False]
 
 
 class TestDecomposeCommand:

@@ -201,6 +201,39 @@ class TestMaxPool:
                     == want_dx.tobytes()
 
 
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_dx_is_channel_major(self, kernel):
+        """dx is an (N, C, H, W) view of a C-contiguous (C, N, H, W) array
+        holding the oracle's bytes, so the (C, N*H*W) matrix that the conv
+        weight gradient multiplies is a view of it, not a copy."""
+        x = Rng(24).normal((3, 5, 11, 10))
+        dy = Rng(25).normal(max_pool_forward(x, kernel, 2).shape)
+        _, want_dx = max_pool_oracle(x, dy, kernel, 2)
+        for budget in (layers._POOL_BLOCK_BYTES, 1):
+            with _block_budget(budget):
+                dx = max_pool_backward(dy, max_pool_forward(x, kernel, 2, winners=True)[1],
+                                       x.shape, kernel, 2)
+            assert dx.shape == x.shape and dx.transpose(1, 0, 2, 3).flags.c_contiguous
+            assert np.ascontiguousarray(dx).tobytes() == want_dx.tobytes()
+            rows = layers._channel_rows(dx)
+            assert rows.shape == (5, 3 * 11 * 10) and np.shares_memory(rows, dx)
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_conv_backward_same_bytes_for_a_channel_major_dy(n):
+    """All three gradients from a channel-major dy, as max_pool_backward
+    returns it, are the bytes of those from the same dy in NCHW.  From 8
+    images on, one sum over N and H*W of the channel-major layout would
+    reorder the bias gradient's sum."""
+    spec = ConvSpec(3, 4, 3, 3, pad_h=1, pad_w=1)
+    x = Rng(26).normal((n, 3, 9, 8)).astype(np.float32)
+    w = Rng(27).normal((4, 3, 3, 3)).astype(np.float32)
+    dy = Rng(28).normal((n, 4, 9, 8)).astype(np.float32)
+    dy_cm = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    for got, want in zip(conv_backward(dy_cm, x, w, spec), conv_backward(dy, x, w, spec)):
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBilinearUpsample:
     def test_factor_one_identity(self):
         x = Rng(11).normal((1, 2, 4, 4))

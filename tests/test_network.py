@@ -5,7 +5,7 @@ import pytest
 
 from intrinsics import layers, network
 from intrinsics.losses import LossConfig, total_loss
-from intrinsics.network import NetworkConfig, _Var, build_network
+from intrinsics.network import Network, NetworkConfig, _Var, build_network
 from intrinsics.rng import Rng
 from intrinsics.verify import GRAD_TOL, NETWORK_H
 
@@ -296,6 +296,28 @@ class TestTape:
             tracemalloc.stop()
         assert peak < 36e6, f"backward peaks {peak / 1e6:.1f} MB above the tape"
 
+    def test_pooled_block_backward_copies_no_gradient(self):
+        """Full-width s2.conv1 at 2x3x64x64, image gradient declined: its
+        step's backward peaks at about 3.1 MB, which is the conv output
+        gradient (0.79 MB), the column buffer of 81 taps of the 3 image
+        channels (2.0 MB), the padded image (0.12 MB) and small
+        temporaries.  A weight gradient that copied the pool's dx into its
+        (C, N*H*W) matrix peaked at 3.9 MB."""
+        net = Network(NetworkConfig(dropout_prob=0.5), None)
+        w = net.params["s2.conv1.weight"].value
+        w[...] = Rng(1).normal(w.shape) * 0.05
+        x = Rng(2).uniform((2, 3, 64, 64)).astype(np.float32)
+        tape = [(None, ())]
+        out = net._block("s2.conv1", [_Var(x, tape, 0)], pool=(2, 2), drop=Rng(3))
+        dy = Rng(4).normal(out.value.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            tape[-1][0](dy, input_grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6, f"the pooled block's backward peaks at {peak / 1e6:.2f} MB"
+
 
 def run_block(net, name, x, pool=None, drop=False, seed=40):
     """One recorded layer step and its backward on a fresh tape: (output,
@@ -430,6 +452,34 @@ class TestBlock:
         for k, g in got.items():
             assert g.tobytes() == grid[k].tobytes(), k
             assert np.all(np.abs(g - want[k]) <= 8 * EPS32 * mags[k]), k
+
+    @pytest.mark.parametrize("slope", [0.25, -0.5])
+    def test_eval_prelu_runs_after_the_pool(self, slope, monkeypatch):
+        """An eval step whose slopes are all positive pools the conv output
+        and runs its PReLU on the pooled grid, with the bytes of PReLU ->
+        pool.  A negative slope keeps PReLU -> pool, whose bytes pooling
+        first would change."""
+        net = tiny_net(seed=11, dtype=np.float32)
+        name, pool = "s1.conv1", (3, 2)
+        a = net.params[f"{name}.slope"].value
+        a[0] = slope
+        w, b = net.params[f"{name}.weight"].value, net.params[f"{name}.bias"].value
+        x = Rng(12).normal((2, 3, 128, 96)).astype(np.float32)
+        shapes = []
+
+        def prelu(v, slopes, orig=network.prelu_forward):
+            shapes.append(v.shape)
+            return orig(v, slopes)
+
+        monkeypatch.setattr(network, "prelu_forward", prelu)
+        y = net._block(name, [_Var(x, None, -1)], pool=pool).value
+        pre = layers.conv_forward(x, w, b, net.specs[name])
+        want = layers.max_pool_forward(layers.prelu_forward(pre, a), *pool)
+        assert y.tobytes() == want.tobytes()
+        assert shapes == [want.shape if slope > 0 else pre.shape]
+        if slope < 0:
+            pooled_first = layers.prelu_forward(layers.max_pool_forward(pre, *pool), a)
+            assert pooled_first.tobytes() != want.tobytes()
 
     def test_bilinear_head_upsamples_in_its_block(self):
         """The bilinear head's predictor is one step: its conv, then the

@@ -171,7 +171,7 @@ class TestCheckpointIO:
         path, back = self._roundtrip(tmp_path, net)
         other = build_network(NetworkConfig(channel_scale=1 / 8), Rng(4))
         with pytest.raises(ValueError, match="s1.conv1.weight"):
-            back.apply_to(other)
+            back.apply_params(other)
 
     def test_network_from_checkpoint(self, tmp_path):
         for hc in (False, True):
