@@ -5,16 +5,20 @@ maximum; no gamma handling.  The writer always emits non-interlaced,
 filter-0 scanlines in one IDAT chunk deflated at zlib level 1: on
 Sintel-sized 16-bit maps level 6 takes three to five times as long and
 saves at most about 5% of the bytes, and the decoded pixels are the same
-at any level.  The reader understands all five standard filters so it can
-ingest files produced elsewhere.  Files whose rows use only None, Sub
-and Up (everything ``write_png`` writes) are unfiltered row by row, each
-row one vectorized step.  Average and Paeth need each byte's left
-neighbour first, so a file with any such row is unfiltered as one
-anti-diagonal wavefront over the whole image: h + w - 1 numpy steps, rows
-of every filter type in the same loop.  The reader checks every chunk's
-CRC and rejects a malformed IHDR, zero extents, image data that does not
-inflate, and nonzero compression or filter methods.  Palette, alpha,
-and interlaced images are out of scope and rejected with a clear message.
+at any level.  Each file is written from one uint8 scanline buffer: the
+image is quantized straight into it through a big-endian ``>u1``/``>u2``
+view, and zlib reads the buffer itself.  The reader understands all five
+standard filters so it can ingest files produced elsewhere.  Files whose
+rows use only None, Sub and Up (everything ``write_png`` writes) are
+unfiltered row by row in uint8, whose wraparound is the filters' mod-256
+arithmetic: Sub is one prefix sum per row, Up one add.  Average and Paeth
+need each byte's left neighbour first, so a file with any such row is
+unfiltered as one anti-diagonal wavefront over the whole image:
+h + w - 1 numpy steps, rows of every filter type in the same loop.  The
+reader checks every chunk's CRC and rejects a malformed IHDR, zero
+extents, image data that does not inflate, and nonzero compression or
+filter methods.  Palette, alpha, and interlaced images are out of scope
+and rejected with a clear message.
 
 ``write_atomic`` is the one way the package writes an output file: PNGs,
 checkpoints, eval reports, loss traces and synth manifests all go through
@@ -60,29 +64,22 @@ def write_png(path, image: np.ndarray, bit_depth: int = 16) -> None:
     """
     if bit_depth not in (8, 16):
         raise ValueError(f"write_png: unsupported bit depth {bit_depth}")
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 2:
-        color_type, channels = 0, 1
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        color_type, channels = 2, 3
-    else:
+    arr = np.asarray(image)
+    if arr.ndim < 2 or arr.shape[2:] not in ((), (3,)):
         raise ValueError(f"write_png: expected (H,W) or (H,W,3), got {arr.shape}")
     if np.isnan(arr.min()):  # min propagates NaN and needs no full-size mask
         raise ValueError(f"write_png: {path}: image holds NaN")
     h, w = arr.shape[:2]
-    maxval = (1 << bit_depth) - 1
-    quant = np.rint(np.clip(arr, 0.0, 1.0) * maxval)
-    if bit_depth == 8:
-        raw = np.ascontiguousarray(quant.astype(">u1")).reshape(h, w * channels)
-    else:
-        raw = np.ascontiguousarray(quant.astype(">u2")).view(np.uint8)
-        raw = raw.reshape(h, 2 * w * channels)
-    scanlines = np.concatenate(
-        [np.zeros((h, 1), dtype=np.uint8), raw.view(np.uint8)], axis=1)
+    # each row is its filter byte (0, None) and the big-endian samples
+    scanlines = np.zeros((h, 1 + arr[0].size * bit_depth // 8), dtype=np.uint8)
+    samples = scanlines[:, 1:].view(f">u{bit_depth // 8}").reshape(arr.shape)
+    quant = np.clip(arr, 0.0, 1.0, dtype=np.float64)
+    quant *= (1 << bit_depth) - 1
+    np.rint(quant, out=samples, casting="unsafe")
 
-    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, 0)
+    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, 2 if arr.ndim == 3 else 0, 0, 0, 0)
     payload = (_SIGNATURE + _chunk(b"IHDR", ihdr)
-               + _chunk(b"IDAT", zlib.compress(scanlines.tobytes(), _ZLIB_LEVEL))
+               + _chunk(b"IDAT", zlib.compress(scanlines, _ZLIB_LEVEL))
                + _chunk(b"IEND", b""))
     write_atomic(path, payload)
 
@@ -97,20 +94,14 @@ def _unfilter(data: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
         raise ValueError(f"read_png: unknown filter type {ftypes[r]} on row {r}")
     if np.any(ftypes >= 3):
         return _unfilter_wavefront(rows[:, 1:], ftypes, bpp)
-    out = np.zeros((h, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for r in range(h):
-        line = rows[r, 1:].astype(np.int32)
-        if ftypes[r] == 1:  # Sub: prefix sums per byte lane
-            recon = line.copy()
-            for lane in range(bpp):
-                recon[lane::bpp] = np.cumsum(recon[lane::bpp]) & 0xFF
-        elif ftypes[r] == 2:  # Up
-            recon = (line + prev) & 0xFF
-        else:
-            recon = line
-        out[r] = recon.astype(np.uint8)
-        prev = out[r]
+    # uint8 wraps around, which is the filters' own mod-256 arithmetic
+    out = rows[:, 1:].copy()
+    for r, ftype in enumerate(ftypes.tolist()):
+        if ftype == 1:  # Sub: a prefix sum per byte lane
+            lanes = out[r].reshape(-1, bpp)
+            np.cumsum(lanes, axis=0, dtype=np.uint8, out=lanes)
+        elif ftype == 2 and r:  # Up; the row above row 0 is zero
+            np.add(out[r], out[r - 1], out=out[r])
     return out
 
 
@@ -207,6 +198,6 @@ def read_png(path) -> np.ndarray:
     if raw.size != h * (stride + 1):
         raise ValueError(f"read_png: {path}: decompressed size mismatch")
     pixels = _unfilter(raw, h, stride, bpp)
-    samples = pixels if depth == 8 else pixels.view(">u2")
-    arr = samples.reshape(h, w, channels).astype(np.float64) / ((1 << depth) - 1)
+    samples = pixels.view(f">u{depth // 8}").reshape(h, w, channels)
+    arr = np.divide(samples, (1 << depth) - 1, dtype=np.float64)
     return arr[:, :, 0] if channels == 1 else arr

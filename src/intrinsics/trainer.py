@@ -110,11 +110,11 @@ class Checkpoint:
 
     @classmethod
     def from_network(cls, net: Network, iteration: int, rng_state, fingerprint):
+        """Snapshot the network: one float32 copy of each parameter and
+        momentum tensor (``astype`` copies even at float32)."""
         return cls(iteration,
-                   [(n, p.value.astype(np.float32).copy())
-                    for n, p in net.params.items()],
-                   [(n, p.momentum.astype(np.float32).copy())
-                    for n, p in net.params.items()],
+                   [(n, p.value.astype(np.float32)) for n, p in net.params.items()],
+                   [(n, p.momentum.astype(np.float32)) for n, p in net.params.items()],
                    tuple(rng_state), fingerprint)
 
 
@@ -161,7 +161,7 @@ def _write_tensor_section(out: list, tensors) -> None:
         out.append(encoded)
         out.append(struct.pack("<B", arr.ndim))
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        out.append(np.ascontiguousarray(arr, dtype="<f4"))  # no copy at float32
 
 
 class _Reader:
@@ -196,14 +196,16 @@ def _read_tensor_section(r: _Reader) -> list:
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
+    """Write ``ck`` in the binary format; the file is built in one buffer,
+    joined from the header fields and the tensors' own float32 buffers."""
+    if len(ck.rng_state) != 4:
+        raise ValueError("checkpoint: rng_state must be 4 words")
+    if len(ck.fingerprint) != 32:
+        raise ValueError("checkpoint: fingerprint must be 32 bytes")
     out = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
     _write_tensor_section(out, ck.params)
     _write_tensor_section(out, ck.momentum)
-    out.append(struct.pack("<Q", ck.iteration))
-    state = (tuple(ck.rng_state) + (0, 0, 0, 0))[:4]
-    out.append(struct.pack("<4Q", *state))
-    if len(ck.fingerprint) != 32:
-        raise ValueError("checkpoint: fingerprint must be 32 bytes")
+    out.append(struct.pack("<Q4Q", ck.iteration, *ck.rng_state))
     out.append(ck.fingerprint)
     write_atomic(path, b"".join(out))
 

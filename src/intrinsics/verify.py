@@ -239,25 +239,27 @@ def check_gradient(f, x: np.ndarray, h: float = 1e-3,
     return worst
 
 
-def check_all(checks, h):
-    """Run (label, f, x) gradient checks; fail once, naming every bad label."""
+def check_all(checks, h) -> list[str]:
+    """Run (label, f, x, coords) gradient checks at step ``h``, each on at
+    most ``coords`` coordinates (None: all); returns one line per label
+    whose error reaches GRAD_TOL."""
     failures = []
-    for label, f, x in checks:
-        err = check_gradient(f, x, h=h)
+    for label, f, x, coords in checks:
+        err = check_gradient(f, x, h=h, max_coords=coords)
         if err >= GRAD_TOL:
             failures.append(f"{label}: rel error {err:.2e} >= {GRAD_TOL}")
-    assert not failures, "; ".join(failures)
+    return failures
 
 
 # -- layer gradients -----------------------------------------------------------
-# Each probe is (label, f, x) for check_gradient: f(v) returns the linear
+# Each probe is (label, f, x, None) for check_all: f(v) returns the linear
 # probe <forward(v), dy> and the layer's backward applied to dy at x.
 # check_gradient reads the analytic gradient only from its first call, at x,
 # so the finite differences run forward passes alone.  Layers are looked up
 # on the module when the suite runs, so that a patched layer is the one checked.
 
 def _probe(label, x, dy, forward, grad):
-    return label, lambda v: (float((forward(v) * dy).sum()), grad), x
+    return label, lambda v: (float((forward(v) * dy).sum()), grad), x, None
 
 
 def conv_probes(rng, kind, n, spec, hw):
@@ -335,7 +337,8 @@ def _layer_probes():
 
 
 def _suite_layer_gradients():
-    check_all(_layer_probes(), LAYER_H)
+    failures = check_all(_layer_probes(), LAYER_H)
+    assert not failures, "; ".join(failures)
 
 
 # -- oracles and invariants ------------------------------------------------------
@@ -505,6 +508,7 @@ def _suite_loss_algebra():
 
 def _suite_loss_gradients():
     rng = Rng(17)
+    failures = []
     for shape in ((1, 3, 5, 5), (2, 3, 4, 4)):
         t, p = rng.normal(shape), rng.normal(shape)
         mask = _full_mask(shape)
@@ -513,13 +517,14 @@ def _suite_loss_gradients():
         sparse = (rng.uniform(holed.shape) > 0.2).astype(float)
         sparse[0, 0, 0, 0] = 1.0
         checks = [(f"sil2 gradient (lambda={lam}, {kind} mask, {shape})",
-                   lambda v, m=m, lam=lam: sil2_loss(t, v, m, lam), p)
+                   lambda v, m=m, lam=lam: sil2_loss(t, v, m, lam), p, None)
                   for lam in (0.0, 0.5, 1.0)
                   for kind, m in (("full", mask), ("holed", holed))]
         checks += [(f"gradient-loss gradient ({kind} mask, {shape})",
-                    lambda v, m=m: gradient_loss(t, v, m), p)
+                    lambda v, m=m: gradient_loss(t, v, m), p, None)
                    for kind, m in (("full", mask), ("sparse", sparse))]
-        check_all(checks, LAYER_H)
+        failures += check_all(checks, LAYER_H)
+    assert not failures, "; ".join(failures)
 
 
 def _suite_alpha_grid():
@@ -703,7 +708,8 @@ def whole_network_gradient(hc: bool, deconv: bool) -> list[str]:
     _, d_la, d_ls = loss(x)
     net.zero_grads()
     d_image = net.backward(d_la, d_ls)
-    checks = [("input", lambda v: (loss(v)[0], d_image), x, 8)]
+    tag = f"hc={hc} deconv={deconv}"
+    checks = [(f"{tag} input", lambda v: (loss(v)[0], d_image), x, 8)]
     for name, p in net.params.items():
         def f(v, p=p, grad=p.grad.copy()):
             saved = p.value
@@ -713,13 +719,8 @@ def whole_network_gradient(hc: bool, deconv: bool) -> list[str]:
             finally:
                 p.value = saved
 
-        checks.append((name, f, p.value.copy(), 4))
-    failures = []
-    for name, f, v, coords in checks:
-        err = check_gradient(f, v, h=NETWORK_H, max_coords=coords)
-        if err >= GRAD_TOL:
-            failures.append(f"hc={hc} deconv={deconv} {name}: {err:.2e}")
-    return failures
+        checks.append((f"{tag} {name}", f, p.value.copy(), 4))
+    return check_all(checks, NETWORK_H)
 
 
 def _suite_whole_network_gradient():

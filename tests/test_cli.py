@@ -152,6 +152,19 @@ class TestTrainCommand:
         assert "'s1.convl'" in capsys.readouterr().err
         assert not (out / "checkpoint_000001.ckpt").exists()
 
+    def test_test_manifest_sharing_a_scene_rejected_before_compute(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        manifest = write_dataset(tmp_path / "data", n=2)
+        test_manifest = write_dataset(tmp_path / "test", n=1, scenes=["scene1"])
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", manifest, out, max_iterations=1)
+        cfg.write_text(cfg.read_text().replace(
+            "[data]\n", f"[data]\ntest_manifest = {test_manifest}\n"))
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("loaded"))
+        assert run_cli("train", "--config", cfg) == 1
+        assert "scene-split: scene 'scene1' appears in both" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         manifest = write_dataset(tmp_path / "data")
         outs = []
@@ -320,6 +333,15 @@ class TestEvalCommand:
         report = json.loads(out.read_text())
         assert report["mit_total_lmse"] == 0.0
         assert "mit_total_lmse_note" in report
+
+    def test_manifest_without_samples_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "empty.tsv"
+        manifest.write_text("")
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--pred-dir", tmp_path, "--manifest", manifest,
+                       "--out", out) == 1
+        assert "eval: manifest has no samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_prediction_reported_nonzero_exit(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path / "data", n=2, h=32, w=32)

@@ -45,6 +45,16 @@ class TestPng:
         expected = np.rint(np.clip(img, 0.0, 1.0) * maxval) / maxval
         assert np.array_equal(read_png(path), expected)
 
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_float32_transposed_view_writes_the_float64_bytes(self, tmp_path, depth):
+        # decompose writes the (H, W, 3) float32 view of a (3, H, W) map
+        chw = (Rng(6).uniform((3, 37, 53)) * 1.2 - 0.1).astype(np.float32)
+        write_png(tmp_path / "view.png", chw.transpose(1, 2, 0), bit_depth=depth)
+        write_png(tmp_path / "copy.png",
+                  np.ascontiguousarray(chw.transpose(1, 2, 0), dtype=np.float64),
+                  bit_depth=depth)
+        assert (tmp_path / "view.png").read_bytes() == (tmp_path / "copy.png").read_bytes()
+
     def test_idat_uses_fastest_deflate(self, tmp_path):
         path = tmp_path / "t.png"
         write_png(path, Rng(5).uniform((37, 53, 3)))
@@ -78,18 +88,21 @@ class TestPng:
         with pytest.raises(ValueError, match="not a PNG"):
             read_png(path)
 
-    @pytest.mark.parametrize("case", ["mix", "average", "paeth", "1xN", "Nx1", "1x1"])
+    @pytest.mark.parametrize("case", ["mix", "row-by-row", "average", "paeth", "1xN",
+                                      "Nx1", "1x1"])
     @pytest.mark.parametrize("depth", [8, 16])
     @pytest.mark.parametrize("channels", [1, 3])
     def test_reads_all_filter_types(self, tmp_path, case, depth, channels):
         # bpp 1, 2, 3 and 6; every extent decodes once per filter mix in the case
-        h, w = {"mix": (9, 6), "average": (6, 5), "paeth": (6, 5),
+        h, w = {"mix": (9, 6), "row-by-row": (9, 6), "average": (6, 5), "paeth": (6, 5),
                 "1xN": (1, 7), "Nx1": (7, 1), "1x1": (1, 1)}[case]
         rng = Rng(2)
         samples = np.rint(rng.uniform((h, w, channels)) * ((1 << depth) - 1))
         every = [np.full(h, f) for f in range(5)]
         mix = np.concatenate([[3, 0, 4, 1, 2], (rng.uniform((h,)) * 5).astype(int)])
-        mixes = {"mix": [mix[:h]], "average": [every[3]], "paeth": [every[4]],
+        # row-by-row: None, Sub and Up only, which decode without the wavefront
+        mixes = {"mix": [mix[:h]], "row-by-row": [mix[:h] % 3],
+                 "average": [every[3]], "paeth": [every[4]],
                  "Nx1": [mix[:h]] + every}.get(case, every)
         color_type = 0 if channels == 1 else 2
         for ftypes in mixes:
@@ -251,6 +264,18 @@ class TestLoading:
         s = load_dataset(parse_manifest(tmp_path / "m.tsv"))[0]
         assert set(np.unique(s.mask)) <= {0.0, 1.0}
         assert 0 < s.mask.sum() < s.mask.size
+
+    def test_rgb_mask_valid_where_any_channel_is_nonzero(self, tmp_path):
+        line = self._write_triple(tmp_path)
+        rgb = np.zeros((8, 8, 3))
+        rgb[2, 3, 1] = rgb[5, 0] = 1.0
+        write_png(tmp_path / "s0_m.png", rgb, bit_depth=8)
+        fields = line.split("\t")
+        (tmp_path / "m.tsv").write_text("\t".join(fields[:4] + ["s0_m.png", fields[4]]) + "\n")
+        s = load_dataset(parse_manifest(tmp_path / "m.tsv"))[0]
+        expected = np.zeros((1, 1, 8, 8))
+        expected[0, 0, 2, 3] = expected[0, 0, 5, 0] = 1.0
+        assert np.array_equal(s.mask, expected)
 
     def test_extent_mismatch_names_sample(self, tmp_path):
         line = self._write_triple(tmp_path, sid="bad", shading_extents=(4, 8))

@@ -166,6 +166,34 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, _ = self._roundtrip(tmp_path, build_network(tiny_cfg(), Rng(3)))
+        path.write_bytes(path.read_bytes() + b"\x00\x00")
+        with pytest.raises(ValueError, match="2 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("words", [3, 5])
+    def test_rng_state_of_other_than_four_words_rejected(self, tmp_path, words):
+        ck = Checkpoint.from_network(build_network(tiny_cfg(), Rng(3)), 1,
+                                     tuple(range(words)), b"\x07" * 32)
+        with pytest.raises(ValueError, match="rng_state must be 4 words"):
+            save_checkpoint(ck, tmp_path / "ck.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tensor_the_network_lacks_named(self):
+        net = build_network(tiny_cfg(), Rng(4))
+        ck = Checkpoint.from_network(net, 0, (0, 0, 0, 0), b"\x00" * 32)
+        ck.params.append(("s3.conv1.weight", np.zeros((1, 1, 1, 1), np.float32)))
+        with pytest.raises(ValueError, match=r"'s3\.conv1\.weight' not in network"):
+            ck.apply_params(net)
+
+    def test_tensor_the_checkpoint_lacks_named(self):
+        net = build_network(tiny_cfg(), Rng(4))
+        ck = Checkpoint.from_network(net, 0, (0, 0, 0, 0), b"\x00" * 32)
+        ck.momentum = [(n, a) for n, a in ck.momentum if n != "s2.conv3.bias"]
+        with pytest.raises(ValueError, match=r"missing tensor 's2\.conv3\.bias'"):
+            ck.apply_momentum(net)
+
     def test_shape_mismatch_names_tensor(self, tmp_path):
         net = build_network(tiny_cfg(), Rng(4))
         path, back = self._roundtrip(tmp_path, net)
@@ -227,6 +255,13 @@ class TestTrainLoop:
         net = build_network(tiny_cfg(), Rng(7))
         with pytest.raises(ValueError, match="empty"):
             train_loop(net, [], small_train_cfg())
+
+    def test_non_finite_loss_names_the_batch(self):
+        net = build_network(tiny_cfg(), Rng(9))
+        net.params["s1.conv1.bias"].value[0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite loss at iteration 0 "
+                                             r"\(batch samples: synthetic-\d, synthetic-\d\)"):
+            train_loop(net, fixture_samples(), small_train_cfg())
 
     def test_loss_finite_everywhere(self):
         net = build_network(tiny_cfg(), Rng(9))
