@@ -20,9 +20,10 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import (SPLIT_MODES, AugmentConfig, ensure_disjoint_split,
-                   generate_mit_shading, load_dataset, load_sample,
-                   load_targets, parse_manifest, resynthesize, to_nchw)
+# load_sample is not called here, but the benchmark's tracer wraps cli.load_sample
+from .data import (SPLIT_MODES, AugmentConfig, ensure_disjoint_split, generate_mit_shading,
+                   load_dataset, load_mask, load_sample, load_targets, parse_manifest,
+                   read_entry_png, resynthesize, to_nchw)
 from .losses import LossConfig
 from .metrics import PredictionRecord, evaluate_report
 from .network import NetworkConfig, build_network
@@ -188,7 +189,8 @@ def cmd_eval(args) -> int:
         if not errors:
             raise
         report = {"per_sample": [], "errors": []}  # no sample could be read
-    report["errors"] = errors + report["errors"]
+    order = {entry.id: i for i, entry in enumerate(manifest.entries)}
+    report["errors"] = sorted(errors + report["errors"], key=lambda e: order[e["id"]])
     write_atomic(args.out, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     if args.verbose and "mean" in report:
         m = report["mean"]
@@ -211,11 +213,11 @@ def cmd_synth(args) -> int:
     lines = []
     for entry in manifest.entries:
         sid = entry.id
-        if args.mode == "gen-mit-shading":
-            sample = load_sample(entry, manifest.base_dir)
-            image, albedo = sample.image, sample.albedo
+        if args.mode == "gen-mit-shading":  # never reads the shading it replaces
+            image, albedo = (to_nchw(read_entry_png(entry, manifest.base_dir, p))
+                             for p in (entry.image_path, entry.albedo_path))
             shading, alpha, valid = generate_mit_shading(image, albedo)
-            mask = sample.mask * valid
+            mask = load_mask(entry, manifest.base_dir, albedo.shape[2:]) * valid
             if args.verbose:
                 print(f"{sid}: alpha={alpha:.6f} "
                       f"valid={float(valid.mean()):.4f}")

@@ -121,7 +121,8 @@ def to_nchw(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
 
 
-def _read(entry: ManifestEntry, base_dir: str, path: str) -> np.ndarray:
+def read_entry_png(entry: ManifestEntry, base_dir: str, path: str) -> np.ndarray:
+    """Read one of ``entry``'s PNGs; a file that cannot be opened names the sample."""
     full = os.path.join(base_dir, path)
     try:
         return read_png(full)
@@ -129,26 +130,30 @@ def _read(entry: ManifestEntry, base_dir: str, path: str) -> np.ndarray:
         raise ValueError(f"sample {entry.id}: cannot read {full}: {e}") from e
 
 
+def load_mask(entry: ManifestEntry, base_dir: str, extents: tuple) -> np.ndarray:
+    """(1,1,H,W) validity mask of one entry whose maps are ``extents``: the
+    pixels nonzero in any channel of its mask file, or all ones without one."""
+    if entry.mask_path is None:
+        return np.ones((1, 1, *extents))
+    m = np.atleast_3d(read_entry_png(entry, base_dir, entry.mask_path)).max(axis=2)
+    if m.shape != extents:
+        raise ValueError(f"sample {entry.id}: mask extents {m.shape} "
+                         f"differ from albedo {extents}")
+    return (m > 0).astype(np.float64)[None, None]
+
+
 def load_targets(entry: ManifestEntry, base_dir: str):
     """(albedo, shading, mask) of one entry, without decoding its image."""
-    albedo = to_nchw(_read(entry, base_dir, entry.albedo_path))
-    shading = to_nchw(_read(entry, base_dir, entry.shading_path))
-    if entry.mask_path is not None:
-        m = _read(entry, base_dir, entry.mask_path)
-        if m.ndim == 3:
-            m = m.mean(axis=2)
-        mask = (m > 0).astype(np.float64)[None, None]
-    else:
-        mask = np.ones((1, 1, *albedo.shape[2:]))
-    for name, t in (("shading", shading), ("mask", mask)):
-        if t.shape[2:] != albedo.shape[2:]:
-            raise ValueError(f"sample {entry.id}: {name} extents {t.shape[2:]} "
-                             f"differ from albedo {albedo.shape[2:]}")
-    return albedo, shading, mask
+    albedo = to_nchw(read_entry_png(entry, base_dir, entry.albedo_path))
+    shading = to_nchw(read_entry_png(entry, base_dir, entry.shading_path))
+    if shading.shape[2:] != albedo.shape[2:]:
+        raise ValueError(f"sample {entry.id}: shading extents {shading.shape[2:]} "
+                         f"differ from albedo {albedo.shape[2:]}")
+    return albedo, shading, load_mask(entry, base_dir, albedo.shape[2:])
 
 
 def load_sample(entry: ManifestEntry, base_dir: str) -> Sample:
-    image = to_nchw(_read(entry, base_dir, entry.image_path))
+    image = to_nchw(read_entry_png(entry, base_dir, entry.image_path))
     return Sample(entry.id, image, *load_targets(entry, base_dir))
 
 

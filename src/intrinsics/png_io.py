@@ -16,13 +16,16 @@ need each byte's left neighbour first, so a file with any such row is
 unfiltered as one anti-diagonal wavefront over the whole image:
 h + w - 1 numpy steps, rows of every filter type in the same loop.  The
 reader checks every chunk's CRC and rejects a malformed IHDR, zero
-extents, image data that does not inflate, and nonzero compression or
-filter methods.  Palette, alpha, and interlaced images are out of scope
+extents, nonzero compression, filter or interlace methods, and image
+data that is not one zlib stream of the size the header gives; it
+inflates at most one byte more, so a small file that would inflate to
+gigabytes holds none of them.  Palette and alpha images are out of scope
 and rejected with a clear message.
 
 ``write_atomic`` is the one way the package writes an output file: PNGs,
 checkpoints, eval reports, loss traces and synth manifests all go through
-it, so no crash leaves a truncated file at an output path.
+it, so no crash leaves a truncated file at an output path.  ``ByteReader``
+is the one way the package parses a file, PNG or checkpoint.
 """
 
 from __future__ import annotations
@@ -48,6 +51,23 @@ def write_atomic(path, data: bytes) -> None:
     finally:
         if os.path.exists(tmp):  # the write or the rename failed
             os.remove(tmp)
+
+
+class ByteReader:
+    """Cursor over a file's bytes: ``take`` returns a view of the next n, and
+    a read past the end raises ``ValueError(truncated)``, naming the file."""
+
+    def __init__(self, blob: bytes, truncated: str):
+        self.view, self.pos, self.truncated = memoryview(blob), 0, truncated
+
+    def take(self, n: int) -> memoryview:
+        if n > len(self.view) - self.pos:
+            raise ValueError(self.truncated)
+        self.pos += n
+        return self.view[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def _chunk(kind: bytes, data: bytes) -> bytes:
@@ -142,25 +162,18 @@ def _unfilter_wavefront(lines: np.ndarray, ftypes: np.ndarray, bpp: int) -> np.n
 def read_png(path) -> np.ndarray:
     """Read a PNG into float64 in [0, 1]; (H, W) for grayscale, (H, W, 3) for RGB."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != _SIGNATURE:
+        r = ByteReader(f.read(), f"read_png: {path} is truncated")
+    if r.view[:8] != _SIGNATURE:
         raise ValueError(f"read_png: {path} is not a PNG file")
-    pos = 8
-    ihdr = None
-    idat = []
-    while pos < len(blob):
-        if pos + 8 > len(blob):
-            raise ValueError(f"read_png: {path} is truncated")
-        (length,) = struct.unpack(">I", blob[pos:pos + 4])
-        kind = blob[pos + 4:pos + 8]
-        data = blob[pos + 8:pos + 8 + length]
-        crc = blob[pos + 8 + length:pos + 12 + length]
-        if len(data) != length or len(crc) != 4:
-            raise ValueError(f"read_png: {path} is truncated")
-        if struct.unpack(">I", crc)[0] != zlib.crc32(data, zlib.crc32(kind)):
+    r.pos = 8
+    ihdr, idat = None, []
+    while r.pos < len(r.view):
+        length, kind = r.unpack(">I4s")
+        data = r.take(length)
+        (crc,) = r.unpack(">I")
+        if crc != zlib.crc32(data, zlib.crc32(kind)):
             raise ValueError(f"read_png: {path}: CRC mismatch in "
                              f"{kind.decode('latin-1')} chunk")
-        pos += 12 + length
         if kind == b"IHDR":
             if length != 13:
                 raise ValueError(f"read_png: {path}: IHDR chunk is {length} bytes, "
@@ -175,14 +188,10 @@ def read_png(path) -> np.ndarray:
     w, h, depth, color_type, compression, filter_method, interlace = ihdr
     if w == 0 or h == 0:
         raise ValueError(f"read_png: {path}: zero image extent {w}x{h}")
-    if compression:
-        raise ValueError(f"read_png: {path}: compression method {compression} "
-                         "not supported")
-    if filter_method:
-        raise ValueError(f"read_png: {path}: filter method {filter_method} "
-                         "not supported")
-    if interlace:
-        raise ValueError(f"read_png: {path}: interlaced PNG not supported")
+    for method, value in (("compression", compression), ("filter", filter_method),
+                          ("interlace", interlace)):
+        if value:
+            raise ValueError(f"read_png: {path}: {method} method {value} not supported")
     if color_type not in (0, 2):
         raise ValueError(f"read_png: {path}: color type {color_type} not supported "
                          "(grayscale and RGB only)")
@@ -191,13 +200,16 @@ def read_png(path) -> np.ndarray:
     channels = 1 if color_type == 0 else 3
     stride = w * channels * (depth // 8)
     bpp = channels * (depth // 8)
+    size = h * (stride + 1)
+    inflate = zlib.decompressobj()
     try:
-        raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
+        raw = inflate.decompress(b"".join(idat), size + 1)
     except zlib.error as e:
         raise ValueError(f"read_png: {path}: corrupt image data ({e})") from e
-    if raw.size != h * (stride + 1):
-        raise ValueError(f"read_png: {path}: decompressed size mismatch")
-    pixels = _unfilter(raw, h, stride, bpp)
+    if len(raw) != size or not inflate.eof:
+        raise ValueError(f"read_png: {path}: corrupt image data (not one zlib "
+                         f"stream of {size} bytes)")
+    pixels = _unfilter(np.frombuffer(raw, dtype=np.uint8), h, stride, bpp)
     samples = pixels.view(f">u{depth // 8}").reshape(h, w, channels)
     arr = np.divide(samples, (1 << depth) - 1, dtype=np.float64)
     return arr[:, :, 0] if channels == 1 else arr

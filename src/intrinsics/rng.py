@@ -91,14 +91,15 @@ class Rng:
         return u.reshape(shape) if shape else float(u[0])
 
     def normal(self, shape=()) -> np.ndarray:
-        """Standard normal draws via Box-Muller (two uniforms per value)."""
+        """Standard normal draws via Box-Muller, worked in place on one block
+        of 2n uniforms: the radii from the first n, the angles from the rest."""
         n = int(np.prod(shape)) if shape else 1
-        raw = self._raw(2 * n)
-        u1 = (raw[:n] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        u2 = (raw[n:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        # guard u1 = 0 so log stays finite
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))
-        z = r * np.cos(2.0 * np.pi * u2)
+        u = self.uniform((2, n))
+        z, angle = u
+        np.log(np.subtract(1.0, z, out=z), out=z)  # 1 - u > 0 keeps log finite
+        np.sqrt(np.multiply(z, -2.0, out=z), out=z)
+        z *= np.cos(np.multiply(angle, 2.0 * np.pi, out=angle), out=angle)
+        z = z.copy()  # the result does not keep the angles' half alive
         return z.reshape(shape) if shape else float(z[0])
 
     def integers(self, low: int, high: int) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from .data import AugmentConfig, Sample, augment
 from .losses import LossConfig, log_guarded, total_loss
 from .network import Network, NetworkConfig, Param, network_from_shapes
-from .png_io import write_atomic
+from .png_io import ByteReader, write_atomic
 from .rng import Rng, derive_seed
 
 CHECKPOINT_MAGIC = b"DINT"
@@ -157,41 +157,24 @@ def _write_tensor_section(out: list, tensors) -> None:
     out.append(struct.pack("<I", len(tensors)))
     for name, arr in tensors:
         encoded = name.encode("utf-8")
-        out.append(struct.pack("<H", len(encoded)))
-        out.append(encoded)
-        out.append(struct.pack("<B", arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(np.ascontiguousarray(arr, dtype="<f4"))  # no copy at float32
+        out += [struct.pack("<H", len(encoded)), encoded,
+                struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                np.ascontiguousarray(arr, dtype="<f4")]  # no copy at float32
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise ValueError(f"checkpoint {self.path}: truncated")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _read_tensor_section(r: _Reader) -> list:
+def _read_tensor_section(r: ByteReader, where: str) -> list:
     (count,) = r.unpack("<I")
     tensors = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.take(name_len).tobytes().decode("utf-8")
         (rank,) = r.unpack("<B")
         dims = r.unpack(f"<{rank}I")
-        size = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(dims)
-        tensors.append((name, arr.astype(np.float32)))
+        # math.prod is exact, so an oversized tensor reads past the end
+        arr = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{where} tensor {name!r} holds NaN or inf")
+        tensors.append((name, arr))
     return tensors
 
 
@@ -205,33 +188,27 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     out = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
     _write_tensor_section(out, ck.params)
     _write_tensor_section(out, ck.momentum)
-    out.append(struct.pack("<Q4Q", ck.iteration, *ck.rng_state))
-    out.append(ck.fingerprint)
+    out += [struct.pack("<Q4Q", ck.iteration, *ck.rng_state), ck.fingerprint]
     write_atomic(path, b"".join(out))
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint.  Its tensors are read-only float32 views of the
+    file's one buffer, which installing them into a network copies."""
     with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob, path)
+        r = ByteReader(f.read(), f"checkpoint {path}: truncated")
     if r.take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"checkpoint {path}: bad magic (not a checkpoint file)")
     (version,) = r.unpack("<H")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported version {version}")
-    params = _read_tensor_section(r)
-    momentum = _read_tensor_section(r)
-    (iteration,) = r.unpack("<Q")
-    rng_state = r.unpack("<4Q")
-    fingerprint = r.take(32)
-    if r.pos != len(blob):
-        raise ValueError(f"checkpoint {path}: {len(blob) - r.pos} trailing bytes")
-    for section, tensors in (("params", params), ("momentum", momentum)):
-        for name, arr in tensors:
-            if not np.isfinite(arr).all():
-                raise ValueError(f"checkpoint {path}: {section} tensor {name!r} "
-                                 "holds NaN or inf")
-    return Checkpoint(iteration, params, momentum, rng_state, fingerprint)
+    params = _read_tensor_section(r, f"checkpoint {path}: params")
+    momentum = _read_tensor_section(r, f"checkpoint {path}: momentum")
+    iteration, *rng_state = r.unpack("<Q4Q")
+    fingerprint = r.take(32).tobytes()
+    if r.pos != len(r.view):
+        raise ValueError(f"checkpoint {path}: {len(r.view) - r.pos} trailing bytes")
+    return Checkpoint(iteration, params, momentum, tuple(rng_state), fingerprint)
 
 
 def network_from_checkpoint(ck: Checkpoint) -> Network:

@@ -388,6 +388,28 @@ class TestEvalCommand:
         assert report["per_sample"] == []
         assert [e["id"] for e in report["errors"]] == ["s0", "s1"]
 
+    def test_errors_listed_in_manifest_order(self, tmp_path):
+        """A scoring failure (s0's mask has no valid pixel) and a read failure
+        (s1's prediction is missing) are listed in the manifest's order."""
+        manifest = write_dataset(tmp_path / "data", n=2, h=32, w=32)
+        write_png(tmp_path / "data" / "s0_m.png", np.zeros((32, 32)), bit_depth=8)
+        lines = manifest.read_text().splitlines()
+        s0 = lines[0].split("\t")
+        lines[0] = "\t".join(s0[:4] + ["s0_m.png"] + s0[4:])
+        manifest.write_text("\n".join(lines) + "\n")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for kind, name in (("a", "albedo"), ("s", "shading")):
+            write_png(pred / f"s0_{name}.png",
+                      read_png(tmp_path / "data" / f"s0_{kind}.png"), bit_depth=16)
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--pred-dir", pred,
+                       "--manifest", manifest, "--out", out) == 1
+        report = json.loads(out.read_text())
+        assert report["per_sample"] == []
+        assert [e["id"] for e in report["errors"]] == ["s0", "s1"]
+        assert "missing" in report["errors"][1]["error"]
+
     def test_reads_ground_truth_only_one_sample_at_a_time(self, tmp_path, monkeypatch):
         """eval decodes no input image, and scores each sample before it
         reads the next: its traced peak grows from 2 to 8 samples by less
@@ -447,6 +469,24 @@ class TestSynthCommand:
             got = read_png(out / f"s{i}_shading.png")  # single channel
             # the fixture factorizes exactly, so recovery is quantization-limited
             assert np.max(np.abs(got - want)) < 4.0 / 65535.0
+
+    def test_gen_mit_shading_reads_no_shading_file(self, tmp_path, monkeypatch):
+        """The shading files are what gen-mit-shading regenerates: it writes
+        the same bytes whether they exist or not, and never reads them."""
+        manifest = write_dataset(tmp_path / "data", n=2, h=16, w=16)
+        outputs = []
+        for out in (tmp_path / "with", tmp_path / "without"):
+            reads = []
+            monkeypatch.setattr(data, "read_png", lambda p, orig=data.read_png:
+                                reads.append(Path(p).name) or orig(p))
+            assert run_cli("synth", "--mode", "gen-mit-shading",
+                           "--manifest", manifest, "--out-dir", out) == 0
+            monkeypatch.undo()
+            assert reads == ["s0_i.png", "s0_a.png", "s1_i.png", "s1_a.png"]
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+            for i in range(2):
+                (tmp_path / "data" / f"s{i}_s.png").unlink(missing_ok=True)
+        assert len(outputs[0]) == 9 and outputs[0] == outputs[1]
 
     def test_empty_manifest_noop_exit_zero(self, tmp_path, capsys):
         mpath = tmp_path / "empty.tsv"

@@ -1,4 +1,6 @@
+import functools
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -132,7 +134,7 @@ class TestPng:
             read_png(path)
         assert str(path) in str(err.value) and "CRC mismatch in IHDR" in str(err.value)
 
-    @pytest.mark.parametrize("method", ["compression", "filter"])
+    @pytest.mark.parametrize("method", ["compression", "filter", "interlace"])
     def test_nonzero_ihdr_method_rejected(self, tmp_path, method):
         scanlines = filter_scanlines(np.zeros((4, 3, 1)), 8, np.zeros(4, int))
         path = tmp_path / "bad_method.png"
@@ -141,10 +143,24 @@ class TestPng:
             read_png(path)
         assert str(path) in str(err.value) and f"{method} method 1" in str(err.value)
 
-    @pytest.mark.parametrize("case", ["short_ihdr", "zero_width", "zero_height", "not_zlib"])
+    @pytest.mark.parametrize("case", ["short_ihdr", "zero_width", "zero_height", "not_zlib",
+                                      "cut_in_length_and_type", "cut_in_data",
+                                      "cut_in_crc", "zlib_without_checksum", "bomb"])
     def test_malformed_file_rejected(self, tmp_path, case):
+        """Each is rejected with one line naming the file, holding no more
+        than a few MB: the bomb is a 1x1 file whose 261 KB of image data
+        inflate to 256 MB."""
         good = png_bytes(np.zeros((2, 3), np.uint8), 2, 2, 8, 0)  # IHDR data at [16:29]
+        idat_end = 33 + 12 + int.from_bytes(good[33:37], "big")  # IDAT at [33:idat_end]
         blob, cause = {
+            "cut_in_length_and_type": (good[:33 + 6], "is truncated"),
+            "cut_in_data": (good[:33 + 10], "is truncated"),
+            "cut_in_crc": (good[:idat_end - 2], "is truncated"),
+            "zlib_without_checksum": (good[:33] + _chunk(b"IDAT", zlib.compress(bytes(6))[:-4])
+                                      + _chunk(b"IEND", b""), "corrupt image data"),
+            "bomb": (png_bytes(np.zeros((1, 2), np.uint8), 1, 1, 8, 0)[:33]
+                     + _chunk(b"IDAT", _zeros_deflated(256 << 20)) + _chunk(b"IEND", b""),
+                     "corrupt image data (not one zlib stream of 2 bytes)"),
             "short_ihdr": (_SIGNATURE + _chunk(b"IHDR", good[16:28]) + good[33:],
                            "IHDR chunk is 12 bytes"),
             "zero_width": (png_bytes(np.zeros((2, 1), np.uint8), 0, 2, 8, 0),
@@ -156,10 +172,24 @@ class TestPng:
         }[case]
         path = tmp_path / "malformed.png"
         path.write_bytes(blob)
-        with pytest.raises(ValueError) as err:
-            read_png(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                read_png(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         msg = str(err.value)
         assert str(path) in msg and cause in msg and "\n" not in msg
+        assert peak < 8e6, peak
+
+
+@functools.cache
+def _zeros_deflated(n):
+    """A zlib stream of n zero bytes, deflated without holding them."""
+    deflate = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    return b"".join([deflate.compress(block) for _ in range(n >> 20)] + [deflate.flush()])
 
 
 def filter_scanlines(samples, depth, ftypes):
@@ -183,9 +213,10 @@ def filter_scanlines(samples, depth, ftypes):
     return np.concatenate([np.asarray(ftypes)[:, None], filtered], axis=1).astype(np.uint8)
 
 
-def png_bytes(scanlines, w, h, depth, color_type, compression_method=0, filter_method=0):
+def png_bytes(scanlines, w, h, depth, color_type, compression_method=0, filter_method=0,
+              interlace_method=0):
     ihdr = struct.pack(">IIBBBBB", w, h, depth, color_type, compression_method,
-                       filter_method, 0)
+                       filter_method, interlace_method)
     return (_SIGNATURE + _chunk(b"IHDR", ihdr)
             + _chunk(b"IDAT", zlib.compress(scanlines.tobytes()))
             + _chunk(b"IEND", b""))

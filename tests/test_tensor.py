@@ -3,6 +3,8 @@
 The file keeps the name it had when it also tested ``tensor.py``, so the
 ids of these tests stay as they were.
 """
+import tracemalloc
+
 import numpy as np
 
 from intrinsics.rng import Rng, derive_seed
@@ -28,6 +30,26 @@ class TestRng:
         z = Rng(8).normal((100000,))
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
+
+    def test_normal_is_box_muller_of_two_uniform_blocks(self):
+        for shape in [(), (7,), (2, 3, 5)]:
+            r, twin = Rng(5, 17), Rng(5, 17)
+            u1, u2 = twin.uniform((2, int(np.prod(shape))))
+            want = np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+            got = r.normal(shape)
+            assert np.array_equal(np.reshape(got, -1), want) and np.shape(got) == shape
+            assert r.counter == twin.counter
+
+    def test_normal_peaks_at_four_times_its_result(self):
+        """The peak is uniform's, two buffers of 2n draws: keeping the raw
+        draws, both uniforms, the radii and the cosines at once took 7x."""
+        tracemalloc.start()
+        try:
+            z = Rng(5, 17).normal((1, 3, 218, 512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.2 * z.nbytes, peak / z.nbytes
 
     def test_state_roundtrip(self):
         r = Rng(9)

@@ -11,6 +11,10 @@ input and ``eval``'s predictions) and ``intrinsics.data.read_png`` (the
 ground truth), writes at ``intrinsics.cli.write_png``.  A codec refactor
 that rebinds either name would turn the benchmark's read or write metrics
 into 0; the second test catches that.
+
+The benchmark's generator (perfbench/gen.py) writes the run configs of the
+training workloads.  The third test parses them, so removing a config key
+the generator still writes fails here rather than in the benchmark.
 """
 
 import importlib.util
@@ -21,11 +25,12 @@ import pytest
 import intrinsics.cli as cli
 from conftest import write_config, write_dataset
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,7 +40,7 @@ def load_spans():
 def test_tracer_sees_every_layer_of_a_training_run(tmp_path, deconv):
     """A bilinear-head run has no deconv layer; its predictors' convs, each
     with its x4 upsample in the same step, still file under their names."""
-    spans = load_spans()
+    spans = load_perfbench("spans")
     manifest = write_dataset(tmp_path / "data")
     cfg = write_config(tmp_path / "run.cfg", manifest, tmp_path / "out",
                        max_iterations=2, dropout=0.5, use_deconv_head=deconv)
@@ -57,7 +62,7 @@ def test_tracer_sees_every_layer_of_a_training_run(tmp_path, deconv):
 
 
 def test_tracer_sees_png_reads_and_writes_of_decompose_and_eval(tmp_path):
-    spans = load_spans()
+    spans = load_perfbench("spans")
     manifest = write_dataset(tmp_path / "data", n=2)
     cfg = write_config(tmp_path / "run.cfg", manifest, tmp_path / "out",
                        max_iterations=1)
@@ -89,3 +94,16 @@ def test_tracer_sees_png_reads_and_writes_of_decompose_and_eval(tmp_path):
     writes = [i for i, s in enumerate(tracer.spans) if s[spans.NAME] == "png_io.write_png"]
     assert len(writes) == 4
     assert all(tracer.attrs[i]["bytes"] == 32 * 32 * 3 * 2 for i in writes)
+
+
+@pytest.mark.parametrize("workload", ["train-full", "train-tiny"])
+def test_generated_train_config_parses(tmp_path, monkeypatch, workload):
+    gen = load_perfbench("gen")
+    manifest = str(tmp_path / "manifest.tsv")
+    # the config is all this test reads: write no samples
+    monkeypatch.setattr(gen, "_write_samples", lambda *args: manifest)
+    plan = gen.generate(workload, 1, str(tmp_path))
+    run = cli.load_run_config(plan["config"])
+    assert run.train_manifest == manifest
+    assert (run.train.batch_size, run.train.max_iterations) == (plan["batch"],
+                                                                plan["iterations"])

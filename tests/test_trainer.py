@@ -1,5 +1,7 @@
 import builtins
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -156,6 +158,33 @@ class TestCheckpointIO:
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_tensor_larger_than_the_file_is_truncated(self, tmp_path):
+        """(65536,)*4 float32s are 2**66 bytes, a size an int64 product wraps."""
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"DINT" + struct.pack("<HIH", 1, 1, 1) + b"w"
+                         + struct.pack("<B4I", 4, *[65536] * 4))
+        with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: "
+                                             "truncated$"):
+            load_checkpoint(path)
+
+    def test_tensors_are_views_of_one_file_buffer(self, tmp_path):
+        net = build_network(tiny_cfg(), Rng(3))
+        saved = Checkpoint.from_network(net, 12, (3, 4, 0, 0), b"\x07" * 32)
+        path, back = self._roundtrip(tmp_path, net)
+        buffers = set()
+        for _, arr in back.params + back.momentum:
+            assert not arr.flags.writeable
+            while isinstance(arr, np.ndarray):
+                arr = arr.base
+            buffers.add(id(arr.obj))  # the memoryview's bytes
+        assert len(buffers) == 1
+        other = build_network(tiny_cfg(), Rng(4))
+        back.apply_params(other)
+        for (name, want), (_, view) in zip(saved.params, back.params):
+            p = other.params[name]
+            assert p.value.flags.writeable and not np.shares_memory(p.value, view)
+            assert np.array_equal(p.value, want), name
 
     def test_wrong_version_rejected(self, tmp_path):
         net = build_network(tiny_cfg(), Rng(3))
