@@ -11,8 +11,8 @@ import json
 
 import numpy as np
 
-from intrinsics import (PredictionRecord, Rng, dssim, evaluate_report, lmse,
-                        make_synthetic_sample, si_mse)
+from intrinsics import (Rng, dssim, evaluate_report, lmse, make_synthetic_sample,
+                        si_mse)
 
 rng = Rng(0)
 sample = make_synthetic_sample(0, h=40, w=40)
@@ -47,12 +47,14 @@ wrong_right = np.where(left > 0, sample.albedo, noisy)
 print(f"  noise on masked pixels only: {dssim(sample.albedo, wrong_right, left):.4f}")
 
 print("\n== the aggregate report ==")
-records = []
+# the report loads each sample by id as it scores it: ground truth,
+# prediction and mask
+samples = {}
 for i in range(3):
     s = make_synthetic_sample(10 + i, h=40, w=40)
     ap = np.clip(s.albedo + 0.03 * rng.normal(s.albedo.shape), 0, 1)
     sp = np.clip(s.shading + 0.03 * rng.normal(s.shading.shape), 0, 1)
-    records.append(PredictionRecord(s.id, s.albedo, s.shading, ap, sp, s.mask))
-report = evaluate_report(records, include_mit_total=True)
+    samples[s.id] = (s.albedo, s.shading, ap, sp, s.mask)
+report = evaluate_report(samples, samples.get, include_mit_total=True)
 print(json.dumps({"mean": report["mean"], "avg": report["avg"],
                   "mit_total_lmse": report["mit_total_lmse"]}, indent=2))

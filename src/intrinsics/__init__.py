@@ -20,8 +20,8 @@ from .data import (AugmentConfig, Manifest, ManifestEntry, Sample, augment,
 from .layers import ConvSpec
 from .losses import (LossConfig, gradient_loss, log_guarded, sil2_loss,
                      total_loss)
-from .metrics import (PredictionRecord, dssim, evaluate_report, fit_alpha,
-                      lmse, lmse_window_sums, mit_total_lmse, si_mse, ssim_map)
+from .metrics import (dssim, evaluate_report, fit_alpha, lmse, lmse_window_sums,
+                      mit_total_lmse, si_mse, ssim_map)
 from .network import Network, NetworkConfig, build_network
 from .png_io import read_png, write_png
 from .rng import Rng, derive_seed
@@ -34,9 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentConfig", "Checkpoint", "ConvSpec", "LossConfig", "Manifest",
-    "ManifestEntry", "Network", "NetworkConfig", "PredictionRecord", "Rng",
-    "Sample", "TrainConfig", "augment", "build_network", "check_gradient",
-    "decompose_image", "derive_seed", "dssim", "ensure_disjoint_split",
+    "ManifestEntry", "Network", "NetworkConfig", "Rng", "Sample", "TrainConfig",
+    "augment", "build_network", "check_gradient", "decompose_image", "derive_seed", "dssim", "ensure_disjoint_split",
     "evaluate_report", "fit_alpha", "generate_mit_shading", "gradient_loss",
     "lmse", "lmse_window_sums", "load_checkpoint", "load_dataset",
     "load_sample", "log_guarded", "make_synthetic_sample", "mit_total_lmse",

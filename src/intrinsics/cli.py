@@ -25,7 +25,7 @@ from .data import (SPLIT_MODES, AugmentConfig, ensure_disjoint_split, generate_m
                    load_dataset, load_mask, load_sample, load_targets, parse_manifest,
                    read_entry_png, resynthesize, to_nchw)
 from .losses import LossConfig
-from .metrics import PredictionRecord, evaluate_report
+from .metrics import evaluate_report
 from .network import NetworkConfig, build_network
 from .png_io import read_png, write_atomic, write_png
 from .rng import Rng, derive_seed
@@ -164,33 +164,17 @@ def cmd_eval(args) -> int:
     manifest = parse_manifest(args.manifest)
     if not manifest.entries:
         raise ValueError("eval: manifest has no samples")
-    errors = []
+    entries = {entry.id: entry for entry in manifest.entries}  # ids are unique
 
-    # one sample's maps at a time: each record is read as the report scores
-    # it, and a sample whose files are missing or unreadable goes to errors
-    def records():
-        for entry in manifest.entries:
-            pa = os.path.join(args.pred_dir, f"{entry.id}_albedo.png")
-            ps = os.path.join(args.pred_dir, f"{entry.id}_shading.png")
-            try:
-                if not (os.path.exists(pa) and os.path.exists(ps)):
-                    raise ValueError(f"missing prediction files {pa} / {ps}")
-                albedo, shading, mask = load_targets(entry, manifest.base_dir)
-                rec = PredictionRecord(entry.id, albedo, shading, to_nchw(read_png(pa)),
-                                       to_nchw(read_png(ps)), mask)
-            except (OSError, ValueError) as e:
-                errors.append({"id": entry.id, "error": str(e)})
-                continue
-            yield rec
+    def load(sid):
+        pa = os.path.join(args.pred_dir, f"{sid}_albedo.png")
+        ps = os.path.join(args.pred_dir, f"{sid}_shading.png")
+        if not (os.path.exists(pa) and os.path.exists(ps)):
+            raise ValueError(f"missing prediction files {pa} / {ps}")
+        albedo, shading, mask = load_targets(entries[sid], manifest.base_dir)
+        return albedo, shading, to_nchw(read_png(pa)), to_nchw(read_png(ps)), mask
 
-    try:
-        report = evaluate_report(records(), include_mit_total=args.mit_total)
-    except ValueError:
-        if not errors:
-            raise
-        report = {"per_sample": [], "errors": []}  # no sample could be read
-    order = {entry.id: i for i, entry in enumerate(manifest.entries)}
-    report["errors"] = sorted(errors + report["errors"], key=lambda e: order[e["id"]])
+    report = evaluate_report(entries, load, include_mit_total=args.mit_total)
     write_atomic(args.out, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     if args.verbose and "mean" in report:
         m = report["mean"]

@@ -239,6 +239,12 @@ class AugmentConfig:
         if not 0.0 <= self.mirror_prob <= 1.0:
             raise ValueError("AugmentConfig: mirror_prob outside [0, 1]")
 
+    def check_crop(self, sample_id: str, h: int, w: int) -> None:
+        """Reject (post-zoom) extents h x w that the crop does not fit."""
+        if h < self.crop_h or w < self.crop_w:
+            raise ValueError(f"sample {sample_id}: crop {self.crop_h}x{self.crop_w} "
+                             f"impossible from post-zoom extents {h}x{w}")
+
 
 def _bilinear_gather(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
     """Sample (1,C,H,W) at real coordinates; callers handle out-of-bounds."""
@@ -278,10 +284,7 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
         zoom, angle = 1.0, 0.0
     zh = max(1, int(round(zoom * h)))
     zw = max(1, int(round(zoom * w)))
-    if zh < cfg.crop_h or zw < cfg.crop_w:
-        raise ValueError(
-            f"sample {sample.id}: crop {cfg.crop_h}x{cfg.crop_w} impossible from "
-            f"post-zoom extents {zh}x{zw}")
+    cfg.check_crop(sample.id, zh, zw)
     off_r = rng.integers(0, zh - cfg.crop_h)
     off_c = rng.integers(0, zw - cfg.crop_w)
     flip = cfg.mirror_prob > 0 and rng.uniform() < cfg.mirror_prob

@@ -10,6 +10,7 @@ Eigen et al. 2014: no image's offset or size changes another's term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"LossConfig: lambda {self.lam} outside [0, 1]")
-        if self.log_epsilon <= 0:
-            raise ValueError("LossConfig: log_epsilon must be > 0")
+        if not (math.isfinite(self.log_epsilon) and self.log_epsilon > 0):
+            raise ValueError(f"LossConfig: log_epsilon must be finite and > 0, "
+                             f"got {self.log_epsilon}")
 
 
 def _per_image_weights(pred: np.ndarray, target: np.ndarray,

@@ -1,5 +1,7 @@
 """Benchmark measures: scale-invariant MSE, local MSE over sliding windows,
-and DSSIM, plus report aggregation.
+and DSSIM, plus ``evaluate_report``, the one loop that loads and scores each
+sample of a set through a caller's ``load`` and reports its read and scoring
+failures together, in order.
 
 All metrics operate on linear-intensity images, score only the pixels the
 validity mask marks, and first fit the prediction's brightness (never the
@@ -11,8 +13,6 @@ is valid.  SSIM's Gaussian blurs run as banded GEMMs on BLAS.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,51 +197,44 @@ def dssim(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
     return float((1.0 - float((s * centre).sum()) / n) / 2.0)
 
 
-@dataclass
-class PredictionRecord:
-    """One evaluation unit: ground truth, prediction, and validity mask."""
-    id: str
-    albedo_true: np.ndarray
-    shading_true: np.ndarray
-    albedo_pred: np.ndarray
-    shading_pred: np.ndarray
-    mask: np.ndarray
-
-
 _METRIC_KEYS = ("mse_a", "mse_s", "lmse_a", "lmse_s", "dssim_a", "dssim_s")
 
 
-def evaluate_report(records, include_mit_total: bool = False) -> dict:
+def evaluate_report(ids, load, include_mit_total: bool = False) -> dict:
     """Per-sample metrics plus dataset means and albedo/shading averages.
 
-    Failing samples are reported in an ``errors`` list rather than silently
-    dropped.  ``records`` may be an iterator: each record is scored as it is
-    drawn, so a lazy one holds one sample's maps at a time.  Outputs a
-    JSON-ready dict:
+    The one scoring loop: for each id in order, ``load(id)`` returns
+    ``(albedo_true, shading_true, albedo_pred, shading_pred, mask)``, and the
+    sample is scored before the next is loaded, so one sample's maps are
+    held at a time.  A sample whose load or scoring raises OSError or
+    ValueError is listed under ``errors``, in id order, rather than silently
+    dropped.  Outputs a JSON-ready dict:
     ``{per_sample: [...], mean: {...}, avg: {...}, errors: [...],
-    mit_total_lmse?, mit_total_lmse_note?}``.
+    mit_total_lmse?, mit_total_lmse_note?}``.  ``mean`` and ``avg`` are
+    present when some sample was scored; ``mit_total_lmse`` averages the
+    scored samples only.
     """
     per_sample = []
     errors = []
     totals = []
-    for rec in records:
+    for sid in ids:
         try:
+            at, st, ap, sp, mask = load(sid)
             row = {
-                "id": rec.id,
-                "mse_a": si_mse(rec.albedo_true, rec.albedo_pred, rec.mask),
-                "mse_s": si_mse(rec.shading_true, rec.shading_pred, rec.mask),
-                "lmse_a": lmse(rec.albedo_true, rec.albedo_pred, rec.mask),
-                "lmse_s": lmse(rec.shading_true, rec.shading_pred, rec.mask),
-                "dssim_a": dssim(rec.albedo_true, rec.albedo_pred, rec.mask),
-                "dssim_s": dssim(rec.shading_true, rec.shading_pred, rec.mask),
+                "id": sid,
+                "mse_a": si_mse(at, ap, mask),
+                "mse_s": si_mse(st, sp, mask),
+                "lmse_a": lmse(at, ap, mask),
+                "lmse_s": lmse(st, sp, mask),
+                "dssim_a": dssim(at, ap, mask),
+                "dssim_s": dssim(st, sp, mask),
             }
             if include_mit_total:
-                totals.append(mit_total_lmse(
-                    lmse_window_sums(rec.albedo_true, rec.albedo_pred, rec.mask),
-                    lmse_window_sums(rec.shading_true, rec.shading_pred, rec.mask)))
+                totals.append(mit_total_lmse(lmse_window_sums(at, ap, mask),
+                                             lmse_window_sums(st, sp, mask)))
             per_sample.append(row)
-        except ValueError as e:
-            errors.append({"id": rec.id, "error": str(e)})
+        except (OSError, ValueError) as e:
+            errors.append({"id": sid, "error": str(e)})
     if not (per_sample or errors):
         raise ValueError("evaluate_report: no samples")
     report = {"per_sample": per_sample, "errors": errors}

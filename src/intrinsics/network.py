@@ -72,8 +72,8 @@ class NetworkConfig:
     input_multiple: int = 32
 
     def __post_init__(self):
-        if self.channel_scale <= 0:
-            raise ValueError(f"NetworkConfig: channel_scale must be > 0, "
+        if not (math.isfinite(self.channel_scale) and self.channel_scale > 0):
+            raise ValueError(f"NetworkConfig: channel_scale must be finite and > 0, "
                              f"got {self.channel_scale}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("NetworkConfig: dropout_prob outside [0, 1)")

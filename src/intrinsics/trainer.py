@@ -46,8 +46,9 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("TrainConfig: base_lr must be > 0")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"TrainConfig: base_lr must be finite and > 0, "
+                             f"got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("TrainConfig: momentum outside [0, 1)")
         if self.batch_size < 1:
@@ -255,10 +256,16 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     writing intermediates).  Resuming from a checkpoint taken at iteration k
     continues the exact trajectory of the uninterrupted run.  The loop drops
     its reference to ``resume`` once installed, so a caller that keeps none
-    frees the checkpoint's copies before the first iteration.
+    frees the checkpoint's copies before the first iteration.  Without
+    rotate/zoom, a sample the crop does not fit is rejected before any
+    update; with it, whether the crop fits depends on the zoom drawn, so
+    ``augment`` rejects the sample when it is drawn.
     """
     if not samples:
         raise ValueError("train_loop: dataset is empty")
+    if not cfg.augment.enable_rotate_zoom:
+        for s in samples:
+            cfg.augment.check_crop(s.id, *s.image.shape[2:])
     for prefix in cfg.lr_multipliers:
         if not any(name.startswith(prefix) for name in net.params):
             raise ValueError(f"train_loop: lr_multipliers prefix {prefix!r} "

@@ -82,6 +82,17 @@ class TestConfig:
         cfg.write_text("[lr_multipliers]\ns1.conv1 = 0\n")  # 0 freezes the layer
         assert load_run_config(cfg).train.lr_multipliers == {"s1.conv1": 0.0}
 
+    @pytest.mark.parametrize("section, key", [("train", "base_lr"),
+                                              ("network", "channel_scale"),
+                                              ("loss", "log_epsilon")])
+    def test_values_not_finite_and_positive_rejected(self, tmp_path, section, key):
+        cfg = tmp_path / "bad.cfg"
+        for value in ("0", "-2", "nan", "inf", "-inf"):
+            cfg.write_text(f"[{section}]\n{key} = {value}\n")
+            with pytest.raises(ValueError, match=rf"{key} must be finite and > 0, "
+                                                 rf"got {float(value)}"):
+                load_run_config(cfg)
+
     def test_default_constants(self, tmp_path):
         cfg = tmp_path / "min.cfg"
         cfg.write_text("[output]\nout_dir = x\n")

@@ -1,4 +1,5 @@
-"""Each demo runs to completion against the current package.
+"""Each demo runs to completion against the current package, and every
+name the package exports resolves.
 
 The training demo (05, about 30 s) is left out to keep the suite fast.
 """
@@ -10,6 +11,8 @@ import sys
 
 import pytest
 
+import intrinsics
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -20,3 +23,9 @@ def test_demo_runs(tmp_path, demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    """``from intrinsics import *`` fails on a name in ``__all__`` that the
+    package no longer defines; no other test imports that way."""
+    assert [name for name in intrinsics.__all__ if not hasattr(intrinsics, name)] == []

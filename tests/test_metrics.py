@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from intrinsics.metrics import (PredictionRecord, dssim, evaluate_report,
-                                lmse, lmse_window_sums, mit_total_lmse, si_mse)
+from intrinsics.metrics import (dssim, evaluate_report, lmse, lmse_window_sums,
+                                mit_total_lmse, si_mse)
 from intrinsics.rng import Rng
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -131,7 +131,7 @@ class TestDssim:
         mask[..., 5:-5, 5:-5] = 0.0
         with pytest.raises(ValueError, match="valid centre"):
             dssim(t, t, mask)
-        report = evaluate_report([PredictionRecord("r13", t, t, t, t, mask)])
+        report = evaluate_report(["r13"], lambda sid: (t, t, t, t, mask))
         assert report["per_sample"] == []
         assert "valid centre" in report["errors"][0]["error"]
 
@@ -155,6 +155,12 @@ class TestDssim:
 
 # -- report ----------------------------------------------------------------------
 
+def report_of(samples, **kwargs):
+    """evaluate_report over a dict of id -> (albedo_true, shading_true,
+    albedo_pred, shading_pred, mask), loaded in the dict's order."""
+    return evaluate_report(samples, samples.__getitem__, **kwargs)
+
+
 class TestEvaluateReport:
     def _record(self, seed, perfect=False, hw=(24, 24)):
         rng = Rng(seed)
@@ -165,10 +171,10 @@ class TestEvaluateReport:
         else:
             ap = np.clip(at + 0.05 * rng.normal(at.shape), 0, 1)
             sp = np.clip(st + 0.05 * rng.normal(st.shape), 0, 1)
-        return PredictionRecord(f"r{seed}", at, st, ap, sp, full_mask(at.shape))
+        return f"r{seed}", (at, st, ap, sp, full_mask(at.shape))
 
     def test_perfect_sample_all_zero(self):
-        report = evaluate_report([self._record(1, perfect=True)])
+        report = report_of(dict([self._record(1, perfect=True)]))
         row = report["per_sample"][0]
         for key in ("mse_a", "mse_s", "lmse_a", "lmse_s", "dssim_a", "dssim_s"):
             assert row[key] == 0.0
@@ -176,15 +182,14 @@ class TestEvaluateReport:
         assert report["errors"] == []
 
     def test_means_are_arithmetic_averages(self):
-        r1, r2 = self._record(2), self._record(3)
-        report = evaluate_report([r1, r2])
+        report = report_of(dict([self._record(2), self._record(3)]))
         rows = report["per_sample"]
         for key in ("mse_a", "lmse_s", "dssim_a"):
             want = (rows[0][key] + rows[1][key]) / 2.0
             assert abs(report["mean"][key] - want) < 1e-14
 
     def test_avg_columns(self):
-        report = evaluate_report([self._record(4), self._record(5)])
+        report = report_of(dict([self._record(4), self._record(5)]))
         m = report["mean"]
         assert report["avg"]["mse"] == (m["mse_a"] + m["mse_s"]) / 2.0
         assert report["avg"]["lmse"] == (m["lmse_a"] + m["lmse_s"]) / 2.0
@@ -192,18 +197,49 @@ class TestEvaluateReport:
 
     def test_failing_sample_reported_not_dropped(self):
         good = self._record(6)
-        bad = self._record(7)
-        bad.mask = np.zeros_like(bad.mask)  # si_mse will reject
-        report = evaluate_report([good, bad])
+        sid, (at, st, ap, sp, mask) = self._record(7)
+        bad = sid, (at, st, ap, sp, np.zeros_like(mask))  # si_mse will reject
+        report = report_of(dict([good, bad]))
         assert len(report["per_sample"]) == 1
         assert len(report["errors"]) == 1
         assert report["errors"][0]["id"] == "r7"
 
+    def test_load_error_listed_in_id_order(self):
+        """A load that raises OSError between two good ids is one error row in
+        its place, and both good ids are scored."""
+        samples = dict([self._record(9), self._record(10)])
+
+        def load(sid):
+            if sid == "gone":
+                raise OSError("cannot read gone.png")
+            return samples[sid]
+
+        report = evaluate_report(["r9", "gone", "r10"], load)
+        assert [r["id"] for r in report["per_sample"]] == ["r9", "r10"]
+        assert report["errors"] == [{"id": "gone", "error": "cannot read gone.png"}]
+
     def test_mit_total_included_on_request(self):
-        report = evaluate_report([self._record(8)], include_mit_total=True)
+        report = report_of(dict([self._record(8)]), include_mit_total=True)
         assert "mit_total_lmse" in report
         assert "approximation" in report["mit_total_lmse_note"]
 
+    def test_mit_total_is_the_mean_over_scored_samples(self):
+        """The failing sample has a total of its own (only DSSIM rejects its
+        mask, valid within half a window of the border), which the mean
+        leaves out."""
+        good = [self._record(11), self._record(12)]
+        sid, (at, st, ap, sp, mask) = self._record(13)
+        mask[..., 5:-5, 5:-5] = 0.0
+        mit_total_lmse(lmse_window_sums(at, ap, mask), lmse_window_sums(st, sp, mask))
+        bad = sid, (at, st, ap, sp, mask)
+        report = report_of(dict([good[0], bad, good[1]]), include_mit_total=True)
+        [err] = report["errors"]
+        assert err["id"] == "r13" and "valid centre" in err["error"]
+        want = [mit_total_lmse(lmse_window_sums(at, ap, mask),
+                               lmse_window_sums(st, sp, mask))
+                for _, (at, st, ap, sp, mask) in good]
+        assert report["mit_total_lmse"] == float(np.mean(want))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
-            evaluate_report([])
+            evaluate_report([], None)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from intrinsics import trainer
 from intrinsics.data import AugmentConfig, make_synthetic_sample
 from intrinsics.losses import LossConfig
 from intrinsics.network import NetworkConfig, Param, build_network
@@ -284,6 +285,19 @@ class TestTrainLoop:
         net = build_network(tiny_cfg(), Rng(7))
         with pytest.raises(ValueError, match="empty"):
             train_loop(net, [], small_train_cfg())
+
+    def test_sample_the_crop_cannot_fit_rejected_before_any_update(self, monkeypatch):
+        """Without rotate/zoom every sample's extents are checked up front, with
+        augment's message, instead of when the sample is first drawn."""
+        steps = []
+        monkeypatch.setattr(trainer, "sgd_momentum_step",
+                            lambda *a, orig=sgd_momentum_step: steps.append(1) or orig(*a))
+        samples = fixture_samples(5) + [make_synthetic_sample(5, h=24, w=32)]
+        net = build_network(tiny_cfg(), Rng(7))
+        with pytest.raises(ValueError, match=r"sample synthetic-5: crop 32x32 "
+                                             r"impossible from post-zoom extents 24x32"):
+            train_loop(net, samples, small_train_cfg(batch_size=1, max_iterations=6))
+        assert steps == []
 
     def test_non_finite_loss_names_the_batch(self):
         net = build_network(tiny_cfg(), Rng(9))
