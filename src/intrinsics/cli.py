@@ -239,9 +239,17 @@ def make_parser() -> argparse.ArgumentParser:
         prog="intrinsics",
         description="Albedo/shading decomposition by convolutional regression")
     parser.add_argument("--verbose", action="store_true", help="progress output")
+    # --verbose is also accepted after the command; SUPPRESS keeps a
+    # subcommand that is not given it from resetting the global value
+    verbose = argparse.ArgumentParser(add_help=False)
+    verbose.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+                         help="progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model from a config file")
+    def command(name, help):
+        return sub.add_parser(name, parents=[verbose], help=help)
+
+    p = command("train", "train a model from a config file")
     p.add_argument("--config", default=None, help="run configuration file")
     p.add_argument("--resume", default=None,
                    help="checkpoint to resume from (same config)")
@@ -249,14 +257,14 @@ def make_parser() -> argparse.ArgumentParser:
                    help="override the configured training seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("decompose", help="split an image into albedo and shading")
+    p = command("decompose", "split an image into albedo and shading")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out-albedo", required=True)
     p.add_argument("--out-shading", required=True)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
+    p = command("eval", "score predictions against ground truth")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
@@ -264,15 +272,14 @@ def make_parser() -> argparse.ArgumentParser:
                    help="include the approximate reweighted total LMSE")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synth", help="derive a dataset (shading generation or "
-                                     "resynthesis)")
+    p = command("synth", "derive a dataset (shading generation or resynthesis)")
     p.add_argument("--mode", required=True,
                    choices=["gen-mit-shading", "resynth-sintel"])
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("verify", help="run every module's verification suite")
+    p = command("verify", "run every module's verification suite")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -246,6 +246,12 @@ class AugmentConfig:
                              f"impossible from post-zoom extents {h}x{w}")
 
 
+def zoomed_extents(extents: tuple, zoom: float) -> tuple[int, int]:
+    """The extents (h, w) of an image resized by ``zoom``, as ``augment``
+    rounds them."""
+    return tuple(max(1, int(round(zoom * n))) for n in extents)
+
+
 def _bilinear_gather(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
     """Sample (1,C,H,W) at real coordinates; callers handle out-of-bounds."""
     h, w = img.shape[2:]
@@ -282,8 +288,7 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
         angle = math.radians(r0 + rng.uniform() * (r1 - r0))
     else:
         zoom, angle = 1.0, 0.0
-    zh = max(1, int(round(zoom * h)))
-    zw = max(1, int(round(zoom * w)))
+    zh, zw = zoomed_extents((h, w), zoom)
     cfg.check_crop(sample.id, zh, zw)
     off_r = rng.integers(0, zh - cfg.crop_h)
     off_c = rng.integers(0, zw - cfg.crop_w)

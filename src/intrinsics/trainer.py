@@ -6,9 +6,10 @@ theta <- theta + v, with lr = base_lr times the longest-prefix match of the
 parameter name in the multiplier map (multiplier 0 freezes a layer).
 
 Every stochastic choice in a run derives from (seed, iteration) alone:
-epoch shuffles, per-slot augmentation draws, and dropout streams each get
-their own generator, seeded by ``derive_seed`` from the run seed, a purpose
-key and the epoch or iteration.  Combined with float32 parameters
+epoch shuffles, and each batch slot's augmentation draws and dropout
+masks, get their own generator, seeded by ``derive_seed`` from the run
+seed, a purpose key and the epoch, or the iteration and the image's slot
+in the batch.  Combined with float32 parameters
 (matching the checkpoint payload precision), a run resumed from a
 checkpoint reproduces the uninterrupted run bit-exactly.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentConfig, Sample, augment
+from .data import ZOOM_RANGE, AugmentConfig, Sample, augment, zoomed_extents
 from .losses import LossConfig, log_guarded, total_loss
 from .network import Network, NetworkConfig, Param, network_from_shapes
 from .png_io import ByteReader, write_atomic
@@ -226,46 +227,47 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return Rng(derive_seed(seed, "epoch", epoch)).permutation(n)
 
 
-def _assemble_batch(samples, cfg: TrainConfig, iteration: int):
-    """Pick and augment one mini-batch; returns stacked arrays.
-
-    Sample order wraps around the dataset with a fresh shuffle per epoch.
-    Every augmented sample has the crop's extents, so the batch stacks.
-    """
+def _batch_samples(samples, cfg: TrainConfig, iteration: int) -> list:
+    """The samples of one mini-batch, in batch order.  Sample order wraps
+    around the dataset with a fresh shuffle per epoch."""
     n = len(samples)
-    ids, augs = [], []
     perms = {}
+    batch = []
     for j in range(cfg.batch_size):
-        g = iteration * cfg.batch_size + j
-        epoch, pos = divmod(g, n)
+        epoch, pos = divmod(iteration * cfg.batch_size + j, n)
         if epoch not in perms:
             perms[epoch] = _epoch_permutation(cfg.seed, epoch, n)
-        s = samples[perms[epoch][pos]]
-        ids.append(s.id)
-        augs.append(augment(s, cfg.augment, Rng(derive_seed(cfg.seed, "aug", iteration, j))))
-    img, alb, shd, mask = (np.concatenate([getattr(a, k) for a in augs])
-                           for k in ("image", "albedo", "shading", "mask"))
-    return ids, img, alb, shd, mask
+        batch.append(samples[perms[epoch][pos]])
+    return batch
 
 
 def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
                checkpoint_path=None, resume: Checkpoint | None = None):
     """Run SGD training; returns (final Checkpoint, [(iteration, loss), ...]).
 
+    An iteration is one micro-step per image of the batch, in batch order:
+    augment the image, run its forward, loss and backward, and let
+    ``Param.grad`` accumulate before the next image's data is made.  An
+    image whose augmented mask has no valid pixel is skipped and weighs 0.
+    With k images counted, the summed gradients are scaled by 1/k and one
+    ``sgd_momentum_step`` runs; the logged loss is the sum of the per-image
+    losses, in order, divided by k: the loss module's batch mean, up to
+    summation order.  Peak memory is that of one image at any batch size.
+
     ``checkpoint_path`` is a callable iteration -> path (or None to skip
     writing intermediates).  Resuming from a checkpoint taken at iteration k
     continues the exact trajectory of the uninterrupted run.  The loop drops
     its reference to ``resume`` once installed, so a caller that keeps none
-    frees the checkpoint's copies before the first iteration.  Without
-    rotate/zoom, a sample the crop does not fit is rejected before any
-    update; with it, whether the crop fits depends on the zoom drawn, so
-    ``augment`` rejects the sample when it is drawn.
+    frees the checkpoint's copies before the first iteration.  A sample the
+    crop does not fit even at the largest zoom is rejected before any
+    update; with rotate/zoom on, a smaller zoom drawn for a sample that fits
+    only larger ones is rejected by ``augment`` when it is drawn.
     """
     if not samples:
         raise ValueError("train_loop: dataset is empty")
-    if not cfg.augment.enable_rotate_zoom:
-        for s in samples:
-            cfg.augment.check_crop(s.id, *s.image.shape[2:])
+    zoom = ZOOM_RANGE[1] if cfg.augment.enable_rotate_zoom else 1.0
+    for s in samples:
+        cfg.augment.check_crop(s.id, *zoomed_extents(s.image.shape[2:], zoom))
     for prefix in cfg.lr_multipliers:
         if not any(name.startswith(prefix) for name in net.params):
             raise ValueError(f"train_loop: lr_multipliers prefix {prefix!r} "
@@ -290,22 +292,34 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     eps = cfg.loss.log_epsilon
     net.zero_grads()  # sgd_momentum_step zeroes them after each update
     for it in range(start, cfg.max_iterations):
-        ids, img, alb, shd, mask = _assemble_batch(samples, cfg, it)
-        # only the network-dtype forms stay alive through forward and backward
-        img = img.astype(dtype)
-        log_alb = log_guarded(alb, eps).astype(dtype)
-        log_shd = log_guarded(shd, eps).astype(dtype)
-        mask = mask.astype(dtype)
-        del alb, shd
-        la, ls = net.forward(img, rng=Rng(derive_seed(cfg.seed, "dropout", it)))
-        loss, d_la, d_ls = total_loss(log_alb, log_shd, la, ls, mask, cfg.loss)
-        del la, ls, log_alb, log_shd, mask
-        if not np.isfinite(loss):
-            raise ValueError(f"train_loop: non-finite loss at iteration {it} "
-                             f"(batch samples: {', '.join(ids)})")
-        net.backward(d_la, d_ls, image_grad=False)
+        batch = _batch_samples(samples, cfg, it)
+        ids = ", ".join(s.id for s in batch)
+        k, loss_sum = 0, 0.0
+        for j, s in enumerate(batch):
+            a = augment(s, cfg.augment, Rng(derive_seed(cfg.seed, "aug", it, j)))
+            if not a.mask.any():
+                continue
+            k += 1
+            la, ls = net.forward(a.image.astype(dtype),
+                                 rng=Rng(derive_seed(cfg.seed, "dropout", it, j)))
+            loss, d_la, d_ls = total_loss(
+                log_guarded(a.albedo, eps).astype(dtype),
+                log_guarded(a.shading, eps).astype(dtype), la, ls,
+                a.mask.astype(dtype), cfg.loss)
+            del a, la, ls
+            if not np.isfinite(loss):
+                raise ValueError(f"train_loop: non-finite loss at iteration {it} "
+                                 f"(batch samples: {ids})")
+            net.backward(d_la, d_ls, image_grad=False)
+            del d_la, d_ls
+            loss_sum += loss
+        if k == 0:
+            raise ValueError(f"loss: mask has no valid pixels at iteration {it} "
+                             f"(batch samples: {ids})")
+        for p in net.params.values():
+            p.grad *= np.asarray(1.0 / k, dtype=p.grad.dtype)
         sgd_momentum_step(net.params, cfg, it)
-        trace.append((it, float(loss)))
+        trace.append((it, loss_sum / k))
         done = it + 1
         if (checkpoint_path is not None and cfg.checkpoint_every > 0
                 and done % cfg.checkpoint_every == 0 and done < cfg.max_iterations):

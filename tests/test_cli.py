@@ -537,6 +537,24 @@ def test_verbose_prints_progress(tmp_path, capsys):
         assert re.fullmatch(pattern, line), line
 
 
+def test_verbose_after_the_command_prints_the_same_lines(tmp_path, capsys):
+    """--verbose is global: after the command name it prints what it prints
+    before it, with the targets themselves as the predictions."""
+    manifest = write_dataset(tmp_path / "data", n=2)
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for sid in ("s0", "s1"):
+        for kind, short in (("albedo", "a"), ("shading", "s")):
+            (pred / f"{sid}_{kind}.png").write_bytes(
+                (tmp_path / "data" / f"{sid}_{short}.png").read_bytes())
+    argv = ("--pred-dir", pred, "--manifest", manifest, "--out", tmp_path / "r.json")
+    outputs = []
+    for args in (("--verbose", "eval", *argv), ("eval", *argv, "--verbose")):
+        assert run_cli(*args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("mse_a=") and outputs[0] == outputs[1]
+
+
 class TestVerifyCommand:
     @pytest.mark.slow
     def test_fresh_build_passes_quickly(self, capsys):

@@ -2,15 +2,16 @@ import builtins
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from intrinsics import trainer
-from intrinsics.data import AugmentConfig, make_synthetic_sample
-from intrinsics.losses import LossConfig
-from intrinsics.network import NetworkConfig, Param, build_network
-from intrinsics.rng import Rng
+from intrinsics.data import AugmentConfig, Sample, make_synthetic_sample
+from intrinsics.losses import LossConfig, log_guarded, total_loss
+from intrinsics.network import Network, NetworkConfig, Param, build_network
+from intrinsics.rng import Rng, derive_seed
 from intrinsics.trainer import (Checkpoint, TrainConfig,
                                 decompose_image, load_checkpoint,
                                 lr_multiplier, network_from_checkpoint,
@@ -286,18 +287,30 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train_loop(net, [], small_train_cfg())
 
-    def test_sample_the_crop_cannot_fit_rejected_before_any_update(self, monkeypatch):
-        """Without rotate/zoom every sample's extents are checked up front, with
-        augment's message, instead of when the sample is first drawn."""
+    def _rejected_before_any_update(self, monkeypatch, rotate_zoom, extents):
+        """A 24x32 sample among 32x32 ones, which a 32x32 crop cannot fit."""
         steps = []
         monkeypatch.setattr(trainer, "sgd_momentum_step",
                             lambda *a, orig=sgd_momentum_step: steps.append(1) or orig(*a))
         samples = fixture_samples(5) + [make_synthetic_sample(5, h=24, w=32)]
         net = build_network(tiny_cfg(), Rng(7))
+        cfg = small_train_cfg(batch_size=1, max_iterations=6,
+                              augment=AugmentConfig(crop_h=32, crop_w=32, mirror_prob=0.0,
+                                                    enable_rotate_zoom=rotate_zoom))
         with pytest.raises(ValueError, match=r"sample synthetic-5: crop 32x32 "
-                                             r"impossible from post-zoom extents 24x32"):
-            train_loop(net, samples, small_train_cfg(batch_size=1, max_iterations=6))
+                                             rf"impossible from post-zoom extents {extents}"):
+            train_loop(net, samples, cfg)
         assert steps == []
+
+    def test_sample_the_crop_cannot_fit_rejected_before_any_update(self, monkeypatch):
+        """Without rotate/zoom every sample's extents are checked up front, with
+        augment's message, instead of when the sample is first drawn."""
+        self._rejected_before_any_update(monkeypatch, False, "24x32")
+
+    def test_sample_no_zoom_can_fit_rejected_before_any_update(self, monkeypatch):
+        """With rotate/zoom on, a sample the crop does not fit even at the
+        largest zoom (1.2) is rejected up front too, at those extents."""
+        self._rejected_before_any_update(monkeypatch, True, "29x38")
 
     def test_non_finite_loss_names_the_batch(self):
         net = build_network(tiny_cfg(), Rng(9))
@@ -371,6 +384,119 @@ class TestTrainLoop:
                    checkpoint_path=lambda i: paths.append(i) or tmp_path / f"{i}.ck")
         assert paths == [2, 4]
         assert (tmp_path / "2.ck").exists() and (tmp_path / "4.ck").exists()
+
+
+def invalid_sample(seed, h=32, w=32):
+    """A synthetic sample whose mask has no valid pixel."""
+    s = make_synthetic_sample(seed, h=h, w=w)
+    return Sample(s.id, s.image, s.albedo, s.shading, np.zeros_like(s.mask))
+
+
+def iteration_0_by_hand(net, samples, cfg):
+    """Iteration 0's parameter gradients as 1-image passes run by hand in
+    batch order, each with its own dropout stream: the crop is the whole
+    sample and nothing is mirrored, so each image is its sample.  Images
+    without a valid pixel are left out, and the sum is scaled by 1/k."""
+    f32 = np.float32
+    order = trainer._epoch_permutation(cfg.seed, 0, len(samples))
+    k = 0
+    for j in range(cfg.batch_size):
+        s = samples[order[j]]
+        if not s.mask.any():
+            continue
+        k += 1
+        la, ls = net.forward(s.image.astype(f32),
+                             rng=Rng(derive_seed(cfg.seed, "dropout", 0, j)))
+        _, da, ds = total_loss(log_guarded(s.albedo).astype(f32),
+                               log_guarded(s.shading).astype(f32), la, ls,
+                               s.mask.astype(f32), cfg.loss)
+        net.backward(da, ds, image_grad=False)
+    return {n: p.grad * f32(1 / k) for n, p in net.params.items()}
+
+
+class TestMicroSteps:
+    """An iteration is one forward and backward per image, accumulated into
+    the parameter gradients, and one update."""
+
+    def _update_gradients(self, monkeypatch, samples, cfg, net_cfg):
+        """The gradients each sgd_momentum_step of a run is given."""
+        seen = []
+
+        def record(params, *args, orig=sgd_momentum_step):
+            seen.append({n: p.grad.copy() for n, p in params.items()})
+            return orig(params, *args)
+        monkeypatch.setattr(trainer, "sgd_momentum_step", record)
+        train_loop(build_network(net_cfg, Rng(21)), samples, cfg)
+        return seen
+
+    def _assert_bytes_equal(self, got, want):
+        assert got.keys() == want.keys()
+        for n in want:
+            assert got[n].dtype == want[n].dtype == np.float32, n
+            assert got[n].tobytes() == want[n].tobytes(), n
+
+    def test_gradients_are_one_image_passes_by_hand(self, monkeypatch):
+        net_cfg = tiny_cfg(dropout=0.5)
+        samples = fixture_samples(3)
+        cfg = small_train_cfg(batch_size=3, max_iterations=1,
+                              loss=LossConfig(lam=0.5, use_gradient_loss=True))
+        [got] = self._update_gradients(monkeypatch, samples, cfg, net_cfg)
+        want = iteration_0_by_hand(build_network(net_cfg, Rng(21)), samples, cfg)
+        self._assert_bytes_equal(got, want)
+
+    def test_image_without_valid_pixels_is_skipped(self, monkeypatch):
+        forwards = []
+        monkeypatch.setattr(Network, "forward", lambda *a, orig=Network.forward, **kw:
+                            forwards.append(1) or orig(*a, **kw))
+        net_cfg = tiny_cfg(dropout=0.5)
+        samples = [make_synthetic_sample(0, h=32, w=32), invalid_sample(1),
+                   make_synthetic_sample(2, h=32, w=32)]
+        cfg = small_train_cfg(batch_size=3, max_iterations=1)
+        [got] = self._update_gradients(monkeypatch, samples, cfg, net_cfg)
+        assert len(forwards) == 2
+        want = iteration_0_by_hand(build_network(net_cfg, Rng(21)), samples, cfg)
+        self._assert_bytes_equal(got, want)
+
+    def test_batch_without_valid_pixels_rejected_before_any_update(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(trainer, "sgd_momentum_step",
+                            lambda *a, orig=sgd_momentum_step: steps.append(1) or orig(*a))
+        net = build_network(tiny_cfg(), Rng(7))
+        before = {n: p.value.copy() for n, p in net.params.items()}
+        with pytest.raises(ValueError, match="mask has no valid pixels"):
+            train_loop(net, [invalid_sample(i) for i in range(3)], small_train_cfg())
+        assert steps == []
+        for n, p in net.params.items():
+            assert np.array_equal(before[n], p.value), n
+
+    def test_one_update_and_one_forward_per_image(self, monkeypatch):
+        """perfbench/workload.py counts an iteration at each return of the
+        module-global ``trainer.sgd_momentum_step``."""
+        calls = []
+        monkeypatch.setattr(trainer, "sgd_momentum_step",
+                            lambda *a, orig=sgd_momentum_step: calls.append("step") or orig(*a))
+        monkeypatch.setattr(Network, "forward", lambda *a, orig=Network.forward, **kw:
+                            calls.append("forward") or orig(*a, **kw))
+        train_loop(build_network(tiny_cfg(), Rng(7)), fixture_samples(),
+                   small_train_cfg(batch_size=3, max_iterations=2))
+        assert calls == ["forward"] * 3 + ["step"] + ["forward"] * 3 + ["step"]
+
+    def test_batch_8_step_peaks_near_batch_1(self):
+        """The traced peak of a batch-8 step stays within 25% of a batch-1
+        step's; a step on the stacked batch peaked at about 7.7x."""
+        samples = fixture_samples(8, h=64, w=64)
+        peaks = []
+        for batch in (1, 8):
+            net = build_network(tiny_cfg(dropout=0.5), Rng(22))
+            cfg = small_train_cfg(batch_size=batch, max_iterations=1,
+                                  augment=AugmentConfig(crop_h=64, crop_w=64))
+            tracemalloc.start()
+            try:
+                train_loop(net, samples, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestDecompose:
