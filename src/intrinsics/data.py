@@ -239,17 +239,20 @@ class AugmentConfig:
         if not 0.0 <= self.mirror_prob <= 1.0:
             raise ValueError("AugmentConfig: mirror_prob outside [0, 1]")
 
-    def check_crop(self, sample_id: str, h: int, w: int) -> None:
-        """Reject (post-zoom) extents h x w that the crop does not fit."""
+    def fit_crop(self, sample_id: str, extents: tuple, zoom: float) -> tuple[int, int]:
+        """The extents (h, w) of an image resized by ``zoom``, as ``augment``
+        rounds them; rejects extents that the crop does not fit."""
+        h, w = (max(1, int(round(zoom * n))) for n in extents)
         if h < self.crop_h or w < self.crop_w:
             raise ValueError(f"sample {sample_id}: crop {self.crop_h}x{self.crop_w} "
                              f"impossible from post-zoom extents {h}x{w}")
+        return h, w
 
-
-def zoomed_extents(extents: tuple, zoom: float) -> tuple[int, int]:
-    """The extents (h, w) of an image resized by ``zoom``, as ``augment``
-    rounds them."""
-    return tuple(max(1, int(round(zoom * n))) for n in extents)
+    def check_fits(self, sample: Sample) -> None:
+        """Reject a sample that the crop does not fit even at the largest zoom
+        ``augment`` can draw (1 without rotate/zoom)."""
+        self.fit_crop(sample.id, sample.image.shape[2:],
+                      ZOOM_RANGE[1] if self.enable_rotate_zoom else 1.0)
 
 
 def _bilinear_gather(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
@@ -288,8 +291,7 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
         angle = math.radians(r0 + rng.uniform() * (r1 - r0))
     else:
         zoom, angle = 1.0, 0.0
-    zh, zw = zoomed_extents((h, w), zoom)
-    cfg.check_crop(sample.id, zh, zw)
+    zh, zw = cfg.fit_crop(sample.id, (h, w), zoom)
     off_r = rng.integers(0, zh - cfg.crop_h)
     off_c = rng.integers(0, zw - cfg.crop_w)
     flip = cfg.mirror_prob > 0 and rng.uniform() < cfg.mirror_prob

@@ -1,11 +1,10 @@
 """Scale-invariant L2 loss, gradient L2 loss, and their masked combination.
 
 All losses consume log-domain tensors produced upstream by ``log_guarded``;
-they never take logs themselves.  The validity mask is (N,1,H,W) with
-1 = valid, broadcast across channels; n counts one image's valid channel
-entries (3x its valid pixels for RGB).  Every loss is computed per image,
-with that image's n and sums, and then averaged over the batch, as in
-Eigen et al. 2014: no image's offset or size changes another's term.
+they never take logs themselves.  Each call scores one image: (1,C,H,W)
+maps and a (1,1,H,W) validity mask, 1 = valid, broadcast across channels;
+n counts its valid channel entries (3x its valid pixels for RGB).  Only
+``train_loop`` averages over a batch, as in Eigen et al. 2014.
 """
 
 from __future__ import annotations
@@ -37,24 +36,19 @@ class LossConfig:
                              f"got {self.log_epsilon}")
 
 
-def _per_image_weights(pred: np.ndarray, target: np.ndarray,
-                       mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """(1/n per image in float64, shaped (N,1,1,1), and k): n counts an
-    image's valid channel entries, and k the images with any.  An image with
-    none weighs 0, so it adds nothing to the batch mean over the k others."""
+def _inv_n(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """1/n in float64, shaped (1,1,1,1), for one image's valid channel
+    entries; rejects a batch of other than one image and an empty mask."""
+    if pred.ndim != 4 or pred.shape[0] != 1:
+        raise ValueError(f"loss: scores one image (1,C,H,W), got {pred.shape}")
     if target.shape != pred.shape:
         raise ValueError(f"loss: target shape {target.shape} != prediction {pred.shape}")
-    if mask.shape != (pred.shape[0], 1, pred.shape[2], pred.shape[3]):
+    if mask.shape != (1, 1, *pred.shape[2:]):
         raise ValueError(f"loss: mask shape {mask.shape} incompatible with {pred.shape}")
-    n = mask.sum(axis=(1, 2, 3), keepdims=True, dtype=np.float64) * pred.shape[1]
-    k = int(np.count_nonzero(n))
-    if k == 0:
+    n = mask.sum(keepdims=True, dtype=np.float64) * pred.shape[1]
+    if not n.any():
         raise ValueError("loss: mask has no valid pixels")
-    return np.divide(1.0, n, out=np.zeros_like(n), where=n > 0), k
-
-
-def _image_sums(t: np.ndarray) -> np.ndarray:
-    return t.sum(axis=(1, 2, 3), keepdims=True)
+    return 1.0 / n
 
 
 def sil2_loss(log_target: np.ndarray, log_pred: np.ndarray, mask: np.ndarray,
@@ -62,17 +56,16 @@ def sil2_loss(log_target: np.ndarray, log_pred: np.ndarray, mask: np.ndarray,
     """Scale-invariant L2 loss over valid entries and its gradient.
 
     With y = log_target - log_pred over one image's n valid entries, its
-    loss is (1/n) sum y^2 - lam (1/n^2) (sum y)^2; the batch loss is the
-    mean over the images that have valid entries.  At lam = 1 the loss is
-    invariant to a constant offset of any one image's prediction; at
-    lam = 0 it is the per-image mean squared error in log space.
+    loss is (1/n) sum y^2 - lam (1/n^2) (sum y)^2.  At lam = 1 the loss is
+    invariant to a constant offset of the prediction; at lam = 0 it is the
+    mean squared error in log space.
     """
-    inv_n, k = _per_image_weights(log_pred, log_target, mask)
+    inv_n = _inv_n(log_pred, log_target, mask)
     y = (log_target - log_pred) * mask
-    sum_y = _image_sums(y)
-    loss = float((inv_n * (_image_sums(y * y) - lam * inv_n * sum_y * sum_y)).sum()) / k
+    sum_y = y.sum(keepdims=True)
+    loss = (inv_n * ((y * y).sum(keepdims=True) - lam * inv_n * sum_y * sum_y)).item()
     inv_n = inv_n.astype(y.dtype)  # full-size terms stay in the maps' dtype
-    dlog_pred = (-2.0 / k) * inv_n * (y - lam * inv_n * sum_y * mask)
+    dlog_pred = -2.0 * inv_n * (y - lam * inv_n * sum_y * mask)
     dlog_pred *= mask
     return loss, dlog_pred.astype(log_pred.dtype, copy=False)
 
@@ -81,20 +74,20 @@ def gradient_loss(log_target: np.ndarray, log_pred: np.ndarray, mask: np.ndarray
     """L2 error of forward-difference spatial gradients of the residual.
 
     A difference term contributes only when both of its endpoints are valid,
-    so defective pixels never leak into the loss.  Each image's sum is
-    divided by its n, the count of its valid channel entries, and the batch
-    loss is the mean over images, as in sil2_loss.
+    so defective pixels never leak into the loss.  The sum is divided by n,
+    the count of the image's valid channel entries, as in sil2_loss.
     """
-    inv_n, k = _per_image_weights(log_pred, log_target, mask)
+    inv_n = _inv_n(log_pred, log_target, mask)
     y = (log_target - log_pred) * mask
     mi = mask[:, :, 1:, :] * mask[:, :, :-1, :]
     mj = mask[:, :, :, 1:] * mask[:, :, :, :-1]
     di = (y[:, :, 1:, :] - y[:, :, :-1, :]) * mi
     dj = (y[:, :, :, 1:] - y[:, :, :, :-1]) * mj
 
-    loss = float((inv_n * (_image_sums(di * di) + _image_sums(dj * dj))).sum()) / k
+    loss = (inv_n * ((di * di).sum(keepdims=True)
+                     + (dj * dj).sum(keepdims=True))).item()
 
-    scale = (2.0 / k) * inv_n.astype(y.dtype)
+    scale = 2.0 * inv_n.astype(y.dtype)
     di *= scale
     dj *= scale
     dy = np.zeros_like(y)
@@ -108,8 +101,8 @@ def gradient_loss(log_target: np.ndarray, log_pred: np.ndarray, mask: np.ndarray
 
 def total_loss(log_albedo_target, log_shading_target, log_albedo, log_shading,
                mask, cfg: LossConfig):
-    """Joint objective: SIL2 on albedo + SIL2 on shading, plus optionally the
-    gradient term on albedo only (shading is not piecewise constant)."""
+    """Joint objective on one image: SIL2 on albedo + SIL2 on shading, plus
+    optionally the gradient term on albedo only (shading is not piecewise constant)."""
     loss_a, da = sil2_loss(log_albedo_target, log_albedo, mask, cfg.lam)
     loss_s, ds = sil2_loss(log_shading_target, log_shading, mask, cfg.lam)
     loss = loss_a + loss_s

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ZOOM_RANGE, AugmentConfig, Sample, augment, zoomed_extents
+from .data import AugmentConfig, Sample, augment
 from .losses import LossConfig, log_guarded, total_loss
 from .network import Network, NetworkConfig, Param, network_from_shapes
 from .png_io import ByteReader, write_atomic
@@ -251,8 +251,8 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     image whose augmented mask has no valid pixel is skipped and weighs 0.
     With k images counted, the summed gradients are scaled by 1/k and one
     ``sgd_momentum_step`` runs; the logged loss is the sum of the per-image
-    losses, in order, divided by k: the loss module's batch mean, up to
-    summation order.  Peak memory is that of one image at any batch size.
+    losses, in batch order, divided by k: the package's only batch mean.
+    Peak memory is that of one image at any batch size.
 
     ``checkpoint_path`` is a callable iteration -> path (or None to skip
     writing intermediates).  Resuming from a checkpoint taken at iteration k
@@ -265,9 +265,8 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     """
     if not samples:
         raise ValueError("train_loop: dataset is empty")
-    zoom = ZOOM_RANGE[1] if cfg.augment.enable_rotate_zoom else 1.0
     for s in samples:
-        cfg.augment.check_crop(s.id, *zoomed_extents(s.image.shape[2:], zoom))
+        cfg.augment.check_fits(s)
     for prefix in cfg.lr_multipliers:
         if not any(name.startswith(prefix) for name in net.params):
             raise ValueError(f"train_loop: lr_multipliers prefix {prefix!r} "

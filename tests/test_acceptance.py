@@ -30,8 +30,7 @@ CRITERIA = {
     2: ("whole-network gradient check (all four variants through dropout, "
         "channel scale 1/16, 32x32)",
         ("whole-network-gradient",)),
-    3: ("loss algebra (offset invariance, per image too, MSE reduction, "
-        "per-image batch mean, composition, masking)",
+    3: ("loss algebra (offset invariance, MSE reduction, composition, masking)",
         ("loss-algebra",)),
     4: ("implementation vs independent oracles "
         "(conv, deconv and bilinear adjoints, max pool, alpha grid, lmse windows, "
@@ -44,7 +43,9 @@ CRITERIA = {
     6: ("output extents equal input extents for all variants, at multiples "
         "of 32 and not (1, 33, 70), and a 70x65 decompose", ("network-shapes",)),
     7: ("overfit run", ()),
-    8: ("bit-identical traces/checkpoints/PNGs and bit-exact resume", ("trainer",)),
+    8: ("bit-identical traces/checkpoints/PNGs, bit-exact resume, and the logged "
+        "loss as the exact mean of one-image losses over the valid images of a batch",
+        ("trainer",)),
     9: ("parameter registry vs stated topology constants "
         "(96/256/384/384/256/64, 9x9/96, three 5x5, 8x8-stride-4 heads)",
         ("topology-audit",)),

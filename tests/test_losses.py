@@ -90,6 +90,20 @@ class TestTotalLoss:
             LossConfig(lam=1.5)
 
 
+class TestOneImage:
+    """Every loss scores one image; the batch mean is train_loop's."""
+
+    @pytest.mark.parametrize("loss_fn", [
+        lambda t, m: sil2_loss(t, t, m, 0.5),
+        lambda t, m: gradient_loss(t, t, m),
+        lambda t, m: total_loss(t, t, t, t, m, LossConfig(0.5, True)),
+    ], ids=["sil2", "gradient", "total"])
+    def test_batch_of_two_rejected(self, loss_fn):
+        t = Rng(40).normal((2, 3, 4, 4))
+        with pytest.raises(ValueError, match=r"\(2, 3, 4, 4\)"):
+            loss_fn(t, full_mask(t.shape))
+
+
 class TestLogGuarded:
     def test_guarded_log(self):
         out = log_guarded(np.array([0.0, 1.0]))
