@@ -7,8 +7,10 @@ losses, dataset synthesis and augmentation, the si-MSE/LMSE/DSSIM metric
 suite, and a deterministic SGD trainer with binary checkpoints.
 
 Tensors throughout the package are plain numpy ndarrays laid out as
-(N, C, H, W): batch, channel, row, column.  Tests and gradient checks run
-in float64; the training path runs in float32 (the checkpoint format
+(N, C, H, W): batch, channel, row, column.  N is 1 wherever an image meets
+the network: the convolutions, ``Network.forward`` and the losses take one
+image, and ``train_loop`` runs a batch one image at a time and alone
+averages over it.  Tests and gradient checks run in float64; the training path runs in float32 (the checkpoint format
 stores 32-bit payloads, so live precision must match stored precision for
 bit-exact resume).
 """

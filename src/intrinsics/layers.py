@@ -3,20 +3,20 @@
 Convolution is cross-correlation (no kernel flip) over zero-padded input;
 deconvolution is its exact transpose, so the pair satisfies the adjoint
 identity <conv(x, w), y> = <x, deconv(y, w)> for any weight tensor.
+Every (de)convolution runs on one (1, C, H, W) image and rejects any other
+batch size; a batch is train_loop's, one image per forward and backward.
 conv_forward and _weight_grad build im2col columns in blocks of at most
-_BLOCK_BYTES (whole output rows of one image; input channels); no block
-cuts a GEMM's reduction axis, so each result element sums in the same
-order as one GEMM over the whole call would.  Every other convolution runs
-through conv_forward, the transposed ones as one conv over stride phases.
+_BLOCK_BYTES (whole output rows; input channels); no block cuts a GEMM's
+reduction axis, so each result element sums in the same order as one GEMM
+over the whole call would.  Every other convolution runs through
+conv_forward, the transposed ones as one conv over stride phases.
 Max pooling uses ceil-mode output extents with windows clipped to the
 input, which is what makes a stack of stride-2 pools halve extents exactly
 without pool padding.  Its forward keeps a running maximum over strided
 views; for training it also keeps which tap of each window won, one uint8
-per output cell, and the backward routes dy through those taps alone,
-into a channel-major (C, N, H, W) array returned as an (N, C, H, W) view:
-the layout of the (C, N*H*W) matrix that the conv weight gradient behind
-the pool multiplies, which is then a view of it.  Every function takes
-such a view as it takes any other array.
+per output cell, and the backward routes dy through those taps alone.  At
+one image its C-contiguous dx is the (C, H*W) matrix that the conv weight
+gradient behind the pool multiplies, so that reads it without a copy.
 """
 
 from __future__ import annotations
@@ -88,41 +88,36 @@ def _block(unit_bytes: int, units: int, budget: int) -> int:
 
 
 def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Zero-pad (N,C,H,W) per spec and view it as the im2col windows
-    (N, C, kh, kw, Ho, Wo); the padded copy is the only one, and at zero
-    padding there is none."""
+    """Zero-pad a (1,C,H,W) image per spec and view it as the im2col
+    windows (C, kh, kw, Ho, Wo); the padded copy is the only one, and at
+    zero padding there is none."""
+    x = x[0]
     if spec.pad_h or spec.pad_w:
-        x = np.pad(x, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
+        x = np.pad(x, ((0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
     win = np.lib.stride_tricks.sliding_window_view(
-        x, (spec.kernel_h, spec.kernel_w), axis=(2, 3))
-    return win[:, :, ::spec.stride_h, ::spec.stride_w].transpose(0, 1, 4, 5, 2, 3)
-
-
-def _channel_rows(a: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) as its (C, N*H*W) matrix: a view of a channel-major
-    array, such as max_pool_backward's dx, and a copy of any other."""
-    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+        x, (spec.kernel_h, spec.kernel_w), axis=(1, 2))
+    return win[:, ::spec.stride_h, ::spec.stride_w].transpose(0, 3, 4, 1, 2)
 
 
 def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.ndarray:
     """Conv weight gradient from output gradient dy and input x; with the
     two swapped it is the deconv weight gradient.
 
-    Blocks of input channels: each block's columns (Cb*kh*kw, N*Ho*Wo) give
-    its rows of dw.T = columns @ dy.T, so every entry is still one dot over
-    N*Ho*Wo and each block writes contiguous rows."""
+    Blocks of input channels: each block's columns (Cb*kh*kw, Ho*Wo) give
+    its rows of dw.T = columns @ dy(O, Ho*Wo).T, so every entry is still
+    one dot over Ho*Wo and each block writes contiguous rows."""
     win = _windows(x, spec)
-    n, c, kh, kw, ho, wo = win.shape
-    dy_cm = _channel_rows(dy)
-    taps, p = kh * kw, n * ho * wo
-    dw_t = np.empty((c * taps, dy_cm.shape[0]), dtype=np.result_type(dy, x))
+    c, kh, kw, ho, wo = win.shape
+    dy_rows = dy.reshape(dy.shape[1], -1)
+    taps, p = kh * kw, ho * wo
+    dw_t = np.empty((c * taps, dy_rows.shape[0]), dtype=np.result_type(dy, x))
     chans = _block(taps * p * x.itemsize, c, _BLOCK_BYTES)
     buf = np.empty(chans * taps * p, dtype=x.dtype)
     for c0 in range(0, c, chans):
         c1 = min(c0 + chans, c)
-        cols = buf[:(c1 - c0) * taps * p].reshape(c1 - c0, kh, kw, n, ho, wo)
-        np.copyto(cols, win[:, c0:c1].transpose(1, 2, 3, 0, 4, 5))
-        np.matmul(cols.reshape(-1, p), dy_cm.T, out=dw_t[c0 * taps:c1 * taps])
+        cols = buf[:(c1 - c0) * taps * p].reshape(c1 - c0, kh, kw, ho, wo)
+        np.copyto(cols, win[c0:c1])
+        np.matmul(cols.reshape(-1, p), dy_rows.T, out=dw_t[c0 * taps:c1 * taps])
     return np.ascontiguousarray(dw_t.T).reshape(w_shape)
 
 
@@ -134,7 +129,7 @@ def _transposed_conv(dy: np.ndarray, w: np.ndarray, spec: ConvSpec, out_hw) -> n
     and s_h*s_w*C output channels over the cells q that land on the output,
     interleaved back onto the stride grid.  Stride 1 is the one-phase case:
     the kernel flipped and transposed, dy padded by k-1-p."""
-    n, o, ho, wo = dy.shape
+    _, o, ho, wo = dy.shape
     c, sh, sw = spec.in_channels, spec.stride_h, spec.stride_w
     th, tw = -(-spec.kernel_h // sh), -(-spec.kernel_w // sw)
     ph, pw = th - 1 - spec.pad_h // sh, tw - 1 - spec.pad_w // sw  # >= 0 as p < k
@@ -149,14 +144,14 @@ def _transposed_conv(dy: np.ndarray, w: np.ndarray, spec: ConvSpec, out_hw) -> n
     y = conv_forward(dy, g.reshape(sh * sw * c, o, th, tw), None,
                      ConvSpec(o, sh * sw * c, th, tw, pad_h=ph, pad_w=pw))
     qh, qw = y.shape[2:]
-    y = y.reshape(n, sh, sw, c, qh, qw).transpose(0, 3, 4, 1, 5, 2).reshape(n, c, qh * sh, qw * sw)
+    y = y.reshape(sh, sw, c, qh, qw).transpose(2, 3, 0, 4, 1).reshape(1, c, qh * sh, qw * sw)
     off_h, off_w = spec.pad_h % sh, spec.pad_w % sw
     return np.ascontiguousarray(y[:, :, off_h:off_h + out_hw[0], off_w:off_w + out_hw[1]])
 
 
 def _check_conv_input(x: np.ndarray, w: np.ndarray, spec: ConvSpec, channels: int):
-    if x.ndim != 4:
-        raise ValueError(f"conv: expected 4-D input, got {x.ndim}-D")
+    if x.ndim != 4 or x.shape[0] != 1:
+        raise ValueError(f"conv: runs on one image (1,C,H,W), got {x.shape}")
     if x.shape[1] != channels:
         raise ValueError(f"conv: input has {x.shape[1]} channels, spec expects {channels}")
     expect_w = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
@@ -166,28 +161,28 @@ def _check_conv_input(x: np.ndarray, w: np.ndarray, spec: ConvSpec, channels: in
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                  spec: ConvSpec) -> np.ndarray:
-    """Cross-correlation with zero padding; output extents per ConvSpec.
+    """Cross-correlation with zero padding of one (1,C,H,W) image; output
+    extents per ConvSpec.
 
-    Blocks of whole output rows of one image: each block's columns
-    (C*kh*kw, rows*Wo) go through one GEMM straight into the output, so
-    every output element is one dot over C*kh*kw."""
+    Blocks of whole output rows: each block's columns (C*kh*kw, rows*Wo)
+    go through one GEMM straight into the output, so every output element
+    is one dot over C*kh*kw."""
     _check_conv_input(x, w, spec, spec.in_channels)
-    n, c = x.shape[:2]
+    c = x.shape[1]
     oh, ow = spec.out_extent(x.shape[2], x.shape[3])
     kh, kw = spec.kernel_h, spec.kernel_w
     win = _windows(x, spec)
     k = c * kh * kw
     w2 = w.reshape(spec.out_channels, k)
-    y = np.empty((n, spec.out_channels, oh, ow), dtype=np.result_type(x, w))
-    y_rows = y.reshape(n, spec.out_channels, oh * ow)
+    y = np.empty((1, spec.out_channels, oh, ow), dtype=np.result_type(x, w))
+    y_rows = y.reshape(spec.out_channels, oh * ow)
     rows = _block(k * ow * x.itemsize, oh, _BLOCK_BYTES)
     buf = np.empty(k * rows * ow, dtype=x.dtype)
-    for i in range(n):
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            cols = buf[:k * (r1 - r0) * ow].reshape(c, kh, kw, r1 - r0, ow)
-            np.copyto(cols, win[i, :, :, :, r0:r1])
-            np.matmul(w2, cols.reshape(k, -1), out=y_rows[i, :, r0 * ow:r1 * ow])
+    for r0 in range(0, oh, rows):
+        r1 = min(r0 + rows, oh)
+        cols = buf[:k * (r1 - r0) * ow].reshape(c, kh, kw, r1 - r0, ow)
+        np.copyto(cols, win[:, :, :, r0:r1])
+        np.matmul(w2, cols.reshape(k, -1), out=y_rows[:, r0 * ow:r1 * ow])
     if b is not None:
         y += b.reshape(1, -1, 1, 1)
     return y
@@ -197,11 +192,8 @@ def conv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec,
                   input_grad: bool = True):
     """Gradients of conv_forward w.r.t. input, weights, and bias; the input
     gradient is None with ``input_grad=False``, which skips its conv."""
-    # per image over H*W, then over the images in order: the sums and their
-    # order of NCHW's sum(axis=(0, 2)), also on a channel-major dy, where
-    # that one call would merge N and H*W into one pairwise sum
-    db = np.ascontiguousarray(
-        dy.reshape(x.shape[0], spec.out_channels, -1).sum(axis=2)).sum(axis=0)
+    _check_conv_input(x, w, spec, spec.in_channels)
+    db = dy.reshape(spec.out_channels, -1).sum(axis=1)
     dx = _transposed_conv(dy, w, spec, x.shape[2:]) if input_grad else None
     return dx, _weight_grad(dy, x, spec, w.shape), db
 
@@ -222,6 +214,7 @@ def deconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 
 def deconv_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, spec: ConvSpec):
     """Gradients of deconv_forward; dx reuses conv_forward (mutual adjoints)."""
+    _check_conv_input(x, w, spec, spec.out_channels)
     dx = conv_forward(dy, w, None, spec)
     return dx, _weight_grad(x, dy, spec, w.shape), dy.sum(axis=(0, 2, 3))
 
@@ -310,19 +303,15 @@ def max_pool_backward(dy: np.ndarray, arg: np.ndarray, in_shape, kernel: int,
     """Route each window's dy to its winning tap ``arg`` from
     max_pool_forward(x, kernel, stride, winners=True); ``in_shape`` is
     x.shape.  Taps are added last to first, so that a cell that won
-    several windows sums their dy in row-major output order.
-
-    dx is an (N, C, H, W) view of a C-contiguous (C, N, H, W) array, so
-    the conv weight gradient that consumes it reads its (C, N*H*W) matrix
-    without a copy."""
-    n, c, h, w = in_shape
+    several windows sums their dy in row-major output order."""
+    n, _, h, w = in_shape
     oh, ow, hp, wp = _pool_extents(in_shape, kernel, stride)
     # dy * 0 is NaN where dy is not finite, so such a dy is masked instead
     finite = np.isfinite(dy).all()
-    dx = np.empty((c, n, h, w), dtype=dy.dtype).transpose(1, 0, 2, 3)
+    dx = np.empty(in_shape, dtype=dy.dtype)
     for block in _channel_blocks(in_shape, dy.itemsize):
         dyb, ab = dy[:, block], arg[:, block]
-        dxp = np.zeros((ab.shape[1], n, hp, wp), dtype=dy.dtype).transpose(1, 0, 2, 3)
+        dxp = np.zeros((n, ab.shape[1], hp, wp), dtype=dy.dtype)
         views = _pool_taps(dxp, kernel, stride, oh, ow)
         for t in reversed(range(len(views))):
             hit = ab == t

@@ -321,8 +321,10 @@ class Network:
     # -- inference ---------------------------------------------------------
 
     def forward(self, image: np.ndarray, rng: Rng | None = None):
-        """Run the network on an image of any extents; returns (log_albedo,
-        log_shading) at its extents, as views of the padded maps.
+        """Run the network on one (1,3,H,W) image of any extents; returns
+        (log_albedo, log_shading) at its extents, as views of the padded
+        maps.  Any other batch size is rejected: a batch is train_loop's,
+        one forward per image.
 
         ``rng`` is the one train/eval switch.  A forward given an rng is a
         training forward: it draws the dropout masks from it and records
@@ -330,15 +332,15 @@ class Network:
         dropout, no tape, and each activation is freed once its consumer
         has run.  Every layer, the bilinear head's x4 upsample included, is
         one ``_block`` step."""
-        if image.ndim != 4 or image.shape[1] != 3:
-            raise ValueError(f"forward: expected (N,3,H,W) input, got {image.shape}")
-        n, _, h, w = image.shape
+        if image.ndim != 4 or image.shape[:2] != (1, 3):
+            raise ValueError(f"forward: runs on one image (1,3,H,W), got {image.shape}")
+        h, w = image.shape[2:]
         m = self.cfg.input_multiple
         ph, pw = -h % m, -w % m
         pad = ((0, 0), (0, 0), (0, ph), (0, pw))
         unpad = None
         if ph or pw:  # one padded array: cast into, then edge-filled in place
-            x = np.empty((n, 3, h + ph, w + pw), self.dtype)
+            x = np.empty((1, 3, h + ph, w + pw), self.dtype)
             x[:, :, :h, :w] = image
             x[:, :, :h, w:] = x[:, :, :h, w - 1:w]
             x[:, :, h:] = x[:, :, h - 1:h]
@@ -364,7 +366,7 @@ class Network:
         p5 = block("s1.conv5", [block("s1.conv4", [block("s1.conv3", [p2])])], pool=(3, 2))
         # scale 2's concatenated input: the pooled scale-2 features, then scale 1
         q = self.widths["s2c1"]
-        cat = np.empty((n, q + self.widths["c6"], (h + ph) // 4, (w + pw) // 4), self.dtype)
+        cat = np.empty((1, q + self.widths["c6"], (h + ph) // 4, (w + pw) // 4), self.dtype)
         s1_out = block("s1.conv6", [p1, p2, p5] if self.cfg.use_hypercolumn else [p5],
                        drop=rng, out=cat[:, q:])
 
@@ -380,7 +382,7 @@ class Network:
                 out = block(f"{head}.deconv", [block(f"{head}.conv", [b], drop=rng)])
             else:
                 out = block(f"{head}.conv", [b])
-            assert out.value.shape == (n, 3, h + ph, w + pw)
+            assert out.value.shape == (1, 3, h + ph, w + pw)
             outs.append(out)
 
         if tape is not None:

@@ -11,6 +11,7 @@ from intrinsics.layers import (ConvSpec, bilinear_upsample_forward,
                                dropout_forward, dropout_scale,
                                max_pool_backward, max_pool_forward,
                                prelu_backward, prelu_forward)
+from intrinsics.network import NetworkConfig, build_network
 from intrinsics.rng import Rng
 from intrinsics.verify import _block_budget, max_pool_oracle
 
@@ -62,12 +63,14 @@ class TestDeconv:
         assert y.shape == (1, 3, 64, 64)
 
 
-@pytest.mark.parametrize("n,spec,hw", [
-    (2, ConvSpec(3, 4, 3, 3, pad_h=1, pad_w=1), (8, 7)),
-    (2, ConvSpec(3, 2, 8, 8, stride_h=4, stride_w=4, pad_h=2, pad_w=2), (16, 16)),
-    (1, ConvSpec(4, 2, 1, 1), (5, 6)),
-])
-def test_float32_in_contiguous_float32_out(n, spec, hw):
+# the ids keep the batch sizes the first two cases ran at before every
+# convolution took one image
+@pytest.mark.parametrize("spec,hw", [
+    (ConvSpec(3, 4, 3, 3, pad_h=1, pad_w=1), (8, 7)),
+    (ConvSpec(3, 2, 8, 8, stride_h=4, stride_w=4, pad_h=2, pad_w=2), (16, 16)),
+    (ConvSpec(4, 2, 1, 1), (5, 6)),
+], ids=["2-spec0-hw0", "2-spec1-hw1", "1-spec2-hw2"])
+def test_float32_in_contiguous_float32_out(spec, hw):
     # an upcast or a strided view would double memory or force a copy downstream
     rng = Rng(9)
 
@@ -75,14 +78,37 @@ def test_float32_in_contiguous_float32_out(n, spec, hw):
         return rng.normal(shape).astype(np.float32)
 
     w = f32((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
-    x = f32((n, spec.in_channels, *hw))
+    x = f32((1, spec.in_channels, *hw))
     y = conv_forward(x, w, f32((spec.out_channels,)), spec)
     outs = [y, *conv_backward(f32(y.shape), x, w, spec)]
     z = deconv_forward(y, w, f32((spec.in_channels,)), spec)
     outs += [z, *deconv_backward(f32(z.shape), y, w, spec)]
+    # the pool's dx is what the conv weight gradient behind it reads
+    pooled, arg = max_pool_forward(y, 3, 2, winners=True)
+    outs.append(max_pool_backward(f32(pooled.shape), arg, y.shape, 3, 2))
     for i, out in enumerate(outs):
         assert out.dtype == np.float32, f"output {i}: {out.dtype}"
         assert out.flags.c_contiguous, f"output {i} is a strided view"
+
+
+@pytest.mark.parametrize("call", ["conv_forward", "conv_backward", "deconv_forward",
+                                  "deconv_backward", "network"])
+def test_batch_of_two_rejected(call):
+    """Every convolution and the network take one image; a batch of two
+    would mix its images' gradients in one (O, N*Ho*Wo) matrix."""
+    spec = ConvSpec(3, 4, 3, 3, pad_h=1, pad_w=1)
+    w = np.zeros((4, 3, 3, 3))
+    x, y = np.zeros((2, 3, 6, 6)), np.zeros((2, 4, 6, 6))
+    net = build_network(NetworkConfig(channel_scale=1 / 16), Rng(0))
+    calls = {
+        "conv_forward": lambda: conv_forward(x, w, None, spec),
+        "conv_backward": lambda: conv_backward(y, x, w, spec),
+        "deconv_forward": lambda: deconv_forward(y, w, None, spec),
+        "deconv_backward": lambda: deconv_backward(x, y, w, spec),
+        "network": lambda: net.forward(np.zeros((2, 3, 32, 32))),
+    }
+    with pytest.raises(ValueError, match=r"one image .*, got \(2, "):
+        calls[call]()
 
 
 @pytest.mark.parametrize("call", ["forward", "backward", "deconv"])
@@ -199,39 +225,6 @@ class TestMaxPool:
                 assert max_pool_forward(x, kernel, 2).tobytes() == want_y.tobytes()
                 assert max_pool_backward(dy, arg, x.shape, kernel, 2).tobytes() \
                     == want_dx.tobytes()
-
-
-    @pytest.mark.parametrize("kernel", [2, 3])
-    def test_dx_is_channel_major(self, kernel):
-        """dx is an (N, C, H, W) view of a C-contiguous (C, N, H, W) array
-        holding the oracle's bytes, so the (C, N*H*W) matrix that the conv
-        weight gradient multiplies is a view of it, not a copy."""
-        x = Rng(24).normal((3, 5, 11, 10))
-        dy = Rng(25).normal(max_pool_forward(x, kernel, 2).shape)
-        _, want_dx = max_pool_oracle(x, dy, kernel, 2)
-        for budget in (layers._POOL_BLOCK_BYTES, 1):
-            with _block_budget(budget):
-                dx = max_pool_backward(dy, max_pool_forward(x, kernel, 2, winners=True)[1],
-                                       x.shape, kernel, 2)
-            assert dx.shape == x.shape and dx.transpose(1, 0, 2, 3).flags.c_contiguous
-            assert np.ascontiguousarray(dx).tobytes() == want_dx.tobytes()
-            rows = layers._channel_rows(dx)
-            assert rows.shape == (5, 3 * 11 * 10) and np.shares_memory(rows, dx)
-
-
-@pytest.mark.parametrize("n", [2, 9])
-def test_conv_backward_same_bytes_for_a_channel_major_dy(n):
-    """All three gradients from a channel-major dy, as max_pool_backward
-    returns it, are the bytes of those from the same dy in NCHW.  From 8
-    images on, one sum over N and H*W of the channel-major layout would
-    reorder the bias gradient's sum."""
-    spec = ConvSpec(3, 4, 3, 3, pad_h=1, pad_w=1)
-    x = Rng(26).normal((n, 3, 9, 8)).astype(np.float32)
-    w = Rng(27).normal((4, 3, 3, 3)).astype(np.float32)
-    dy = Rng(28).normal((n, 4, 9, 8)).astype(np.float32)
-    dy_cm = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-    for got, want in zip(conv_backward(dy_cm, x, w, spec), conv_backward(dy, x, w, spec)):
-        assert got.tobytes() == want.tobytes()
 
 
 class TestBilinearUpsample:

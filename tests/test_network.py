@@ -69,12 +69,12 @@ class TestForward:
         bytes of the crop of a forward on the edge-padded input, with the
         same dropout masks in training mode."""
         net = tiny_net(seed=2, dtype=np.float32, dropout_prob=0.5)
-        x = Rng(4).uniform((2, 3, 70, 65))
+        x = Rng(4).uniform((1, 3, 70, 65))
         padded = np.pad(x, ((0, 0), (0, 0), (0, 26), (0, 31)), mode="edge")
         got = net.forward(x, rng=Rng(5) if train else None)
         want = net.forward(padded, rng=Rng(5) if train else None)
         for g, w in zip(got, want):
-            assert g.shape == (2, 3, 70, 65)
+            assert g.shape == (1, 3, 70, 65)
             assert g.tobytes() == w[:, :, :70, :65].tobytes()
 
     def test_pad_allocates_only_the_padded_input(self, monkeypatch):
@@ -118,7 +118,7 @@ class TestForward:
 
     def test_outputs_finite(self):
         net = tiny_net(seed=7, dtype=np.float32)
-        la, ls = net.forward(Rng(8).uniform((2, 3, 32, 32)))
+        la, ls = net.forward(Rng(8).uniform((1, 3, 32, 32)))
         assert np.all(np.isfinite(la)) and np.all(np.isfinite(ls))
 
     @pytest.mark.parametrize("hc", [False, True], ids=["plain", "hypercolumn"])
@@ -171,9 +171,9 @@ class TestBackward:
         """At dropout_prob 0, training forwards given different rngs record
         tapes whose backward gives the same bytes."""
         net = tiny_net(seed=9, dtype=np.float32, use_hypercolumn=True, dropout_prob=0.0)
-        x = Rng(10).uniform((2, 3, 32, 32))
-        da = Rng(11).normal((2, 3, 32, 32))
-        ds = Rng(12).normal((2, 3, 32, 32))
+        x = Rng(10).uniform((1, 3, 32, 32))
+        da = Rng(11).normal((1, 3, 32, 32))
+        ds = Rng(12).normal((1, 3, 32, 32))
         grads = []
         for seed in (13, 14):
             net.zero_grads()
@@ -214,9 +214,9 @@ class TestBackward:
     def test_declining_image_grad_changes_nothing_else(self, hc, deconv):
         net = tiny_net(seed=9, dtype=np.float32, use_hypercolumn=hc,
                        use_deconv_head=deconv, dropout_prob=0.5)
-        x = Rng(10).uniform((2, 3, 32, 32))
-        da = Rng(11).normal((2, 3, 32, 32))
-        ds = Rng(12).normal((2, 3, 32, 32))
+        x = Rng(10).uniform((1, 3, 32, 32))
+        da = Rng(11).normal((1, 3, 32, 32))
+        ds = Rng(12).normal((1, 3, 32, 32))
         grads = []
         for image_grad in (True, False):
             net.zero_grads()
@@ -297,16 +297,16 @@ class TestTape:
         assert peak < 36e6, f"backward peaks {peak / 1e6:.1f} MB above the tape"
 
     def test_pooled_block_backward_copies_no_gradient(self):
-        """Full-width s2.conv1 at 2x3x64x64, image gradient declined: its
-        step's backward peaks at about 3.1 MB, which is the conv output
-        gradient (0.79 MB), the column buffer of 81 taps of the 3 image
-        channels (2.0 MB), the padded image (0.12 MB) and small
+        """Full-width s2.conv1 at 1x3x64x64, image gradient declined: its
+        step's backward peaks at about 1.64 MB, which is the conv output
+        gradient (0.39 MB), the column buffer of 81 taps of the 3 image
+        channels (1.0 MB), the padded image (0.06 MB) and small
         temporaries.  A weight gradient that copied the pool's dx into its
-        (C, N*H*W) matrix peaked at 3.9 MB."""
+        (C, H*W) matrix would add the 0.39 MB of that copy."""
         net = Network(NetworkConfig(dropout_prob=0.5), None)
         w = net.params["s2.conv1.weight"].value
         w[...] = Rng(1).normal(w.shape) * 0.05
-        x = Rng(2).uniform((2, 3, 64, 64)).astype(np.float32)
+        x = Rng(2).uniform((1, 3, 64, 64)).astype(np.float32)
         tape = [(None, ())]
         out = net._block("s2.conv1", [_Var(x, tape, 0)], pool=(2, 2), drop=Rng(3))
         dy = Rng(4).normal(out.value.shape).astype(np.float32)
@@ -316,7 +316,7 @@ class TestTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5e6, f"the pooled block's backward peaks at {peak / 1e6:.2f} MB"
+        assert peak < 1.8e6, f"the pooled block's backward peaks at {peak / 1e6:.2f} MB"
 
 
 def run_block(net, name, x, pool=None, drop=False, seed=40):
@@ -403,7 +403,7 @@ class TestBlock:
         net = tiny_net(seed=11, dtype=np.float32, dropout_prob=0.5)
         if nonpositive:
             net.params[f"{name}.slope"].value[:2] = (0.0, -0.5)
-        x = Rng(12).normal((2, cin, hw, hw)).astype(np.float32)
+        x = Rng(12).normal((1, cin, hw, hw)).astype(np.float32)
         y, dx, grads, dy = run_block(net, name, x, pool, drop)
         want_y, want_dx, want, mass = input_path(net, name, x, dy, pool, drop)
         assert y.tobytes() == want_y.tobytes() and dx.tobytes() == want_dx.tobytes()
@@ -435,7 +435,7 @@ class TestBlock:
         negative cells win a kept and a dropped window."""
         net = tiny_net(seed=11, dtype=np.float32, dropout_prob=0.5)
         negative_winners(net, name)
-        x = Rng(12).normal((2, cin, hw, hw)).astype(np.float32)
+        x = Rng(12).normal((1, cin, hw, hw)).astype(np.float32)
         y, dx, grads, dy = run_block(net, name, x, pool, drop)
         want_y, want_dx, want, mass = input_path(net, name, x, dy, pool, drop)
         assert y.tobytes() == want_y.tobytes()
@@ -464,7 +464,7 @@ class TestBlock:
         a = net.params[f"{name}.slope"].value
         a[0] = slope
         w, b = net.params[f"{name}.weight"].value, net.params[f"{name}.bias"].value
-        x = Rng(12).normal((2, 3, 128, 96)).astype(np.float32)
+        x = Rng(12).normal((1, 3, 128, 96)).astype(np.float32)
         shapes = []
 
         def prelu(v, slopes, orig=network.prelu_forward):
@@ -488,14 +488,14 @@ class TestBlock:
         net = tiny_net(seed=11, dtype=np.float32, use_deconv_head=False)
         name = "albedo.conv"
         net.params[f"{name}.bias"].value[:] = Rng(14).normal((3,))
-        x = Rng(12).normal((2, net.widths["mid"], 8, 6)).astype(np.float32)
+        x = Rng(12).normal((1, net.widths["mid"], 8, 6)).astype(np.float32)
         y, dx, grads, dy = run_block(net, name, x)
         w, b = net.params[f"{name}.weight"].value, net.params[f"{name}.bias"].value
         spec = net.specs[name]
         low = layers.conv_forward(x, w, b, spec)
         want_dx, want_dw, want_db = layers.conv_backward(
             layers.bilinear_upsample_backward(dy, 4, low.shape), x, w, spec)
-        assert y.shape == (2, 3, 32, 24)
+        assert y.shape == (1, 3, 32, 24)
         for got, ref in [(y, layers.bilinear_upsample_forward(low, 4)), (dx, want_dx),
                          (grads["weight"], want_dw), (grads["bias"], want_db)]:
             assert got.tobytes() == ref.tobytes()
@@ -511,7 +511,7 @@ class TestBlock:
         w, b = net.params["s1.conv6.weight"].value, net.params["s1.conv6.bias"].value
         wd = net.widths
         groups = ([(wd["c1"], 2), (wd["c2"], 4)] if hc else []) + [(wd["c5"], 8)]
-        xs = [Rng(15 + i).normal((2, c, 16 // f, 24 // f)) for i, (c, f) in enumerate(groups)]
+        xs = [Rng(15 + i).normal((1, c, 16 // f, 24 // f)) for i, (c, f) in enumerate(groups)]
         tape = [(None, ())]
         out = net._block("s1.conv6", [_Var(v, tape, 0) for v in xs])
         dy = Rng(20).normal(out.value.shape)

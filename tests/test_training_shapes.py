@@ -1,5 +1,6 @@
-"""Float32 layer results at the shapes of one full-topology 416x416 batch-2
-training step (the `train-full` benchmark's), byte for byte against
+"""Float32 layer results at the shapes of one image's forward and backward
+in a full-topology 416x416 training step (the `train-full` benchmark's,
+which runs its batch of 2 one image at a time), byte for byte against
 reference formulas:
 
 - dropout: the float mask (Rng.uniform >= p) / (1 - p), applied as x * mask
@@ -7,9 +8,9 @@ reference formulas:
 - PReLU: np.where(x < 0, a * dy, dy) and the sum of np.where(x < 0,
   x * dy, 0) per channel;
 - max pool: the window-by-window oracle of the `max-pool-oracle` suite;
-- conv and deconv weight gradients: dy(O, N*Ho*Wo) @ columns.T over the
+- conv and deconv weight gradients: dy(O, Ho*Wo) @ columns.T over the
   same channel blocks, the transpose of what `_weight_grad` computes.  Each
-  entry is one dot over N*Ho*Wo either way; that the two GEMM orientations
+  entry is one dot over Ho*Wo either way; that the two GEMM orientations
   round alike is a property of the BLAS, checked here on OpenBLAS.
 """
 
@@ -21,7 +22,7 @@ from intrinsics.layers import ConvSpec
 from intrinsics.rng import Rng
 from intrinsics.verify import max_pool_oracle
 
-N = 2
+N = 1
 
 
 def f32(seed, shape):
@@ -31,15 +32,15 @@ def f32(seed, shape):
 
 def weight_grad_dy_cols(dy, x, spec, w_shape):
     win = layers._windows(x, spec)
-    n, c, kh, kw, ho, wo = win.shape
-    dy_cm = dy.transpose(1, 0, 2, 3).reshape(dy.shape[1], -1)
-    taps, p = kh * kw, n * ho * wo
-    dw = np.empty((dy_cm.shape[0], c * taps), dtype=np.float32)
+    c, kh, kw, ho, wo = win.shape
+    dy_rows = dy.reshape(dy.shape[1], -1)
+    taps, p = kh * kw, ho * wo
+    dw = np.empty((dy_rows.shape[0], c * taps), dtype=np.float32)
     chans = layers._block(taps * p * x.itemsize, c, layers._BLOCK_BYTES)
     for c0 in range(0, c, chans):
         c1 = min(c0 + chans, c)
-        cols = np.ascontiguousarray(win[:, c0:c1].transpose(1, 2, 3, 0, 4, 5))
-        np.matmul(dy_cm, cols.reshape(-1, p).T, out=dw[:, c0 * taps:c1 * taps])
+        cols = np.ascontiguousarray(win[c0:c1])
+        np.matmul(dy_rows, cols.reshape(-1, p).T, out=dw[:, c0 * taps:c1 * taps])
     return dw.reshape(w_shape)
 
 
