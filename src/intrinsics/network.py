@@ -50,7 +50,7 @@ from .layers import (ConvSpec, bilinear_upsample_backward,
                      bilinear_upsample_forward, conv_backward, conv_forward,
                      deconv_backward, deconv_forward, dropout_backward,
                      dropout_forward, dropout_scale, max_pool_backward,
-                     max_pool_forward, prelu_backward, prelu_forward)
+                     max_pool_forward, pad_constant, prelu_backward, prelu_forward)
 from .rng import Rng
 
 PRELU_INIT = 0.25
@@ -389,7 +389,7 @@ class Network:
             # last entry: backward seeds it with (d_log_albedo, d_log_shading),
             # zero on the pad
             dtype = self.dtype
-            _record(None, lambda d: [np.pad(g.astype(dtype, copy=False), pad) if unpad
+            _record(None, lambda d: [pad_constant(g, pad, dtype=dtype) if unpad
                                      else g.astype(dtype, copy=False) for g in d], *outs)
             self._tape = tape
         return outs[0].value[:, :, :h, :w], outs[1].value[:, :, :h, :w]

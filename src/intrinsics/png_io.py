@@ -1,26 +1,28 @@
 """Minimal PNG reader/writer for 8- and 16-bit grayscale and RGB images.
 
 Pixel values map linearly to floats in [0, 1] by dividing by the bit-depth
-maximum; no gamma handling.  The writer always emits non-interlaced,
-filter-0 scanlines in one IDAT chunk deflated at zlib level 1: on
-Sintel-sized 16-bit maps level 6 takes three to five times as long and
-saves at most about 5% of the bytes, and the decoded pixels are the same
-at any level.  Each file is written from one uint8 scanline buffer: the
-image is quantized straight into it through a big-endian ``>u1``/``>u2``
-view, and zlib reads the buffer itself.  The reader understands all five
-standard filters so it can ingest files produced elsewhere.  Files whose
-rows use only None, Sub and Up (everything ``write_png`` writes) are
-unfiltered row by row in uint8, whose wraparound is the filters' mod-256
-arithmetic: Sub is one prefix sum per row, Up one add.  Average and Paeth
-need each byte's left neighbour first, so a file with any such row is
-unfiltered as one anti-diagonal wavefront over the whole image:
-h + w - 1 numpy steps, rows of every filter type in the same loop.  The
-reader checks every chunk's CRC and rejects a malformed IHDR, zero
-extents, nonzero compression, filter or interlace methods, and image
-data that is not one zlib stream of the size the header gives; it
-inflates at most one byte more, so a small file that would inflate to
-gigabytes holds none of them.  Palette and alpha images are out of scope
-and rejected with a clear message.
+maximum; no gamma handling.  ``read_png(path, integers=True)`` returns the
+decoded integers and that maximum instead, so a caller can hold a map at
+its file's bit depth and divide only the pixels it uses.  The writer always
+emits non-interlaced, filter-0 scanlines in one IDAT chunk deflated at zlib
+level 1: on Sintel-sized 16-bit maps level 6 takes three to five times as
+long and saves at most about 5% of the bytes, and the decoded pixels are
+the same at any level.  Each file is written from one uint8 scanline
+buffer: the image is quantized straight into it through a big-endian
+``>u1``/``>u2`` view, and zlib reads the buffer itself.  The reader
+understands all five standard filters so it can ingest files produced
+elsewhere.  Files whose rows use only None, Sub and Up (everything
+``write_png`` writes) are unfiltered row by row in uint8, whose wraparound
+is the filters' mod-256 arithmetic: Sub is one prefix sum per row, Up one
+add.  Average and Paeth need each byte's left neighbour first, so a file
+with any such row is unfiltered as one anti-diagonal wavefront over the
+whole image: h + w - 1 numpy steps, rows of every filter type in the same
+loop.  The reader checks every chunk's CRC and rejects a malformed IHDR,
+zero extents, nonzero compression, filter or interlace methods, and image
+data that is not one zlib stream of the size the header gives; it inflates
+at most one byte more, so a small file that would inflate to gigabytes
+holds none of them.  Palette and alpha images are out of scope and rejected
+with a clear message.
 
 ``write_atomic`` is the one way the package writes an output file: PNGs,
 checkpoints, eval reports, loss traces and synth manifests all go through
@@ -159,8 +161,12 @@ def _unfilter_wavefront(lines: np.ndarray, ftypes: np.ndarray, bpp: int) -> np.n
     return skew[r + j + 2, r + 1].astype(np.uint8).reshape(h, stride)
 
 
-def read_png(path) -> np.ndarray:
-    """Read a PNG into float64 in [0, 1]; (H, W) for grayscale, (H, W, 3) for RGB."""
+def read_png(path, integers: bool = False):
+    """Read a PNG into float64 in [0, 1]; (H, W) for grayscale, (H, W, 3) for RGB.
+
+    With ``integers=True`` returns (samples, maximum): the same extents as
+    native uint8 or uint16, and the bit-depth maximum they divide by, so
+    ``np.divide(samples, maximum, dtype=np.float64)`` is the float read."""
     with open(path, "rb") as f:
         r = ByteReader(f.read(), f"read_png: {path} is truncated")
     if r.view[:8] != _SIGNATURE:
@@ -211,5 +217,8 @@ def read_png(path) -> np.ndarray:
                          f"stream of {size} bytes)")
     pixels = _unfilter(np.frombuffer(raw, dtype=np.uint8), h, stride, bpp)
     samples = pixels.view(f">u{depth // 8}").reshape(h, w, channels)
+    if integers:
+        samples = samples.astype(f"=u{depth // 8}", copy=False)
+        return (samples[:, :, 0] if channels == 1 else samples), (1 << depth) - 1
     arr = np.divide(samples, (1 << depth) - 1, dtype=np.float64)
     return arr[:, :, 0] if channels == 1 else arr

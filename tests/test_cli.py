@@ -435,8 +435,8 @@ class TestEvalCommand:
         lines = manifest.read_text().splitlines()
         (tmp_path / "data" / "two.tsv").write_text("\n".join(lines[:2]) + "\n")
         reads = []
-        monkeypatch.setattr(data, "read_png", lambda p, orig=data.read_png:
-                            reads.append(Path(p).name) or orig(p))
+        monkeypatch.setattr(data, "read_png", lambda p, *a, orig=data.read_png, **k:
+                            reads.append(Path(p).name) or orig(p, *a, **k))
         peaks = []
         for m in (tmp_path / "data" / "two.tsv", manifest):
             tracemalloc.start()
@@ -456,8 +456,8 @@ class TestSynthCommand:
         manifest = write_dataset(tmp_path / "data", n=2, h=16, w=16)
         out = tmp_path / "resynth"
         reads = []
-        monkeypatch.setattr(data, "read_png", lambda p, orig=data.read_png:
-                            reads.append(Path(p).name) or orig(p))
+        monkeypatch.setattr(data, "read_png", lambda p, *a, orig=data.read_png, **k:
+                            reads.append(Path(p).name) or orig(p, *a, **k))
         assert run_cli("synth", "--mode", "resynth-sintel",
                        "--manifest", manifest, "--out-dir", out) == 0
         assert reads == ["s0_a.png", "s0_s.png", "s1_a.png", "s1_s.png"]  # no input image
@@ -488,8 +488,8 @@ class TestSynthCommand:
         outputs = []
         for out in (tmp_path / "with", tmp_path / "without"):
             reads = []
-            monkeypatch.setattr(data, "read_png", lambda p, orig=data.read_png:
-                                reads.append(Path(p).name) or orig(p))
+            monkeypatch.setattr(data, "read_png", lambda p, *a, orig=data.read_png, **k:
+                                reads.append(Path(p).name) or orig(p, *a, **k))
             assert run_cli("synth", "--mode", "gen-mit-shading",
                            "--manifest", manifest, "--out-dir", out) == 0
             monkeypatch.undo()

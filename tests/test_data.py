@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from intrinsics.data import (AugmentConfig, Manifest, ManifestEntry, Sample,
-                             augment, ensure_disjoint_split,
+                             as_float, augment, ensure_disjoint_split,
                              generate_mit_shading, load_dataset,
                              parse_manifest, resynthesize)
 from intrinsics.metrics import fit_alpha
@@ -46,6 +46,17 @@ class TestPng:
         write_png(path, img, bit_depth=depth)
         expected = np.rint(np.clip(img, 0.0, 1.0) * maxval) / maxval
         assert np.array_equal(read_png(path), expected)
+
+    @pytest.mark.parametrize("depth", [8, 16])
+    @pytest.mark.parametrize("shape", [(37, 53), (37, 53, 3)])
+    def test_integer_read_divides_to_the_float_read(self, tmp_path, depth, shape):
+        path = tmp_path / "t.png"
+        write_png(path, Rng(5).uniform(shape), bit_depth=depth)
+        values, maximum = read_png(path, integers=True)
+        assert values.dtype == np.dtype(f"=u{depth // 8}") and values.shape == shape
+        assert maximum == (1 << depth) - 1
+        floats = read_png(path)
+        assert np.divide(values, maximum, dtype=np.float64).tobytes() == floats.tobytes()
 
     @pytest.mark.parametrize("depth", [8, 16])
     def test_float32_transposed_view_writes_the_float64_bytes(self, tmp_path, depth):
@@ -308,6 +319,32 @@ class TestLoading:
         expected[0, 0, 2, 3] = expected[0, 0, 5, 0] = 1.0
         assert np.array_equal(s.mask, expected)
 
+    def test_loaded_frame_holds_its_decoded_integers(self, tmp_path):
+        """A 436x1024 frame of 16-bit RGB maps and an 8-bit mask holds its
+        decoded uint16 maps and a bool mask, 8.5 MB; as float64 it takes
+        35.7 MB.  Each map divided by its divisor is its float read."""
+        h, w = 436, 1024
+        ramp = np.linspace(0.0, 1.0, h * w).reshape(h, w, 1)
+        names = []
+        for k, gain in (("i", 0.9), ("a", 0.6), ("s", 1.0)):
+            write_png(tmp_path / f"{k}.png", ramp * [gain, 0.5 * gain, 0.25], 16)
+            names.append(f"{k}.png")
+        write_png(tmp_path / "m.png", (ramp[:, :, 0] > 0.3).astype(float), 8)
+        (tmp_path / "m.tsv").write_text("\t".join(["f0", *names, "m.png", "sc"]) + "\n")
+        manifest = parse_manifest(tmp_path / "m.tsv")
+        tracemalloc.start()
+        try:
+            (s,) = load_dataset(manifest)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 9e6, held
+        assert s.mask.dtype == bool and 0 < s.mask.sum() < s.mask.size
+        for name, t, d in zip(names, (s.image, s.albedo, s.shading), s.divisors):
+            assert t.dtype == np.uint16
+            want = read_png(tmp_path / name).transpose(2, 0, 1)[None]
+            assert np.array_equal(as_float(t, d), want)
+
     def test_extent_mismatch_names_sample(self, tmp_path):
         line = self._write_triple(tmp_path, sid="bad", shading_extents=(4, 8))
         (tmp_path / "m.tsv").write_text(line + "\n")
@@ -431,6 +468,27 @@ class TestAugment:
             t[...] = -1.0
         for t, b in zip((s.image, s.albedo, s.shading, s.mask), before):
             assert np.array_equal(t, b)
+
+    @pytest.mark.parametrize("rotate_zoom", [False, True], ids=["crop", "rotzoom"])
+    def test_integer_maps_augment_to_their_float64_bytes(self, rotate_zoom):
+        """augment divides each map as it reads it (the crop's slice, or each
+        tap of the gather), so integer maps give the bytes of their float64
+        division; dividing after interpolating would not."""
+        rng = Rng(18)
+        divisors = (65535, 255, 65535)
+        ints = [np.rint(rng.uniform((1, 3, 40, 44)) * d).astype(t)
+                for d, t in zip(divisors, (np.uint16, np.uint8, np.uint16))]
+        mask = rng.uniform((1, 1, 40, 44)) > 0.3
+        held = Sample("s", *ints, mask, divisors)
+        floats = Sample("s", *(as_float(t, d) for t, d in zip(ints, divisors)),
+                        mask.astype(np.float64))
+        cfg = AugmentConfig(crop_h=32, crop_w=32, mirror_prob=0.5,
+                            enable_rotate_zoom=rotate_zoom)
+        for seed in range(6):
+            a, b = augment(held, cfg, Rng(seed)), augment(floats, cfg, Rng(seed))
+            for name in ("image", "albedo", "shading", "mask"):
+                got, want = getattr(a, name), getattr(b, name)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
 
     def test_impossible_crop_rejected(self):
         s = make_sample(seed=17, h=16, w=16)
