@@ -21,13 +21,13 @@ from typing import get_type_hints
 import numpy as np
 
 # load_sample is not called here, but the benchmark's tracer wraps cli.load_sample
-from .data import (SPLIT_MODES, AugmentConfig, as_float, ensure_disjoint_split,
+from .data import (SPLIT_MODES, AugmentConfig, ensure_disjoint_split,
                    generate_mit_shading, load_dataset, load_mask, load_sample, load_targets,
                    parse_manifest, read_entry_map, resynthesize, to_nchw)
 from .losses import LossConfig
 from .metrics import evaluate_report
 from .network import NetworkConfig, build_network
-from .png_io import read_png, write_atomic, write_png
+from .png_io import as_float, read_png, write_atomic, write_png
 from .rng import Rng, derive_seed
 from .trainer import (TrainConfig, decompose_image, load_checkpoint,
                       network_from_checkpoint, train_loop)
@@ -172,7 +172,7 @@ def cmd_eval(args) -> int:
         if not (os.path.exists(pa) and os.path.exists(ps)):
             raise ValueError(f"missing prediction files {pa} / {ps}")
         albedo, shading, mask = load_targets(entries[sid], manifest.base_dir)
-        return (as_float(*albedo), as_float(*shading), to_nchw(read_png(pa)),
+        return (as_float(albedo), as_float(shading), to_nchw(read_png(pa)),
                 to_nchw(read_png(ps)), mask.astype(np.float64))
 
     report = evaluate_report(entries, load, include_mit_total=args.mit_total)
@@ -199,7 +199,7 @@ def cmd_synth(args) -> int:
     for entry in manifest.entries:
         sid = entry.id
         if args.mode == "gen-mit-shading":  # never reads the shading it replaces
-            image, albedo = (as_float(*read_entry_map(entry, manifest.base_dir, p))
+            image, albedo = (as_float(read_entry_map(entry, manifest.base_dir, p))
                              for p in (entry.image_path, entry.albedo_path))
             shading, alpha, valid = generate_mit_shading(image, albedo)
             mask = load_mask(entry, manifest.base_dir, albedo.shape[2:]) * valid
@@ -208,7 +208,7 @@ def cmd_synth(args) -> int:
                       f"valid={float(valid.mean()):.4f}")
         else:  # resynth-sintel, which never reads the input image
             albedo, shading, mask = load_targets(entry, manifest.base_dir)
-            albedo, shading = as_float(*albedo), as_float(*shading)
+            albedo, shading = as_float(albedo), as_float(shading)
             mask = mask.astype(np.float64)
             image = resynthesize(albedo, shading)
         names = []

@@ -3,12 +3,11 @@ image/reflectance pairs, image resynthesis, and paired augmentation.
 
 A Sample carries image, albedo, and shading as (1,3,H,W) maps plus a
 (1,1,H,W) validity mask (nonzero = contributes to losses and metrics).
-Each map's linear intensity is its values divided by its entry of
-``divisors``.  A loaded sample keeps the integers its PNG decodes to, with
-the bit-depth maximum as divisor, and a bool mask: a 16-bit RGB 436x1024
-frame holds 8.5 MB, where float64 maps take 35.7 MB.  ``augment`` divides
-only the pixels it returns, and ``as_float`` is the one division, the one
-``read_png`` makes.  Manifests are tab-separated text, one record per line:
+Each map's linear intensity is ``png_io.as_float`` of it, which reads the
+scale off the dtype.  A loaded sample keeps the uint8 or uint16 integers
+its PNG decodes to, and a bool mask: a 16-bit RGB 436x1024 frame holds
+8.5 MB, where float64 maps take 35.7 MB.  ``augment`` divides only the
+pixels it returns.  Manifests are tab-separated text, one record per line:
 
     id <TAB> image.png <TAB> albedo.png <TAB> shading.png [<TAB> mask.png] <TAB> scene
 
@@ -29,20 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import fit_alpha
-from .png_io import read_png
+from .png_io import as_float, read_png
 from .rng import Rng, derive_seed
 
 SPLIT_MODES = ("image-split", "scene-split", "object-split")
 MIT_SHADING_EPS = 1e-4
 ZOOM_RANGE = (0.8, 1.2)
 ROTATE_RANGE_DEG = (-15.0, 15.0)
-
-
-def as_float(values: np.ndarray, divisor) -> np.ndarray:
-    """A map's linear intensity: ``values`` / ``divisor`` in float64, the
-    division ``read_png`` makes, so a divided slice of a PNG's integers is
-    that slice of its float read byte for byte (and divisor 1 is exact)."""
-    return np.divide(values, divisor, dtype=np.float64, order="C")
 
 
 @dataclass
@@ -52,7 +44,6 @@ class Sample:
     albedo: np.ndarray
     shading: np.ndarray
     mask: np.ndarray
-    divisors: tuple = (1, 1, 1)  # of image, albedo, shading
 
     def __post_init__(self):
         for name in ("image", "albedo", "shading"):
@@ -135,9 +126,9 @@ def to_nchw(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
 
 
-def read_entry_png(entry: ManifestEntry, base_dir: str, path: str):
-    """One of ``entry``'s PNGs as (integers, bit-depth maximum), (H,W) or
-    (H,W,3); a file that cannot be opened names the sample."""
+def read_entry_png(entry: ManifestEntry, base_dir: str, path: str) -> np.ndarray:
+    """One of ``entry``'s PNGs as its decoded integers, (H,W) or (H,W,3); a
+    file that cannot be opened names the sample."""
     full = os.path.join(base_dir, path)
     try:
         return read_png(full, integers=True)
@@ -145,10 +136,9 @@ def read_entry_png(entry: ManifestEntry, base_dir: str, path: str):
         raise ValueError(f"sample {entry.id}: cannot read {full}: {e}") from e
 
 
-def read_entry_map(entry: ManifestEntry, base_dir: str, path: str):
-    """One of ``entry``'s maps as ((1,3,H,W) integers, bit-depth maximum)."""
-    values, maximum = read_entry_png(entry, base_dir, path)
-    return to_nchw(values), maximum
+def read_entry_map(entry: ManifestEntry, base_dir: str, path: str) -> np.ndarray:
+    """One of ``entry``'s maps as (1,3,H,W) integers."""
+    return to_nchw(read_entry_png(entry, base_dir, path))
 
 
 def load_mask(entry: ManifestEntry, base_dir: str, extents: tuple) -> np.ndarray:
@@ -157,7 +147,7 @@ def load_mask(entry: ManifestEntry, base_dir: str, extents: tuple) -> np.ndarray
     one."""
     if entry.mask_path is None:
         return np.ones((1, 1, *extents), dtype=bool)
-    m = np.atleast_3d(read_entry_png(entry, base_dir, entry.mask_path)[0]).max(axis=2)
+    m = np.atleast_3d(read_entry_png(entry, base_dir, entry.mask_path)).max(axis=2)
     if m.shape != extents:
         raise ValueError(f"sample {entry.id}: mask extents {m.shape} "
                          f"differ from albedo {extents}")
@@ -166,22 +156,20 @@ def load_mask(entry: ManifestEntry, base_dir: str, extents: tuple) -> np.ndarray
 
 def load_targets(entry: ManifestEntry, base_dir: str):
     """(albedo, shading, mask) of one entry, without decoding its image; each
-    map as ((1,3,H,W) integers, bit-depth maximum)."""
+    map as (1,3,H,W) integers."""
     albedo = read_entry_map(entry, base_dir, entry.albedo_path)
     shading = read_entry_map(entry, base_dir, entry.shading_path)
-    extents = albedo[0].shape[2:]
-    if shading[0].shape[2:] != extents:
-        raise ValueError(f"sample {entry.id}: shading extents {shading[0].shape[2:]} "
+    extents = albedo.shape[2:]
+    if shading.shape[2:] != extents:
+        raise ValueError(f"sample {entry.id}: shading extents {shading.shape[2:]} "
                          f"differ from albedo {extents}")
     return albedo, shading, load_mask(entry, base_dir, extents)
 
 
 def load_sample(entry: ManifestEntry, base_dir: str) -> Sample:
-    """One entry as its decoded integers, each map's divisor its bit-depth
-    maximum, and a bool mask."""
-    image, i_max = read_entry_map(entry, base_dir, entry.image_path)
-    (albedo, a_max), (shading, s_max), mask = load_targets(entry, base_dir)
-    return Sample(entry.id, image, albedo, shading, mask, (i_max, a_max, s_max))
+    """One entry as its decoded integers and a bool mask."""
+    image = read_entry_map(entry, base_dir, entry.image_path)
+    return Sample(entry.id, image, *load_targets(entry, base_dir))
 
 
 def load_dataset(manifest: Manifest) -> list[Sample]:
@@ -282,9 +270,8 @@ class AugmentConfig:
                       ZOOM_RANGE[1] if self.enable_rotate_zoom else 1.0)
 
 
-def _bilinear_gather(img: np.ndarray, sy: np.ndarray, sx: np.ndarray,
-                     divisor=1) -> np.ndarray:
-    """Sample (1,C,H,W) / ``divisor`` at real coordinates, dividing each
+def _bilinear_gather(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """Sample ``as_float`` of (1,C,H,W) at real coordinates, dividing each
     tap before it is weighted; callers handle out-of-bounds."""
     h, w = img.shape[2:]
     syc = np.clip(sy, 0.0, h - 1.0)
@@ -298,7 +285,7 @@ def _bilinear_gather(img: np.ndarray, sy: np.ndarray, sx: np.ndarray,
     p = img[0]  # (C,H,W)
 
     def tap(i, j):
-        return as_float(p[:, i, j], divisor)
+        return as_float(p[:, i, j])
     top = tap(i0, j0) * (1 - tx) + tap(i0, j1) * tx
     bot = tap(i1, j0) * (1 - tx) + tap(i1, j1) * tx
     return (top * (1 - ty) + bot * ty)[None]
@@ -314,9 +301,9 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
     whose source coordinate falls outside the image are marked invalid.
     Without rotate/zoom every source coordinate is an integer, where the
     bilinear weights are exactly 0 and 1, so the crop is a slice.  Each map
-    is divided by its divisor as it is read: the crop's slice, or each tap
-    of the gather.  Every returned map is a fresh float64 array, with
-    divisor 1.
+    goes through ``as_float`` as it is read: the crop's slice, or each tap
+    of the gather; the mask is cast, not scaled.  Every returned map is a
+    fresh float64 array.
     """
     h, w = sample.image.shape[2:]
     if cfg.enable_rotate_zoom:
@@ -330,11 +317,12 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
     off_c = rng.integers(0, zw - cfg.crop_w)
     flip = cfg.mirror_prob > 0 and rng.uniform() < cfg.mirror_prob
     if not cfg.enable_rotate_zoom:
-        def crop(t, divisor=1):
+        def crop(t):
             t = t[:, :, off_r:off_r + cfg.crop_h, off_c:off_c + cfg.crop_w]
-            return as_float(t[..., ::-1] if flip else t, divisor)
-        return Sample(sample.id, *map(crop, (sample.image, sample.albedo, sample.shading),
-                                      sample.divisors), crop(sample.mask))
+            return t[..., ::-1] if flip else t
+        return Sample(sample.id, *(as_float(crop(t)) for t in
+                                   (sample.image, sample.albedo, sample.shading)),
+                      crop(sample.mask).astype(np.float64, order="C"))
 
     rr, cc = np.meshgrid(np.arange(cfg.crop_h, dtype=np.float64),
                          np.arange(cfg.crop_w, dtype=np.float64), indexing="ij")
@@ -353,9 +341,8 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:
     sx = (zx + 0.5) * (w / zw) - 0.5
 
     inside = (sy >= 0.0) & (sy <= h - 1.0) & (sx >= 0.0) & (sx <= w - 1.0)
-    image, albedo, shading = (
-        _bilinear_gather(t, sy, sx, d) for t, d in
-        zip((sample.image, sample.albedo, sample.shading), sample.divisors))
+    image, albedo, shading = (_bilinear_gather(t, sy, sx) for t in
+                              (sample.image, sample.albedo, sample.shading))
     iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
     jx = np.clip(np.rint(sx).astype(np.intp), 0, w - 1)
     mask = sample.mask[0, 0, iy, jx] * inside

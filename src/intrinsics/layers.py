@@ -87,26 +87,29 @@ def _block(unit_bytes: int, units: int, budget: int) -> int:
     return max(1, min(units, budget // unit_bytes))
 
 
-def pad_constant(x: np.ndarray, widths, value=0.0, dtype=None) -> np.ndarray:
-    """``x`` cast to ``dtype`` (default its own) and padded by ``widths``, one
-    (before, after) per axis, with ``value``: np.pad's constant mode as one
-    ``np.full`` and one slice assignment, without np.pad's per-call cost."""
+def pad_constant(x: np.ndarray, widths, value=0.0) -> np.ndarray:
+    """``x`` padded by ``widths``, one (before, after) per axis, with
+    ``value``: np.pad's constant mode as one ``np.full`` and one slice
+    assignment, without np.pad's per-call cost."""
     shape = tuple(n + a + b for n, (a, b) in zip(x.shape, widths))
-    out = np.full(shape, value, dtype=x.dtype if dtype is None else dtype)
+    out = np.full(shape, value, dtype=x.dtype)
     out[tuple(slice(a, a + n) for n, (a, _) in zip(x.shape, widths))] = x
     return out
 
 
 def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Zero-pad a (1,C,H,W) image per spec and view it as the im2col
-    windows (C, kh, kw, Ho, Wo); the padded copy is the only one, and at
-    zero padding there is none."""
+    windows (C, kh, kw, Ho, Wo), one read-only strided view; the padded
+    copy is the only one, and at zero padding there is none."""
     x = x[0]
     if spec.pad_h or spec.pad_w:
         x = pad_constant(x, ((0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
-    win = np.lib.stride_tricks.sliding_window_view(
-        x, (spec.kernel_h, spec.kernel_w), axis=(1, 2))
-    return win[:, ::spec.stride_h, ::spec.stride_w].transpose(0, 3, 4, 1, 2)
+    c, h, w = x.shape
+    kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
+    sc, sy, sx = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (c, kh, kw, (h - kh) // sh + 1, (w - kw) // sw + 1),
+        (sc, sy, sx, sy * sh, sx * sw), writeable=False)
 
 
 def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.ndarray:
@@ -346,6 +349,20 @@ def _bilinear_matrix(factor: int, n_in: int) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=64)
+def _einsum_path(equation: str, *shapes) -> list:
+    """``np.einsum``'s ``optimize=True`` contraction path for operands of
+    these shapes; it depends on the shapes alone, so each is searched once."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(equation, *operands, optimize=True)[0]
+
+
+def _einsum(equation: str, *operands) -> np.ndarray:
+    """``np.einsum(..., optimize=True)`` with its path from ``_einsum_path``."""
+    path = _einsum_path(equation, *(t.shape for t in operands))
+    return np.einsum(equation, *operands, optimize=path)
+
+
 def bilinear_upsample_forward(x: np.ndarray, factor: int) -> np.ndarray:
     """Fixed bilinear upsampling by an integer factor (align-corners-false)."""
     if factor < 1:
@@ -354,7 +371,7 @@ def bilinear_upsample_forward(x: np.ndarray, factor: int) -> np.ndarray:
         return x
     uh = _bilinear_matrix(factor, x.shape[2])
     uw = _bilinear_matrix(factor, x.shape[3])
-    y = np.einsum("hp,ncpq,wq->nchw", uh, x, uw, optimize=True)
+    y = _einsum("hp,ncpq,wq->nchw", uh, x, uw)
     return y.astype(x.dtype, copy=False)
 
 
@@ -364,7 +381,7 @@ def bilinear_upsample_backward(dy: np.ndarray, factor: int, in_shape) -> np.ndar
         return dy
     uh = _bilinear_matrix(factor, in_shape[2])
     uw = _bilinear_matrix(factor, in_shape[3])
-    dx = np.einsum("hp,nchw,wq->ncpq", uh, dy, uw, optimize=True)
+    dx = _einsum("hp,nchw,wq->ncpq", uh, dy, uw)
     return dx.astype(dy.dtype, copy=False)
 
 

@@ -34,6 +34,14 @@ def fit_alpha(target: np.ndarray, pred: np.ndarray,
     return 0.0 if denom == 0.0 else float((target * pred * m).sum()) / denom
 
 
+def _aligned_ssq(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
+    """Squared masked error left once ``fit_alpha`` scales the prediction:
+    si_mse's numerator, and one window's term of ``lmse_window_sums``."""
+    a = fit_alpha(target, pred, mask)
+    diff = (target - a * pred) * mask
+    return float((diff * diff).sum())
+
+
 def si_mse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
     """Mean squared error after fitting a single brightness scale to the
     prediction; sums run over valid channel entries only."""
@@ -42,9 +50,7 @@ def si_mse(target: np.ndarray, pred: np.ndarray, mask: np.ndarray) -> float:
     n = float(mask.sum()) * target.shape[1]
     if n == 0:
         raise ValueError("si_mse: mask has no valid pixels")
-    a = fit_alpha(target, pred, mask)
-    diff = (target - a * pred) * mask
-    return float((diff * diff).sum()) / n
+    return _aligned_ssq(target, pred, mask) / n
 
 
 def _windows(target: np.ndarray, pred: np.ndarray, mask: np.ndarray):
@@ -89,9 +95,7 @@ def lmse_window_sums(target: np.ndarray, pred: np.ndarray,
     ssq = 0.0
     zero_ssq = 0.0
     for t, p, m in _windows(target, pred, mask):
-        a = fit_alpha(t, p, m)
-        diff = (t - a * p) * m
-        ssq += float((diff * diff).sum())
+        ssq += _aligned_ssq(t, p, m)
         zero_ssq += float((t * t * m).sum())
     return ssq, zero_ssq
 

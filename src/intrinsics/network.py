@@ -389,7 +389,7 @@ class Network:
             # last entry: backward seeds it with (d_log_albedo, d_log_shading),
             # zero on the pad
             dtype = self.dtype
-            _record(None, lambda d: [pad_constant(g, pad, dtype=dtype) if unpad
+            _record(None, lambda d: [pad_constant(g.astype(dtype, copy=False), pad) if unpad
                                      else g.astype(dtype, copy=False) for g in d], *outs)
             self._tape = tape
         return outs[0].value[:, :, :h, :w], outs[1].value[:, :, :h, :w]

@@ -1,9 +1,10 @@
 """Minimal PNG reader/writer for 8- and 16-bit grayscale and RGB images.
 
-Pixel values map linearly to floats in [0, 1] by dividing by the bit-depth
-maximum; no gamma handling.  ``read_png(path, integers=True)`` returns the
-decoded integers and that maximum instead, so a caller can hold a map at
-its file's bit depth and divide only the pixels it uses.  The writer always
+Pixel values map linearly to floats in [0, 1] through ``as_float``, which
+divides uint8 by 255, uint16 by 65535 and any other dtype by 1; no gamma
+handling.  ``read_png(path, integers=True)`` returns the decoded integers
+instead, so a caller can hold a map at its file's bit depth and divide
+only the pixels it uses.  The writer always
 emits non-interlaced, filter-0 scanlines in one IDAT chunk deflated at zlib
 level 1: on Sintel-sized 16-bit maps level 6 takes three to five times as
 long and saves at most about 5% of the bytes, and the decoded pixels are
@@ -40,6 +41,15 @@ import numpy as np
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _ZLIB_LEVEL = 1  # 436x1024 RGB16: 0.07 s, 1.83/1.68 MB; level 6: 0.34-0.41 s, 1.83/1.66 MB
+
+
+def as_float(values: np.ndarray) -> np.ndarray:
+    """A map's linear intensity in C-order float64: unsigned integers over
+    their dtype's maximum, anything else over 1 (exact).  ``read_png``'s
+    float read is this division, so a divided slice of a PNG's integers is
+    that slice of its float read byte for byte."""
+    scale = np.iinfo(values.dtype).max if values.dtype.kind == "u" else 1
+    return np.divide(values, scale, dtype=np.float64, order="C")
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -164,9 +174,8 @@ def _unfilter_wavefront(lines: np.ndarray, ftypes: np.ndarray, bpp: int) -> np.n
 def read_png(path, integers: bool = False):
     """Read a PNG into float64 in [0, 1]; (H, W) for grayscale, (H, W, 3) for RGB.
 
-    With ``integers=True`` returns (samples, maximum): the same extents as
-    native uint8 or uint16, and the bit-depth maximum they divide by, so
-    ``np.divide(samples, maximum, dtype=np.float64)`` is the float read."""
+    With ``integers=True`` returns the samples at the same extents as native
+    uint8 or uint16, whose ``as_float`` is the float read."""
     with open(path, "rb") as f:
         r = ByteReader(f.read(), f"read_png: {path} is truncated")
     if r.view[:8] != _SIGNATURE:
@@ -217,8 +226,5 @@ def read_png(path, integers: bool = False):
                          f"stream of {size} bytes)")
     pixels = _unfilter(np.frombuffer(raw, dtype=np.uint8), h, stride, bpp)
     samples = pixels.view(f">u{depth // 8}").reshape(h, w, channels)
-    if integers:
-        samples = samples.astype(f"=u{depth // 8}", copy=False)
-        return (samples[:, :, 0] if channels == 1 else samples), (1 << depth) - 1
-    arr = np.divide(samples, (1 << depth) - 1, dtype=np.float64)
+    arr = samples.astype(f"=u{depth // 8}", copy=False) if integers else as_float(samples)
     return arr[:, :, 0] if channels == 1 else arr

@@ -2,6 +2,7 @@
 
 from intrinsics.data import make_synthetic_sample
 from intrinsics.png_io import write_png
+from intrinsics.rng import Rng
 
 
 def write_dataset(dirpath, n=3, h=32, w=32, scenes=None, seed0=0):
@@ -20,6 +21,28 @@ def write_dataset(dirpath, n=3, h=32, w=32, scenes=None, seed0=0):
     mpath = dirpath / "manifest.tsv"
     mpath.write_text("\n".join(lines) + "\n")
     return mpath
+
+
+def write_png_dataset(d):
+    """Four 40x44 samples as PNGs in ``d`` plus a manifest: 16-bit maps for
+    even ids, 8-bit for odd; s1 and s2 have partly valid mask files at
+    their maps' bit depth, and s3 a grayscale shading."""
+    lines = []
+    for i in range(4):
+        s = make_synthetic_sample(30 + i, h=40, w=44)
+        depth = 8 if i % 2 else 16
+        names = []
+        for k, t in (("i", s.image), ("a", s.albedo), ("s", s.shading)):
+            names.append(f"s{i}_{k}.png")
+            hwc = t[0].transpose(1, 2, 0)
+            write_png(d / names[-1], hwc[:, :, 0] if k == "s" and i == 3 else hwc, depth)
+        if i in (1, 2):
+            names.append(f"s{i}_m.png")
+            write_png(d / names[-1], (Rng(6 + i).uniform((40, 44)) > 0.3).astype(float),
+                      depth)
+        lines.append("\t".join([f"s{i}", *names, f"scene{i}"]))
+    (d / "m.tsv").write_text("\n".join(lines) + "\n")
+    return d / "m.tsv"
 
 
 def write_config(path, manifest, out_dir, *, channel_scale=1 / 16, crop=32,

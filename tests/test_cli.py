@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_config, write_dataset
+from conftest import write_config, write_dataset, write_png_dataset
 from intrinsics import cli, data, trainer, verify
 from intrinsics.cli import _SCHEMA, load_run_config, main
+from intrinsics.data import parse_manifest, to_nchw
+from intrinsics.metrics import evaluate_report
 from intrinsics.network import NetworkConfig, build_network
 from intrinsics.png_io import read_png, write_png
 from intrinsics.rng import Rng
@@ -344,6 +346,40 @@ class TestEvalCommand:
         report = json.loads(out.read_text())
         assert report["mit_total_lmse"] == 0.0
         assert "mit_total_lmse_note" in report
+
+    @pytest.mark.parametrize("mit_total", [False, True], ids=["plain", "mit-total"])
+    def test_mixed_bit_depths_score_their_float_reads(self, tmp_path, mit_total):
+        """Ground truth at 8 and 16 bits, a grayscale shading and 8- and
+        16-bit masks: the report is, byte for byte, ``evaluate_report`` over
+        the maps as ``read_png`` reads them to floats."""
+        manifest = write_png_dataset(tmp_path)
+        entries = {e.id: e for e in parse_manifest(manifest).entries}
+        depths = {read_png(tmp_path / p, integers=True).dtype for e in entries.values()
+                  for p in (e.albedo_path, e.mask_path) if p}
+        assert depths == {np.dtype(np.uint8), np.dtype(np.uint16)}
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for sid, e in entries.items():
+            for path, name in ((e.albedo_path, "albedo"), (e.shading_path, "shading")):
+                truth = read_png(tmp_path / path)
+                write_png(pred / f"{sid}_{name}.png",
+                          truth * (0.7 + 0.5 * Rng(3).uniform(truth.shape)), bit_depth=16)
+
+        def load(sid):
+            e = entries[sid]
+            maps = [to_nchw(read_png(p)) for p in (
+                tmp_path / e.albedo_path, tmp_path / e.shading_path,
+                pred / f"{sid}_albedo.png", pred / f"{sid}_shading.png")]
+            mask = (np.ones((40, 44)) if e.mask_path is None else
+                    np.atleast_3d(read_png(tmp_path / e.mask_path)).max(axis=2) > 0)
+            return (*maps, mask[None, None].astype(np.float64))
+
+        want = evaluate_report(entries, load, include_mit_total=mit_total)
+        assert want["errors"] == [] and len(want["per_sample"]) == 4
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--pred-dir", pred, "--manifest", manifest, "--out", out,
+                       *(["--mit-total"] if mit_total else [])) == 0
+        assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_manifest_without_samples_rejected(self, tmp_path, capsys):
         manifest = tmp_path / "empty.tsv"

@@ -52,11 +52,11 @@ class TestPng:
     def test_integer_read_divides_to_the_float_read(self, tmp_path, depth, shape):
         path = tmp_path / "t.png"
         write_png(path, Rng(5).uniform(shape), bit_depth=depth)
-        values, maximum = read_png(path, integers=True)
+        values = read_png(path, integers=True)
         assert values.dtype == np.dtype(f"=u{depth // 8}") and values.shape == shape
-        assert maximum == (1 << depth) - 1
+        assert np.iinfo(values.dtype).max == (1 << depth) - 1
         floats = read_png(path)
-        assert np.divide(values, maximum, dtype=np.float64).tobytes() == floats.tobytes()
+        assert as_float(values).tobytes() == floats.tobytes()
 
     @pytest.mark.parametrize("depth", [8, 16])
     def test_float32_transposed_view_writes_the_float64_bytes(self, tmp_path, depth):
@@ -322,7 +322,7 @@ class TestLoading:
     def test_loaded_frame_holds_its_decoded_integers(self, tmp_path):
         """A 436x1024 frame of 16-bit RGB maps and an 8-bit mask holds its
         decoded uint16 maps and a bool mask, 8.5 MB; as float64 it takes
-        35.7 MB.  Each map divided by its divisor is its float read."""
+        35.7 MB.  Each map's ``as_float`` is its float read."""
         h, w = 436, 1024
         ramp = np.linspace(0.0, 1.0, h * w).reshape(h, w, 1)
         names = []
@@ -340,10 +340,10 @@ class TestLoading:
             tracemalloc.stop()
         assert held < 9e6, held
         assert s.mask.dtype == bool and 0 < s.mask.sum() < s.mask.size
-        for name, t, d in zip(names, (s.image, s.albedo, s.shading), s.divisors):
+        for name, t in zip(names, (s.image, s.albedo, s.shading)):
             assert t.dtype == np.uint16
             want = read_png(tmp_path / name).transpose(2, 0, 1)[None]
-            assert np.array_equal(as_float(t, d), want)
+            assert np.array_equal(as_float(t), want)
 
     def test_extent_mismatch_names_sample(self, tmp_path):
         line = self._write_triple(tmp_path, sid="bad", shading_extents=(4, 8))
@@ -475,13 +475,12 @@ class TestAugment:
         tap of the gather), so integer maps give the bytes of their float64
         division; dividing after interpolating would not."""
         rng = Rng(18)
-        divisors = (65535, 255, 65535)
+        maxima = (65535, 255, 65535)
         ints = [np.rint(rng.uniform((1, 3, 40, 44)) * d).astype(t)
-                for d, t in zip(divisors, (np.uint16, np.uint8, np.uint16))]
+                for d, t in zip(maxima, (np.uint16, np.uint8, np.uint16))]
         mask = rng.uniform((1, 1, 40, 44)) > 0.3
-        held = Sample("s", *ints, mask, divisors)
-        floats = Sample("s", *(as_float(t, d) for t, d in zip(ints, divisors)),
-                        mask.astype(np.float64))
+        held = Sample("s", *ints, mask)
+        floats = Sample("s", *map(as_float, ints), mask.astype(np.float64))
         cfg = AugmentConfig(crop_h=32, crop_w=32, mirror_prob=0.5,
                             enable_rotate_zoom=rotate_zoom)
         for seed in range(6):

@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import write_png_dataset
 from intrinsics import trainer
 from intrinsics.data import (AugmentConfig, Sample, as_float, load_dataset,
                              make_synthetic_sample, parse_manifest)
 from intrinsics.losses import LossConfig, log_guarded, total_loss
 from intrinsics.network import Network, NetworkConfig, Param, build_network
-from intrinsics.png_io import write_png
 from intrinsics.rng import Rng, derive_seed
 from intrinsics.trainer import (Checkpoint, TrainConfig,
                                 decompose_image, load_checkpoint,
@@ -501,29 +501,9 @@ class TestMicroSteps:
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
-def write_png_dataset(d):
-    """Four 40x44 samples as PNGs: 16-bit maps for even ids, 8-bit for odd;
-    s2 has a partly valid mask file and s3 a grayscale shading."""
-    lines = []
-    for i in range(4):
-        s = make_synthetic_sample(30 + i, h=40, w=44)
-        names = []
-        for k, t in (("i", s.image), ("a", s.albedo), ("s", s.shading)):
-            names.append(f"s{i}_{k}.png")
-            hwc = t[0].transpose(1, 2, 0)
-            write_png(d / names[-1], hwc[:, :, 0] if k == "s" and i == 3 else hwc,
-                      8 if i % 2 else 16)
-        if i == 2:
-            names.append("s2_m.png")
-            write_png(d / names[-1], (Rng(8).uniform((40, 44)) > 0.3).astype(float), 8)
-        lines.append("\t".join([f"s{i}", *names, f"scene{i}"]))
-    (d / "m.tsv").write_text("\n".join(lines) + "\n")
-    return d / "m.tsv"
-
-
 class TestIntegerSamples:
     """Loaded samples hold their PNGs' integers; training on them is, byte
-    for byte, training on the same maps held as float64 with divisor 1."""
+    for byte, training on the same maps held as their float64 division."""
 
     @pytest.mark.parametrize("rotate_zoom", [False, True], ids=["crop", "rotzoom"])
     @pytest.mark.parametrize("deconv", [True, False], ids=["deconv", "bilinear"])
@@ -532,8 +512,7 @@ class TestIntegerSamples:
                                               rotate_zoom):
         loaded = load_dataset(parse_manifest(write_png_dataset(tmp_path)))
         assert {s.image.dtype for s in loaded} == {np.dtype(np.uint8), np.dtype(np.uint16)}
-        floats = [Sample(s.id, *(as_float(t, d) for t, d in
-                                 zip((s.image, s.albedo, s.shading), s.divisors)),
+        floats = [Sample(s.id, *map(as_float, (s.image, s.albedo, s.shading)),
                          s.mask.astype(np.float64)) for s in loaded]
         net_cfg = tiny_cfg(dropout=0.5, use_hypercolumn=hypercolumn,
                            use_deconv_head=deconv)
