@@ -50,6 +50,8 @@ a2, _ = tiny.forward(sample.image)
 print(f"eval twice, identical: {np.array_equal(a1, a2)}")
 hc_net = build_network(NetworkConfig(channel_scale=1 / 16, dropout_prob=0.5),
                        Rng(4), dtype=np.float32)
-t1, _ = hc_net.forward(sample.image, rng=Rng(10))
-t2, _ = hc_net.forward(sample.image, rng=Rng(11))
+# a training forward also returns its tape, the caller's to hand to one
+# Network.backward; the network itself keeps no per-call state
+t1, _, _ = hc_net.forward(sample.image, rng=Rng(10))
+t2, _, _ = hc_net.forward(sample.image, rng=Rng(11))
 print(f"train with different streams, identical: {np.array_equal(t1, t2)}")

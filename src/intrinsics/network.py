@@ -34,8 +34,8 @@ slopes are all positive runs its PReLU after the pool, which it commutes
 with (see ``Network._block``).
 
 The dropout rng is the one train/eval switch: a forward given one draws
-dropout masks and records the tape that ``Network.backward`` replays, and a
-forward without one does neither.
+dropout masks and returns the tape it records, the caller's to hand to one
+``Network.backward``, and a forward without one does neither.
 """
 
 from __future__ import annotations
@@ -125,15 +125,15 @@ class Network:
     """Built topology plus the named parameter registry.
 
     ``forward`` given an rng is a training forward: it draws the dropout
-    masks and records a tape, one entry per step, holding what that step's
+    masks and returns a tape, one entry per step, holding what that step's
     backward reads.  Without an rng it is eval: no dropout and no tape.  A
     step is one layer (see ``_block``), except scale 2's concatenation and
     the output seed, which keep nothing.  A layer keeps its conv inputs,
     which are earlier layers' outputs, its pool's winning taps (uint8) and
     its dropout mask (bool), and reads its PReLU input back from its own
     output.  Where every slope of a pooled layer is positive, its PReLU
-    runs after the pool.  ``backward`` replays the tape once, in reverse.
-    Parameter gradients accumulate across backward calls until
+    runs after the pool.  ``backward`` replays a tape once, in reverse; it
+    writes only the parameter gradients, which accumulate across calls until
     ``zero_grads``.  A network built with ``rng`` None has zero weights, for
     a caller that installs its own (``network_from_shapes``).
     """
@@ -144,7 +144,6 @@ class Network:
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Param] = {}
         self.specs: dict[str, ConvSpec] = {}
-        self._tape = None
         self.widths = dict(widths) if widths else {
             key: cfg.width(base) for key, (base, _) in WIDTHS.items()}
         self._build(rng)
@@ -327,11 +326,11 @@ class Network:
         one forward per image.
 
         ``rng`` is the one train/eval switch.  A forward given an rng is a
-        training forward: it draws the dropout masks from it and records
-        the tape for one ``backward``.  A forward without one is eval: no
-        dropout, no tape, and each activation is freed once its consumer
-        has run.  Every layer, the bilinear head's x4 upsample included, is
-        one ``_block`` step."""
+        training forward: it draws the dropout masks from it and returns
+        (log_albedo, log_shading, tape), the tape for one ``backward``.  A
+        forward without one is eval: no dropout, no tape, and each
+        activation is freed once its consumer has run.  Every layer, the
+        bilinear head's x4 upsample included, is one ``_block`` step."""
         if image.ndim != 4 or image.shape[:2] != (1, 3):
             raise ValueError(f"forward: runs on one image (1,3,H,W), got {image.shape}")
         h, w = image.shape[2:]
@@ -354,7 +353,6 @@ class Network:
         else:
             x = np.ascontiguousarray(image, dtype=self.dtype)
 
-        self._tape = None
         # position 0: the padded image, with the pad's adjoint if any
         tape = [(unpad, ())] if rng is not None else None
         x = _Var(x, tape, 0)
@@ -385,40 +383,45 @@ class Network:
             assert out.value.shape == (1, 3, h + ph, w + pw)
             outs.append(out)
 
-        if tape is not None:
-            # last entry: backward seeds it with (d_log_albedo, d_log_shading),
-            # zero on the pad
-            dtype = self.dtype
-            _record(None, lambda d: [pad_constant(g.astype(dtype, copy=False), pad) if unpad
-                                     else g.astype(dtype, copy=False) for g in d], *outs)
-            self._tape = tape
-        return outs[0].value[:, :, :h, :w], outs[1].value[:, :, :h, :w]
+        la, ls = (out.value[:, :, :h, :w] for out in outs)
+        if tape is None:
+            return la, ls
 
-    def backward(self, d_log_albedo: np.ndarray, d_log_shading: np.ndarray,
+        def seed(d):  # the last entry: (d_log_albedo, d_log_shading), zero on the pad
+            if any(g.shape != (1, 3, h, w) for g in d):
+                raise ValueError(f"backward: output gradients {[g.shape for g in d]} "
+                                 f"do not match the outputs' {(1, 3, h, w)}")
+            return [pad_constant(g.astype(self.dtype, copy=False), pad) if unpad
+                    else g.astype(self.dtype, copy=False) for g in d]
+        _record(None, seed, *outs)
+        return la, ls, tape
+
+    def backward(self, d_log_albedo: np.ndarray, d_log_shading: np.ndarray, tape: list,
                  image_grad: bool = True):
         """Accumulate parameter gradients from output gradients at the
-        input's extents; returns the input-image gradient, or None with
-        ``image_grad=False``, which skips computing it.
+        input's extents through ``tape``, which a training forward returned;
+        returns the input-image gradient, or None with ``image_grad=False``,
+        which skips computing it.
 
-        Replays the tape of the last training forward (one given an rng) in
-        reverse and consumes it, freeing each step's activations as it goes.
-        A step's output gradient is the sum of what its consumers returned.
-        An eval forward leaves no tape, so ``backward`` after it raises.
+        Replays the tape in reverse and empties it, freeing each step's
+        activations as it goes: a tape is replayed once.  A step's output
+        gradient is the sum of what its consumers returned.  Gradients of
+        another shape raise before any parameter gradient moves.
         """
-        tape, self._tape = self._tape, None
-        if tape is None:
-            raise ValueError("backward: no cached forward (backward needs a "
-                             "training forward, one given an rng)")
+        if not tape:
+            raise ValueError("backward: the tape is empty (a tape is replayed once, "
+                             "and only a training forward, one given an rng, returns one)")
         grads = [None] * (len(tape) - 1) + [(d_log_albedo, d_log_shading)]
         while len(tape) > 1:
-            step, inputs = tape.pop()
+            step, inputs = tape[-1]
             dy = grads.pop()
             # the image (slot 0) feeds convs only, which can decline its gradient
             outs = step(dy) if image_grad or inputs != (0,) else step(dy, input_grad=False)
+            tape.pop()  # only now: a rejected seed leaves the tape whole
             for slot, g in zip(inputs, outs):
                 if g is not None:
                     grads[slot] = g if grads[slot] is None else grads[slot] + g
-        unpad = tape[0][0]
+        unpad, _ = tape.pop()
         return grads[0] if unpad is None or grads[0] is None else unpad(grads[0])
 
 

@@ -299,8 +299,8 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
             if not a.mask.any():
                 continue
             k += 1
-            la, ls = net.forward(a.image.astype(dtype),
-                                 rng=Rng(derive_seed(cfg.seed, "dropout", it, j)))
+            la, ls, tape = net.forward(a.image.astype(dtype),
+                                       rng=Rng(derive_seed(cfg.seed, "dropout", it, j)))
             loss, d_la, d_ls = total_loss(
                 log_guarded(a.albedo, eps).astype(dtype),
                 log_guarded(a.shading, eps).astype(dtype), la, ls,
@@ -309,7 +309,7 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
             if not np.isfinite(loss):
                 raise ValueError(f"train_loop: non-finite loss at iteration {it} "
                                  f"(batch samples: {ids})")
-            net.backward(d_la, d_ls, image_grad=False)
+            net.backward(d_la, d_ls, tape, image_grad=False)
             del d_la, d_ls
             loss_sum += loss
         if k == 0:

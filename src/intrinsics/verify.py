@@ -679,14 +679,15 @@ def whole_network_gradient(hc: bool, deconv: bool) -> list[str]:
                                       use_deconv_head=deconv),
                         Rng(13), dtype=np.float64)
 
-    def loss(v):
-        return total_loss(ta, ts, *net.forward(v, rng=Rng(15)), mask, cfg)
+    def loss(v):  # (loss, d_log_albedo, d_log_shading, tape)
+        la, ls, tape = net.forward(v, rng=Rng(15))
+        return total_loss(ta, ts, la, ls, mask, cfg) + (tape,)
 
     # one backward gives every analytic gradient; the finite differences
     # need only forward passes
-    _, d_la, d_ls = loss(x)
+    _, d_la, d_ls, tape = loss(x)
     net.zero_grads()
-    d_image = net.backward(d_la, d_ls)
+    d_image = net.backward(d_la, d_ls, tape)
     tag = f"hc={hc} deconv={deconv}"
     checks = [(f"{tag} input", lambda v: (loss(v)[0], d_image), x, 8)]
     for name, p in net.params.items():
@@ -740,8 +741,8 @@ def _suite_trainer():
     losses = []
     for j, s in enumerate(_batch_samples(held, bcfg, 0)):
         if s.mask.any():
-            la, ls = net.forward(s.image.astype(net.dtype),
-                                 rng=Rng(derive_seed(bcfg.seed, "dropout", 0, j)))
+            la, ls, _ = net.forward(s.image.astype(net.dtype),
+                                    rng=Rng(derive_seed(bcfg.seed, "dropout", 0, j)))
             losses.append(total_loss(log_guarded(s.albedo).astype(net.dtype),
                                      log_guarded(s.shading).astype(net.dtype), la, ls,
                                      s.mask.astype(net.dtype), bcfg.loss)[0])

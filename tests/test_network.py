@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -71,8 +72,8 @@ class TestForward:
         net = tiny_net(seed=2, dtype=np.float32, dropout_prob=0.5)
         x = Rng(4).uniform((1, 3, 70, 65))
         padded = np.pad(x, ((0, 0), (0, 0), (0, 26), (0, 31)), mode="edge")
-        got = net.forward(x, rng=Rng(5) if train else None)
-        want = net.forward(padded, rng=Rng(5) if train else None)
+        got = net.forward(x, rng=Rng(5) if train else None)[:2]
+        want = net.forward(padded, rng=Rng(5) if train else None)[:2]
         for g, w in zip(got, want):
             assert g.shape == (1, 3, 70, 65)
             assert g.tobytes() == w[:, :, :70, :65].tobytes()
@@ -110,9 +111,9 @@ class TestForward:
     def test_dropout_rng_varies_with_seed(self):
         net = tiny_net(seed=3, dtype=np.float32)
         x = Rng(5).uniform((1, 3, 64, 64))
-        a1, _ = net.forward(x, rng=Rng(1))
-        a2, _ = net.forward(x, rng=Rng(2))
-        a3, _ = net.forward(x, rng=Rng(1))
+        a1 = net.forward(x, rng=Rng(1))[0]
+        a2 = net.forward(x, rng=Rng(2))[0]
+        a3 = net.forward(x, rng=Rng(1))[0]
         assert not np.array_equal(a1, a2)
         assert np.array_equal(a1, a3)
 
@@ -142,30 +143,92 @@ class TestForward:
         assert len(widths) == 5 + 2 * deconv
 
 
-class TestBackward:
-    def test_requires_cached_forward(self):
-        net = tiny_net(seed=9)
-        with pytest.raises(ValueError, match="cached forward"):
-            net.backward(np.zeros((1, 3, 32, 32)), np.zeros((1, 3, 32, 32)))
+def grad_bytes(net, d_image):
+    """The image gradient and every parameter gradient, as bytes."""
+    return [d_image.tobytes()] + [p.grad.tobytes() for p in net.params.values()]
 
+
+class TestBackward:
     def test_backward_consumes_the_tape(self):
         net = tiny_net(seed=9)
-        net.forward(Rng(10).uniform((1, 3, 32, 32)), rng=Rng(11))
+        _, _, tape = net.forward(Rng(10).uniform((1, 3, 32, 32)), rng=Rng(11))
         zeros = np.zeros((1, 3, 32, 32))
-        net.backward(zeros, zeros)
-        with pytest.raises(ValueError, match="no cached forward"):
-            net.backward(zeros, zeros)
+        net.backward(zeros, zeros, tape)
+        assert tape == []
+        with pytest.raises(ValueError, match=re.escape("the tape is empty (a tape is replayed once")):
+            net.backward(zeros, zeros, tape)
 
     def test_eval_forward_leaves_no_tape(self):
-        """A forward without an rng records nothing, and drops the tape of
-        an earlier training forward: backward after it raises."""
-        net = tiny_net(seed=9)
+        """A forward without an rng returns the two maps and no tape, and
+        one run between a training forward and its backward changes no
+        byte of that backward."""
+        net = tiny_net(seed=9, dtype=np.float32, use_hypercolumn=True, dropout_prob=0.5)
         x = Rng(10).uniform((1, 3, 32, 32))
-        net.forward(x, rng=Rng(11))
-        net.forward(x)
-        zeros = np.zeros((1, 3, 32, 32))
-        with pytest.raises(ValueError, match="no cached forward"):
-            net.backward(zeros, zeros)
+        da = Rng(11).normal((1, 3, 32, 32))
+        ds = Rng(12).normal((1, 3, 32, 32))
+        runs = []
+        for interleave in (False, True):
+            net.zero_grads()
+            _, _, tape = net.forward(x, rng=Rng(13))
+            if interleave:
+                outs = net.forward(Rng(14).uniform((1, 3, 40, 37)))
+                assert [o.shape for o in outs] == [(1, 3, 40, 37)] * 2
+            runs.append(grad_bytes(net, net.backward(da, ds, tape)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("hc", [False, True], ids=["plain", "hypercolumn"])
+    @pytest.mark.parametrize("deconv", [False, True], ids=["bilinear", "deconv"])
+    def test_two_tapes_in_flight(self, hc, deconv):
+        """Two training forwards, at different extents, then their two
+        backwards in reverse order: each gives the bytes of its forward
+        and backward run alone, float32, dropout 0.5.  No attribute of the
+        network is added or rebound on the way."""
+        net = tiny_net(seed=9, dtype=np.float32, use_hypercolumn=hc,
+                       use_deconv_head=deconv, dropout_prob=0.5)
+        shapes = [(1, 3, 32, 32), (1, 3, 40, 37)]
+        xs = [Rng(10 + i).uniform(shape) for i, shape in enumerate(shapes)]
+        dys = [(Rng(20 + i).normal(shape), Rng(30 + i).normal(shape))
+               for i, shape in enumerate(shapes)]
+        state = {k: id(v) for k, v in vars(net).items()}
+        alone = []
+        for i, x in enumerate(xs):
+            net.zero_grads()
+            _, _, tape = net.forward(x, rng=Rng(40 + i))
+            alone.append(grad_bytes(net, net.backward(*dys[i], tape)))
+        tapes = [net.forward(x, rng=Rng(40 + i))[2] for i, x in enumerate(xs)]
+        for i in (1, 0):
+            net.zero_grads()
+            assert grad_bytes(net, net.backward(*dys[i], tapes[i])) == alone[i], i
+        assert {k: id(v) for k, v in vars(net).items()} == state
+
+    # (input extents, a wrong output-gradient shape)
+    BAD = [((32, 32), (1, 3, 1, 1)), ((32, 32), (1, 3, 16, 16)), ((40, 37), (1, 3, 64, 64)),
+           ((40, 37), (1, 3, 37, 40)), ((40, 37), (2, 3, 40, 37)), ((40, 37), (1, 1, 40, 37))]
+
+    @pytest.mark.parametrize("hw,bad", BAD, ids=["x".join(map(str, b)) for _, b in BAD])
+    @pytest.mark.parametrize("deconv", [False, True], ids=["bilinear", "deconv"])
+    def test_output_gradient_of_the_wrong_shape_rejected(self, deconv, hw, bad):
+        """An output gradient of any shape but (1, 3, H, W) at the forward's
+        input extents raises naming both shapes, and no parameter gradient
+        moves.  The bilinear head's einsum would broadcast a (1, 3, 1, 1)
+        gradient after a 32x32 forward; 40x37 pads to 64x64.  The tape is
+        left whole: the right gradients then give the bytes of a backward
+        run alone."""
+        net = tiny_net(seed=9, dtype=np.float32, use_deconv_head=deconv, dropout_prob=0.5)
+        x = Rng(10).uniform((1, 3, *hw))
+        good = Rng(11).normal((1, 3, *hw))
+        _, _, tape = net.forward(x, rng=Rng(12))
+        want = grad_bytes(net, net.backward(good, good, tape))
+        before = [p.grad.tobytes() for p in net.params.values()]
+        _, _, tape = net.forward(x, rng=Rng(12))
+        for da, ds in [(np.zeros(bad), good), (good, np.zeros(bad))]:
+            message = (f"output gradients {[da.shape, ds.shape]} do not match the "
+                       f"outputs' {(1, 3, *hw)}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                net.backward(da, ds, tape)
+            assert [p.grad.tobytes() for p in net.params.values()] == before
+        net.zero_grads()
+        assert grad_bytes(net, net.backward(good, good, tape)) == want
 
     def test_rng_only_draws_masks_at_zero_dropout(self):
         """At dropout_prob 0, training forwards given different rngs record
@@ -177,16 +240,15 @@ class TestBackward:
         grads = []
         for seed in (13, 14):
             net.zero_grads()
-            net.forward(x, rng=Rng(seed))
-            di = net.backward(da, ds)
-            grads.append([di.tobytes()] + [p.grad.tobytes() for p in net.params.values()])
+            _, _, tape = net.forward(x, rng=Rng(seed))
+            grads.append(grad_bytes(net, net.backward(da, ds, tape)))
         assert grads[0] == grads[1]
 
     def test_zero_upstream_zero_grads(self):
         net = tiny_net(seed=9)
         x = Rng(10).uniform((1, 3, 32, 32))
-        net.forward(x, rng=Rng(11))
-        di = net.backward(np.zeros((1, 3, 32, 32)), np.zeros((1, 3, 32, 32)))
+        _, _, tape = net.forward(x, rng=Rng(11))
+        di = net.backward(np.zeros((1, 3, 32, 32)), np.zeros((1, 3, 32, 32)), tape)
         assert np.all(di == 0.0)
         for p in net.params.values():
             assert np.all(p.grad == 0.0)
@@ -197,15 +259,12 @@ class TestBackward:
         da = Rng(11).normal((1, 3, 32, 32))
         ds = Rng(12).normal((1, 3, 32, 32))
 
-        net.forward(x, rng=Rng(13))
-        net.backward(da, ds)
-        net.forward(x, rng=Rng(14))
-        net.backward(da, ds)
+        net.backward(da, ds, net.forward(x, rng=Rng(13))[2])
+        net.backward(da, ds, net.forward(x, rng=Rng(14))[2])
         twice = {n: p.grad.copy() for n, p in net.params.items()}
 
         net.zero_grads()
-        net.forward(x, rng=Rng(15))
-        net.backward(2 * da, 2 * ds)
+        net.backward(2 * da, 2 * ds, net.forward(x, rng=Rng(15))[2])
         for n, p in net.params.items():
             assert np.allclose(twice[n], p.grad, rtol=1e-10, atol=1e-12), n
 
@@ -220,8 +279,8 @@ class TestBackward:
         grads = []
         for image_grad in (True, False):
             net.zero_grads()
-            net.forward(x, rng=Rng(13))
-            di = net.backward(da, ds, image_grad=image_grad)
+            _, _, tape = net.forward(x, rng=Rng(13))
+            di = net.backward(da, ds, tape, image_grad=image_grad)
             assert (di is None) == (not image_grad)
             grads.append({n: p.grad.copy() for n, p in net.params.items()})
         for n, g in grads[0].items():
@@ -243,10 +302,11 @@ class TestBackward:
         cfg = LossConfig(lam=0.5, use_gradient_loss=True)
 
         def loss(v):
-            return total_loss(ta, ts, *net.forward(v, rng=Rng(23)), mask, cfg)[0]
+            return total_loss(ta, ts, *net.forward(v, rng=Rng(23))[:2], mask, cfg)[0]
 
-        _, da, ds = total_loss(ta, ts, *net.forward(x, rng=Rng(23)), mask, cfg)
-        grad = net.backward(da, ds)
+        la, ls, tape = net.forward(x, rng=Rng(23))
+        _, da, ds = total_loss(ta, ts, la, ls, mask, cfg)
+        grad = net.backward(da, ds, tape)
         assert grad.shape == x.shape
         for c, i, j in [(0, 39, 5), (1, 17, 36), (2, 39, 36), (0, 20, 20)]:
             v = x.copy()
@@ -263,14 +323,16 @@ class TestTape:
         """What one full-topology 416x416 train-mode forward leaves on the
         tape: conv inputs, bool dropout masks and uint8 pool winners, about
         31.5 MB.  A tape that kept every PReLU and pool input and conv6's x8
-        upsampled input held about 112 MB."""
+        upsampled input held about 112 MB.  The test holds the returned tape
+        while it measures; dropping it would read 0 MB."""
         net = build_network(NetworkConfig(dropout_prob=0.5), Rng(0))
         x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
         tracemalloc.start()
         try:
-            outs = net.forward(x, rng=Rng(2))
+            *outs, tape = net.forward(x, rng=Rng(2))
             del outs
             held = tracemalloc.get_traced_memory()[0]
+            assert len(tape) > 1
         finally:
             tracemalloc.stop()
         assert held < 40e6, f"the tape holds {held / 1e6:.1f} MB"
@@ -285,12 +347,12 @@ class TestTape:
         x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
         tracemalloc.start()
         try:
-            outs = net.forward(x, rng=Rng(2))
+            *outs, tape = net.forward(x, rng=Rng(2))
             dys = [Rng(3 + i).normal(o.shape).astype(np.float32) for i, o in enumerate(outs)]
             del outs
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            net.backward(*dys, image_grad=False)
+            net.backward(*dys, tape, image_grad=False)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()

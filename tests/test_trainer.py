@@ -407,12 +407,12 @@ def iteration_0_by_hand(net, samples, cfg):
         if not s.mask.any():
             continue
         k += 1
-        la, ls = net.forward(s.image.astype(f32),
-                             rng=Rng(derive_seed(cfg.seed, "dropout", 0, j)))
+        la, ls, tape = net.forward(s.image.astype(f32),
+                                   rng=Rng(derive_seed(cfg.seed, "dropout", 0, j)))
         _, da, ds = total_loss(log_guarded(s.albedo).astype(f32),
                                log_guarded(s.shading).astype(f32), la, ls,
                                s.mask.astype(f32), cfg.loss)
-        net.backward(da, ds, image_grad=False)
+        net.backward(da, ds, tape, image_grad=False)
     return {n: p.grad * f32(1 / k) for n, p in net.params.items()}
 
 

@@ -51,8 +51,8 @@ def network_input_gradient():
     # training forward (an rng), since an eval forward runs no dropout
     net = build_network(NetworkConfig(channel_scale=1 / 16, use_hypercolumn=True,
                                       use_deconv_head=True), Rng(0), dtype=np.float64)
-    la, ls = net.forward(Rng(1).uniform((1, 3, 32, 32)), rng=Rng(4))
-    return net.backward(Rng(2).normal(la.shape), Rng(3).normal(ls.shape))
+    la, ls, tape = net.forward(Rng(1).uniform((1, 3, 32, 32)), rng=Rng(4))
+    return net.backward(Rng(2).normal(la.shape), Rng(3).normal(ls.shape), tape)
 
 
 @pytest.mark.parametrize("kind", BACKWARDS)
