@@ -31,7 +31,7 @@ from .png_io import as_float, read_png, write_atomic, write_png
 from .rng import Rng, derive_seed
 from .trainer import (TrainConfig, decompose_image, load_checkpoint,
                       network_from_checkpoint, train_loop)
-from . import verify as verify_mod
+from . import trainer, verify as verify_mod
 
 
 @dataclass
@@ -128,15 +128,19 @@ def cmd_train(args) -> int:
         print(f"training {len(samples)} samples for "
               f"{run.train.max_iterations} iterations")
 
-    def ck_path(iteration):
-        return os.path.join(run.out_dir, f"checkpoint_{iteration:06d}.ckpt")
-
-    # no name holds a resumed Checkpoint: train_loop frees it once installed
-    _, trace = train_loop(net, samples, run.train, checkpoint_path=ck_path,
-                          resume=load_checkpoint(args.resume) if args.resume else None)
+    # each interval resumes from the file the last one saved; no name holds a
+    # Checkpoint while training runs: train_loop frees it once installed
+    path, rows, iteration = args.resume, ["iteration,loss\n"], None
     trace_path = os.path.join(run.out_dir, "loss_trace.csv")
-    write_atomic(trace_path, "".join(
-        ["iteration,loss\n"] + [f"{it},{loss!r}\n" for it, loss in trace]).encode())
+    while iteration != run.train.max_iterations:
+        ck, trace = train_loop(net, samples, run.train,
+                               resume=load_checkpoint(path) if path else None)
+        iteration = ck.iteration
+        path = os.path.join(run.out_dir, f"checkpoint_{iteration:06d}.ckpt")
+        trainer.save_checkpoint(ck, path)  # the benchmark's tracer wraps it there
+        del ck
+        rows += [f"{it},{loss!r}\n" for it, loss in trace]
+        write_atomic(trace_path, "".join(rows).encode())
     if args.verbose and trace:
         print(f"final loss {trace[-1][1]:.6g} -> {trace_path}")
     return 0

@@ -1,5 +1,6 @@
 """SGD-with-momentum training loop, per-layer learning rates, and the
-binary checkpoint format.
+binary checkpoint format.  The loop writes no file: it trains to the next
+checkpoint and returns it, and its caller saves it and resumes from it.
 
 The update is the classical heavy-ball form: v <- momentum*v - lr*grad,
 theta <- theta + v, with lr = base_lr times the longest-prefix match of the
@@ -242,8 +243,8 @@ def _batch_samples(samples, cfg: TrainConfig, iteration: int) -> list:
 
 
 def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
-               checkpoint_path=None, resume: Checkpoint | None = None):
-    """Run SGD training; returns (final Checkpoint, [(iteration, loss), ...]).
+               resume: Checkpoint | None = None):
+    """Train to the next checkpoint; returns (it, [(iteration, loss), ...]).
 
     An iteration is one micro-step per image of the batch, in batch order:
     augment the image, run its forward, loss and backward, and let
@@ -254,14 +255,16 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     losses, in batch order, divided by k: the package's only batch mean.
     Peak memory is that of one image at any batch size.
 
-    ``checkpoint_path`` is a callable iteration -> path (or None to skip
-    writing intermediates).  Resuming from a checkpoint taken at iteration k
-    continues the exact trajectory of the uninterrupted run.  The loop drops
-    its reference to ``resume`` once installed, so a caller that keeps none
-    frees the checkpoint's copies before the first iteration.  A sample the
-    crop does not fit even at the largest zoom is rejected before any
-    update; with rotate/zoom on, a smaller zoom drawn for a sample that fits
-    only larger ones is rejected by ``augment`` when it is drawn.
+    With ``checkpoint_every`` e > 0 a call stops at the first multiple of e
+    after its start, or at ``max_iterations`` if that comes first; with
+    e = 0 it runs to ``max_iterations``.  It writes no file.  Resuming from
+    a checkpoint taken at iteration k continues the exact trajectory of the
+    uninterrupted run.  The loop drops its reference to ``resume`` once
+    installed, so a caller that keeps none frees the checkpoint's copies
+    before the first iteration.  A sample the crop does not fit even at the
+    largest zoom is rejected before any update; with rotate/zoom on, a
+    smaller zoom drawn for a sample that fits only larger ones is rejected
+    by ``augment`` when it is drawn.
     """
     if not samples:
         raise ValueError("train_loop: dataset is empty")
@@ -284,13 +287,13 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
         resume.apply_momentum(net)
         start = resume.iteration
         del resume
-    rng_state = (cfg.seed, 0, 0, 0)
-
+    every = cfg.checkpoint_every or cfg.max_iterations + 1  # 0: no stop before the end
+    stop = min((start // every + 1) * every, cfg.max_iterations)
     trace = []
     dtype = net.dtype
     eps = cfg.loss.log_epsilon
     net.zero_grads()  # sgd_momentum_step zeroes them after each update
-    for it in range(start, cfg.max_iterations):
+    for it in range(start, stop):
         batch = _batch_samples(samples, cfg, it)
         ids = ", ".join(s.id for s in batch)
         k, loss_sum = 0, 0.0
@@ -319,16 +322,7 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
             p.grad *= np.asarray(1.0 / k, dtype=p.grad.dtype)
         sgd_momentum_step(net.params, cfg, it)
         trace.append((it, loss_sum / k))
-        done = it + 1
-        if (checkpoint_path is not None and cfg.checkpoint_every > 0
-                and done % cfg.checkpoint_every == 0 and done < cfg.max_iterations):
-            ck = Checkpoint.from_network(net, done, rng_state, fingerprint)
-            save_checkpoint(ck, checkpoint_path(done))
-
-    final = Checkpoint.from_network(net, cfg.max_iterations, rng_state, fingerprint)
-    if checkpoint_path is not None:
-        save_checkpoint(final, checkpoint_path(cfg.max_iterations))
-    return final, trace
+    return Checkpoint.from_network(net, stop, (cfg.seed, 0, 0, 0), fingerprint), trace
 
 
 def decompose_image(net: Network, image: np.ndarray):

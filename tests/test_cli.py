@@ -221,6 +221,54 @@ class TestTrainCommand:
         half = (out_half / "loss_trace.csv").read_text().splitlines()[1:]
         assert half + resumed == full
 
+    def test_stopped_run_keeps_its_last_checkpoint_and_trace(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """A run at checkpoint_every = 2 whose fourth update fails exits 1 and
+        leaves the iteration-2 checkpoint and the trace rows up to it."""
+        manifest = write_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path / "full.cfg", manifest, tmp_path / "full",
+                           max_iterations=6, dropout=0.5, checkpoint_every=2)
+        assert run_cli("train", "--config", cfg) == 0
+        full = (tmp_path / "full" / "loss_trace.csv").read_bytes().splitlines(True)
+
+        steps = []
+
+        def step(*args, orig=trainer.sgd_momentum_step):
+            steps.append(1)
+            if len(steps) == 4:
+                raise ValueError("update failed")
+            return orig(*args)
+
+        monkeypatch.setattr(trainer, "sgd_momentum_step", step)
+        out = tmp_path / "stopped"
+        cfg = write_config(tmp_path / "stopped.cfg", manifest, out,
+                           max_iterations=6, dropout=0.5, checkpoint_every=2)
+        assert run_cli("train", "--config", cfg) == 1
+        assert "update failed" in capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("*.ckpt")) == ["checkpoint_000002.ckpt"]
+        assert (out / "loss_trace.csv").read_bytes() == b"".join(full[:3])
+
+    def test_off_cadence_resume_writes_the_uninterrupted_checkpoints(self, tmp_path):
+        """Resumed at iteration 3 into a 6-iteration run at checkpoint_every
+        = 2, train writes the checkpoints of iterations 4 and 6 and the trace
+        rows 3-5 of the uninterrupted run."""
+        manifest = write_dataset(tmp_path / "data")
+        runs = {}
+        for name, n, every in (("full", 6, 2), ("half", 3, 0), ("resumed", 6, 2)):
+            cfg = write_config(tmp_path / f"{name}.cfg", manifest, tmp_path / name,
+                               max_iterations=n, dropout=0.5, checkpoint_every=every)
+            resume = ("--resume", tmp_path / "half" / "checkpoint_000003.ckpt") \
+                if name == "resumed" else ()
+            assert run_cli("train", "--config", cfg, *resume) == 0
+            runs[name] = tmp_path / name
+        written = sorted(p.name for p in runs["resumed"].glob("*.ckpt"))
+        assert written == ["checkpoint_000004.ckpt", "checkpoint_000006.ckpt"]
+        for name in written:
+            assert (runs["resumed"] / name).read_bytes() == (runs["full"] / name).read_bytes()
+        full = (runs["full"] / "loss_trace.csv").read_text().splitlines()
+        resumed = (runs["resumed"] / "loss_trace.csv").read_text().splitlines()
+        assert resumed == full[:1] + full[4:]
+
     def test_resumed_checkpoint_released_before_training(self, tmp_path, monkeypatch):
         """Once installed, the resumed ``Checkpoint``'s parameter and momentum
         copies are not held through the iterations: a weakref taken through

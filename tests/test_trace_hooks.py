@@ -15,6 +15,10 @@ into 0; the second test catches that.
 The benchmark's generator (perfbench/gen.py) writes the run configs of the
 training workloads.  The third test parses them, so removing a config key
 the generator still writes fails here rather than in the benchmark.
+
+``train`` saves each checkpoint itself, through ``trainer.save_checkpoint``,
+and calls ``cli.train_loop`` once per checkpoint interval.  The fourth test
+checks that the tracer records every save and accepts those repeated calls.
 """
 
 import importlib.util
@@ -107,3 +111,26 @@ def test_generated_train_config_parses(tmp_path, monkeypatch, workload):
     assert run.train_manifest == manifest
     assert (run.train.batch_size, run.train.max_iterations) == (plan["batch"],
                                                                 plan["iterations"])
+
+
+def test_tracer_sees_each_checkpoint_save_of_an_interval_run(tmp_path):
+    """At checkpoint_every = 1, three iterations are three ``cli.train_loop``
+    calls, each followed by one ``trainer.save_checkpoint`` span; every conv
+    still files under its layer."""
+    spans = load_perfbench("spans")
+    manifest = write_dataset(tmp_path / "data")
+    cfg = write_config(tmp_path / "run.cfg", manifest, tmp_path / "out",
+                       max_iterations=3, checkpoint_every=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+    finally:
+        tracer.uninstall()
+
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count("trainer.train_loop.setup") == 3
+    assert names.count("trainer.save_checkpoint") == 3
+    conv_layers = {tracer.attrs[i]["layer"] for i, s in enumerate(tracer.spans)
+                   if s[spans.NAME].removeprefix("layers.") in spans.CONV_FUNCS}
+    assert conv_layers == set(spans.NET_LAYERS)

@@ -378,14 +378,25 @@ class TestTrainLoop:
             train_loop(net, samples, other_cfg, resume=ck)
 
     def test_checkpoint_files_written(self, tmp_path):
+        """At checkpoint_every = 2 a call stops at the next multiple of 2 and
+        writes no file; resumed from its saved checkpoint, the next call
+        finishes the run as one call at checkpoint_every = 0 does."""
         samples = fixture_samples()
-        net = build_network(tiny_cfg(), Rng(13))
         cfg = small_train_cfg(max_iterations=4, checkpoint_every=2)
-        paths = []
-        train_loop(net, samples, cfg,
-                   checkpoint_path=lambda i: paths.append(i) or tmp_path / f"{i}.ck")
-        assert paths == [2, 4]
-        assert (tmp_path / "2.ck").exists() and (tmp_path / "4.ck").exists()
+        net = build_network(tiny_cfg(dropout=0.5), Rng(13))
+        ck, first = train_loop(net, samples, cfg)
+        assert ck.iteration == 2 and [it for it, _ in first] == [0, 1]
+        save_checkpoint(ck, tmp_path / "2.ck")
+        ck, second = train_loop(net, samples, cfg, resume=load_checkpoint(tmp_path / "2.ck"))
+        assert ck.iteration == 4 and [it for it, _ in second] == [2, 3]
+        save_checkpoint(ck, tmp_path / "4.ck")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["2.ck", "4.ck"]
+
+        whole = build_network(tiny_cfg(dropout=0.5), Rng(13))
+        ck, trace = train_loop(whole, samples, small_train_cfg(max_iterations=4))
+        save_checkpoint(ck, tmp_path / "whole.ck")
+        assert first + second == trace
+        assert (tmp_path / "4.ck").read_bytes() == (tmp_path / "whole.ck").read_bytes()
 
 
 def invalid_sample(seed, h=32, w=32):
