@@ -6,7 +6,8 @@ A Sample carries image, albedo, and shading as (1,3,H,W) maps plus a
 Each map's linear intensity is ``png_io.as_float`` of it, which reads the
 scale off the dtype.  A loaded sample keeps the uint8 or uint16 integers
 its PNG decodes to, and a bool mask: a 16-bit RGB 436x1024 frame holds
-8.5 MB, where float64 maps take 35.7 MB.  ``augment`` divides only the
+8.5 MB, where float64 maps take 35.7 MB.  A grayscale map is held once,
+as a read-only view of three equal channels.  ``augment`` divides only the
 pixels it returns.  Manifests are tab-separated text, one record per line:
 
     id <TAB> image.png <TAB> albedo.png <TAB> shading.png [<TAB> mask.png] <TAB> scene
@@ -120,9 +121,10 @@ def ensure_disjoint_split(train: Manifest, test: Manifest, mode: str) -> None:
 
 
 def to_nchw(arr: np.ndarray) -> np.ndarray:
-    """(H,W) or (H,W,3) image -> (1,3,H,W), keeping its dtype."""
+    """(H,W) or (H,W,3) image -> (1,3,H,W), keeping its dtype.  A grayscale
+    map stays one channel: a read-only view that repeats it three times."""
     if arr.ndim == 2:
-        arr = np.stack([arr] * 3, axis=-1)
+        return np.broadcast_to(arr, (1, 3, *arr.shape))
     return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
 
 

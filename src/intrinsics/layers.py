@@ -6,9 +6,11 @@ identity <conv(x, w), y> = <x, deconv(y, w)> for any weight tensor.
 Every (de)convolution runs on one (1, C, H, W) image and rejects any other
 batch size; a batch is train_loop's, one image per forward and backward.
 conv_forward and _weight_grad build im2col columns in blocks of at most
-_BLOCK_BYTES (whole output rows; input channels); no block cuts a GEMM's
-reduction axis, so each result element sums in the same order as one GEMM
-over the whole call would.  Every other convolution runs through
+_BLOCK_BYTES: whole output rows for the forward; for the weight gradient
+whole input channels, or kernel rows of one channel where a channel's
+columns exceed the budget.  No block cuts a GEMM's reduction axis, so each
+result element sums in the same order as one GEMM over the whole call
+would.  Every other convolution runs through
 conv_forward, the transposed ones as one conv over stride phases.
 Max pooling uses ceil-mode output extents with windows clipped to the
 input, which is what makes a stack of stride-2 pools halve extents exactly
@@ -76,14 +78,17 @@ class ConvSpec:
 
 
 # Columns are built in blocks of at most this many bytes, in one buffer that
-# every block of a call reuses.  Of 4, 16 and 64 MB, 16 MB was fastest for a
-# full-topology training step at 416x416 batch 2 and a 448x1024 eval forward.
-# A block always holds at least one output row or one channel.
-_BLOCK_BYTES = 16 << 20
+# every block of a call reuses.  Against 16 MB, in 6 alternating benchmark
+# pairs on a 2-vCPU VM, 8 MB took train-full's peak RSS from 176.0 to
+# 162.1 MB and test-set's op_s (436x1024 decompose) from 1.20 to 1.04 s,
+# both lower in 6/6; train-full's op_s had no consistent sign.  A block
+# always holds at least one output row, or one kernel row of one channel.
+_BLOCK_BYTES = 8 << 20
 
 
 def _block(unit_bytes: int, units: int, budget: int) -> int:
-    """Units (output rows or channels) per block within a byte budget."""
+    """Units (output rows, channels or kernel rows) per block within a byte
+    budget."""
     return max(1, min(units, budget // unit_bytes))
 
 
@@ -116,21 +121,28 @@ def _weight_grad(dy: np.ndarray, x: np.ndarray, spec: ConvSpec, w_shape) -> np.n
     """Conv weight gradient from output gradient dy and input x; with the
     two swapped it is the deconv weight gradient.
 
-    Blocks of input channels: each block's columns (Cb*kh*kw, Ho*Wo) give
-    its rows of dw.T = columns @ dy(O, Ho*Wo).T, so every entry is still
-    one dot over Ho*Wo and each block writes contiguous rows."""
+    Blocks of whole input channels, or of kernel rows of one channel when a
+    channel's columns exceed the budget: each block's columns (rows*kw,
+    Ho*Wo) give its rows of dw.T = columns @ dy(O, Ho*Wo).T, so every entry
+    is still one dot over Ho*Wo and each block writes contiguous rows."""
     win = _windows(x, spec)
     c, kh, kw, ho, wo = win.shape
     dy_rows = dy.reshape(dy.shape[1], -1)
     taps, p = kh * kw, ho * wo
     dw_t = np.empty((c * taps, dy_rows.shape[0]), dtype=np.result_type(dy, x))
-    chans = _block(taps * p * x.itemsize, c, _BLOCK_BYTES)
-    buf = np.empty(chans * taps * p, dtype=x.dtype)
+    row_bytes = kw * p * x.itemsize  # one kernel row of one channel
+    rows = _block(row_bytes, kh, _BLOCK_BYTES)
+    chans = _block(kh * row_bytes, c, _BLOCK_BYTES) if rows == kh else 1
+    buf = np.empty(chans * rows * kw * p, dtype=x.dtype)
     for c0 in range(0, c, chans):
         c1 = min(c0 + chans, c)
-        cols = buf[:(c1 - c0) * taps * p].reshape(c1 - c0, kh, kw, ho, wo)
-        np.copyto(cols, win[c0:c1])
-        np.matmul(cols.reshape(-1, p), dy_rows.T, out=dw_t[c0 * taps:c1 * taps])
+        for r0 in range(0, kh, rows):
+            r1 = min(r0 + rows, kh)
+            cols = buf[:(c1 - c0) * (r1 - r0) * kw * p].reshape(c1 - c0, r1 - r0, kw, ho, wo)
+            np.copyto(cols, win[c0:c1, r0:r1])
+            # a block is whole channels or rows of one: its dw.T rows are contiguous
+            np.matmul(cols.reshape(-1, p), dy_rows.T,
+                      out=dw_t[c0 * taps + r0 * kw:(c1 - 1) * taps + r1 * kw])
     return np.ascontiguousarray(dw_t.T).reshape(w_shape)
 
 

@@ -4,7 +4,9 @@ All losses consume log-domain tensors produced upstream by ``log_guarded``;
 they never take logs themselves.  Each call scores one image: (1,C,H,W)
 maps and a (1,1,H,W) validity mask, 1 = valid, broadcast across channels;
 n counts its valid channel entries (3x its valid pixels for RGB).  Only
-``train_loop`` averages over a batch, as in Eigen et al. 2014.
+``train_loop`` averages over a batch, as in Eigen et al. 2014.  A loss
+forms its gradient in place and drops each full-size temporary once used,
+rounding as the out-of-place expressions would.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ def sil2_loss(log_target: np.ndarray, log_pred: np.ndarray, mask: np.ndarray,
     sum_y = y.sum(keepdims=True)
     loss = (inv_n * ((y * y).sum(keepdims=True) - lam * inv_n * sum_y * sum_y)).item()
     inv_n = inv_n.astype(y.dtype)  # full-size terms stay in the maps' dtype
-    dlog_pred = -2.0 * inv_n * (y - lam * inv_n * sum_y * mask)
+    dlog_pred = y - lam * inv_n * sum_y * mask
+    del y
+    dlog_pred *= -2.0 * inv_n
     dlog_pred *= mask
     return loss, dlog_pred.astype(log_pred.dtype, copy=False)
 
@@ -79,23 +83,29 @@ def gradient_loss(log_target: np.ndarray, log_pred: np.ndarray, mask: np.ndarray
     """
     inv_n = _inv_n(log_pred, log_target, mask)
     y = (log_target - log_pred) * mask
-    mi = mask[:, :, 1:, :] * mask[:, :, :-1, :]
-    mj = mask[:, :, :, 1:] * mask[:, :, :, :-1]
-    di = (y[:, :, 1:, :] - y[:, :, :-1, :]) * mi
-    dj = (y[:, :, :, 1:] - y[:, :, :, :-1]) * mj
+    # the mask's dtype is never wider than y's, so these in-place products
+    # round as the out-of-place ones would
+    di = y[:, :, 1:, :] - y[:, :, :-1, :]
+    di *= mask[:, :, 1:, :] * mask[:, :, :-1, :]
+    dj = y[:, :, :, 1:] - y[:, :, :, :-1]
+    dj *= mask[:, :, :, 1:] * mask[:, :, :, :-1]
+    del y
 
     loss = (inv_n * ((di * di).sum(keepdims=True)
                      + (dj * dj).sum(keepdims=True))).item()
 
-    scale = 2.0 * inv_n.astype(y.dtype)
+    scale = 2.0 * inv_n.astype(di.dtype)
     di *= scale
     dj *= scale
-    dy = np.zeros_like(y)
-    dy[:, :, 1:, :] += di
-    dy[:, :, :-1, :] -= di
-    dy[:, :, :, 1:] += dj
-    dy[:, :, :, :-1] -= dj
-    dlog_pred = -dy * mask
+    dlog_pred = np.zeros(log_pred.shape, di.dtype)
+    dlog_pred[:, :, 1:, :] += di
+    dlog_pred[:, :, :-1, :] -= di
+    del di
+    dlog_pred[:, :, :, 1:] += dj
+    dlog_pred[:, :, :, :-1] -= dj
+    del dj
+    np.negative(dlog_pred, out=dlog_pred)
+    dlog_pred *= mask
     return loss, dlog_pred.astype(log_pred.dtype, copy=False)
 
 
@@ -109,5 +119,5 @@ def total_loss(log_albedo_target, log_shading_target, log_albedo, log_shading,
     if cfg.use_gradient_loss:
         loss_g, dg = gradient_loss(log_albedo_target, log_albedo, mask)
         loss += loss_g
-        da = da + dg
+        da += dg
     return loss, da, ds

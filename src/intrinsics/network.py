@@ -130,9 +130,10 @@ class Network:
     step is one layer (see ``_block``), except scale 2's concatenation and
     the output seed, which keep nothing.  A layer keeps its conv inputs,
     which are earlier layers' outputs, its pool's winning taps (uint8) and
-    its dropout mask (bool), and reads its PReLU input back from its own
-    output.  Where every slope of a pooled layer is positive, its PReLU
-    runs after the pool.  ``backward`` replays a tape once, in reverse; it
+    its dropout mask (``np.packbits``, one bit per cell, unpacked in its
+    backward), and reads its PReLU input back from its own output.  Where
+    every slope of a pooled layer is positive, its PReLU runs after the
+    pool.  ``backward`` replays a tape once, in reverse; it
     writes only the parameter gradients, which accumulate across calls until
     ``zero_grads``.  A network built with ``rng`` None has zero weights, for
     a caller that installs its own (``network_from_shapes``).
@@ -240,8 +241,8 @@ class Network:
         eval, or for a layer without dropout), and ``out``, if given,
         receives the result: a slice of the next layer's concatenated input.
         The step keeps what its backward reads: the conv inputs, the pool's
-        winning taps, the dropout mask and its own output, which the next
-        layer keeps as well.
+        winning taps, the dropout mask packed to one bit per cell, and its
+        own output, which the next layer keeps as well.
 
         While every slope is positive, backward runs dropout, then PReLU on
         the grid of the step's output, reading the PReLU output from it,
@@ -290,9 +291,11 @@ class Network:
             return _Var(y, None, -1)
         kept_out = y if a is not None and kept_in is None else None
         scale = dropout_scale(y.dtype, p) if keep is not None else 1.0
+        bits = np.packbits(keep) if keep is not None else None
 
         def backward(dy, input_grad=True):
-            if drop is not None:
+            if bits is not None:
+                keep = np.unpackbits(bits, count=dy.size).view(bool).reshape(dy.shape)
                 dy = dropout_backward(dy, keep, p)
             if kept_out is not None:
                 dy, da = prelu_backward(dy, kept_out, a.value, out_scale=scale)

@@ -27,7 +27,9 @@ with a clear message.
 
 ``write_atomic`` is the one way the package writes an output file: PNGs,
 checkpoints, eval reports, loss traces and synth manifests all go through
-it, so no crash leaves a truncated file at an output path.  ``ByteReader``
+it, so no crash leaves a truncated file at an output path.  It writes its
+buffers one after another, so a checkpoint is written from its tensors'
+own memory, never joined into one copy of the file first.  ``ByteReader``
 is the one way the package parses a file, PNG or checkpoint.
 """
 
@@ -52,13 +54,16 @@ def as_float(values: np.ndarray) -> np.ndarray:
     return np.divide(values, scale, dtype=np.float64, order="C")
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it over
-    ``path``: a crash or a failed write leaves the previous file intact."""
+def write_atomic(path, *chunks) -> None:
+    """Write ``chunks``, C-contiguous buffers (bytes, numpy arrays), back to
+    back to a temporary file beside ``path``, then rename it over ``path``:
+    a crash or a failed write leaves the previous file intact.  Nothing is
+    joined, so a file of large parts is never held as one more copy."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the rename failed
@@ -110,10 +115,8 @@ def write_png(path, image: np.ndarray, bit_depth: int = 16) -> None:
     np.rint(quant, out=samples, casting="unsafe")
 
     ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, 2 if arr.ndim == 3 else 0, 0, 0, 0)
-    payload = (_SIGNATURE + _chunk(b"IHDR", ihdr)
-               + _chunk(b"IDAT", zlib.compress(scanlines, _ZLIB_LEVEL))
-               + _chunk(b"IEND", b""))
-    write_atomic(path, payload)
+    write_atomic(path, _SIGNATURE, _chunk(b"IHDR", ihdr),
+                 _chunk(b"IDAT", zlib.compress(scanlines, _ZLIB_LEVEL)), _chunk(b"IEND", b""))
 
 
 def _unfilter(data: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:

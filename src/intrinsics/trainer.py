@@ -182,8 +182,9 @@ def _read_tensor_section(r: ByteReader, where: str) -> list:
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
-    """Write ``ck`` in the binary format; the file is built in one buffer,
-    joined from the header fields and the tensors' own float32 buffers."""
+    """Write ``ck`` in the binary format, streamed from the header fields
+    and the tensors' own float32 buffers: no buffer of the file's size is
+    built."""
     if len(ck.rng_state) != 4:
         raise ValueError("checkpoint: rng_state must be 4 words")
     if len(ck.fingerprint) != 32:
@@ -192,7 +193,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     _write_tensor_section(out, ck.params)
     _write_tensor_section(out, ck.momentum)
     out += [struct.pack("<Q4Q", ck.iteration, *ck.rng_state), ck.fingerprint]
-    write_atomic(path, b"".join(out))
+    write_atomic(path, *out)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -253,7 +254,9 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
     With k images counted, the summed gradients are scaled by 1/k and one
     ``sgd_momentum_step`` runs; the logged loss is the sum of the per-image
     losses, in batch order, divided by k: the package's only batch mean.
-    Peak memory is that of one image at any batch size.
+    Peak memory is that of one image at any batch size: an augmented
+    sample's float64 maps are freed once its image, log targets and mask are
+    cast to the network's dtype, before the forward.
 
     With ``checkpoint_every`` e > 0 a call stops at the first multiple of e
     after its start, or at ``max_iterations`` if that comes first; with
@@ -302,13 +305,13 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
             if not a.mask.any():
                 continue
             k += 1
-            la, ls, tape = net.forward(a.image.astype(dtype),
-                                       rng=Rng(derive_seed(cfg.seed, "dropout", it, j)))
-            loss, d_la, d_ls = total_loss(
-                log_guarded(a.albedo, eps).astype(dtype),
-                log_guarded(a.shading, eps).astype(dtype), la, ls,
-                a.mask.astype(dtype), cfg.loss)
-            del a, la, ls
+            image, mask = a.image.astype(dtype), a.mask.astype(dtype)
+            targets = [log_guarded(t, eps).astype(dtype) for t in (a.albedo, a.shading)]
+            del a
+            la, ls, tape = net.forward(image, rng=Rng(derive_seed(cfg.seed, "dropout", it, j)))
+            del image
+            loss, d_la, d_ls = total_loss(*targets, la, ls, mask, cfg.loss)
+            del targets, mask, la, ls
             if not np.isfinite(loss):
                 raise ValueError(f"train_loop: non-finite loss at iteration {it} "
                                  f"(batch samples: {ids})")

@@ -348,8 +348,9 @@ def _suite_layer_gradients():
 def _block_budget(nbytes):
     """Run with the conv column blocks and the max-pool channel blocks
     capped at nbytes.  The oracle cases fit in one block at the default
-    budgets, so each runs again at 1 byte, which forces one output row or
-    one channel per block."""
+    budgets, so each runs again at 1 byte, which forces one output row, one
+    kernel row or one pool channel per block; the conv oracle also runs at
+    two kernel rows and at two channels of its weight gradient's columns."""
     saved = layers._BLOCK_BYTES, layers._POOL_BLOCK_BYTES
     layers._BLOCK_BYTES = layers._POOL_BLOCK_BYTES = nbytes
     try:
@@ -379,7 +380,9 @@ def _suite_conv_oracle():
         want = conv_oracle(x, w, b, spec)
         dy = rng.normal(want.shape)
         want_grads = conv_backward_oracle(dy, x, w, spec)
-        for budget in (layers._BLOCK_BYTES, 1):
+        # one kernel row of one channel's weight-gradient columns
+        row = spec.kernel_w * want[0, 0].size * x.itemsize
+        for budget in (layers._BLOCK_BYTES, 1, 2 * row, 2 * spec.kernel_h * row):
             with _block_budget(budget):
                 got = layers.conv_forward(x, w, b, spec)
                 grads = layers.conv_backward(dy, x, w, spec)

@@ -535,6 +535,53 @@ class TestEvalCommand:
         assert peaks[1] - peaks[0] < one_sample, peaks
 
 
+class TestGrayscaleMaps:
+    @staticmethod
+    def _tree(root, rgb):
+        """``write_png_dataset`` (s3's shading grayscale, 8-bit) and gray
+        shading predictions for every sample; with ``rgb`` each of those
+        gray maps is written as RGB with the gray in all three channels."""
+        root.mkdir()
+        manifest = write_png_dataset(root)
+        pred = root / "pred"
+        pred.mkdir()
+        for i in range(4):
+            truth = read_png(root / f"s{i}_a.png")
+            write_png(pred / f"s{i}_albedo.png", truth * 0.9, 16)
+            write_png(pred / f"s{i}_shading.png", truth.mean(axis=2) * 0.8, 16)
+        if rgb:
+            for path in (root / "s3_s.png", *pred.glob("*_shading.png")):
+                gray = read_png(path, integers=True)
+                write_png(path, np.repeat(gray[:, :, None] / np.iinfo(gray.dtype).max, 3,
+                                          axis=2), 8 * gray.itemsize)
+                assert read_png(path, integers=True).shape == (40, 44, 3)
+        return manifest, pred
+
+    def test_outputs_match_an_rgb_copy_of_the_gray(self, tmp_path):
+        """A grayscale map is held as one channel, yet ``train`` (crop and
+        rotate/zoom), ``eval`` with ``--mit-total`` and ``synth
+        resynth-sintel`` write the bytes of the same runs on RGB files that
+        hold the gray in all three channels."""
+        outputs = []
+        for rgb in (False, True):
+            root = tmp_path / ("rgb" if rgb else "gray")
+            manifest, pred = self._tree(root, rgb)
+            for rotate in ("false", "true"):
+                cfg = write_config(root / f"{rotate}.cfg", manifest, root / f"train_{rotate}",
+                                   dropout=0.5, max_iterations=2)
+                cfg.write_text(cfg.read_text().replace("enable_rotate_zoom = false",
+                                                       f"enable_rotate_zoom = {rotate}"))
+                assert run_cli("train", "--config", cfg) == 0
+            assert run_cli("eval", "--pred-dir", pred, "--manifest", manifest,
+                           "--out", root / "report.json", "--mit-total") == 0
+            assert run_cli("synth", "--mode", "resynth-sintel", "--manifest", manifest,
+                           "--out-dir", root / "synth") == 0
+            outputs.append({str(p.relative_to(root)): p.read_bytes() for p in sorted(
+                [*root.glob("train_*/*"), root / "report.json", *root.glob("synth/*")])})
+        assert len(outputs[0]) == 2 * 2 + 1 + 4 * 4 + 1
+        assert outputs[0] == outputs[1]
+
+
 class TestSynthCommand:
     def test_resynth_identity_after_decode(self, tmp_path, monkeypatch):
         manifest = write_dataset(tmp_path / "data", n=2, h=16, w=16)

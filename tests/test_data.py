@@ -9,7 +9,7 @@ import pytest
 from intrinsics.data import (AugmentConfig, Manifest, ManifestEntry, Sample,
                              as_float, augment, ensure_disjoint_split,
                              generate_mit_shading, load_dataset,
-                             parse_manifest, resynthesize)
+                             parse_manifest, read_entry_map, resynthesize)
 from intrinsics.metrics import fit_alpha
 from intrinsics.png_io import _SIGNATURE, _chunk, read_png, write_png
 from intrinsics.rng import Rng
@@ -344,6 +344,27 @@ class TestLoading:
             assert t.dtype == np.uint16
             want = read_png(tmp_path / name).transpose(2, 0, 1)[None]
             assert np.array_equal(as_float(t), want)
+
+    def test_grayscale_map_held_once(self, tmp_path):
+        """A 16-bit grayscale 436x1024 map holds its H*W*2 bytes once
+        loaded, as a read-only view of three equal channels; stacking them
+        held three times that."""
+        h, w = 436, 1024
+        gray = np.linspace(0.0, 1.0, h * w).reshape(h, w)
+        write_png(tmp_path / "s.png", gray, 16)
+        entry = ManifestEntry("g", "s.png", "s.png", "s.png", None, "sc")
+        tracemalloc.start()
+        try:
+            m = read_entry_map(entry, str(tmp_path), "s.png")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < h * w * 2 + 4096, held
+        assert m.shape == (1, 3, h, w) and m.dtype == np.uint16
+        assert not m.flags.writeable
+        want = read_png(tmp_path / "s.png", integers=True)
+        for c in range(3):
+            assert np.array_equal(m[0, c], want)
 
     def test_extent_mismatch_names_sample(self, tmp_path):
         line = self._write_triple(tmp_path, sid="bad", shading_extents=(4, 8))

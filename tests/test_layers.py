@@ -136,6 +136,33 @@ def test_conv_working_set_is_capped(call):
     assert peak < 64e6, f"conv_{call} peaked at {peak / 1e6:.0f} MB"
 
 
+@pytest.mark.parametrize("budget,rows", [(200_000, 2), (1, 1)])
+def test_weight_grad_below_one_channel_takes_kernel_rows(monkeypatch, budget, rows):
+    """At a budget below one channel's columns (5x5 taps of 64x64 outputs,
+    410 KB), the weight gradient takes blocks of kernel rows of one channel
+    (82 KB each): no column buffer over the budget, beside the padded input
+    and dw itself.  Each entry is still one dot over the 4096 outputs, and
+    the result is the bytes of one unblocked GEMM (at 64 output channels on
+    OpenBLAS; at a few, its kernels can round a split GEMM otherwise)."""
+    spec = ConvSpec(2, 64, 5, 5, pad_h=2, pad_w=2)
+    x = Rng(1).normal((1, 2, 64, 64)).astype(np.float32)
+    dy = Rng(2).normal((1, 64, 64, 64)).astype(np.float32)
+    w_shape = (64, 2, 5, 5)
+    cols = np.ascontiguousarray(layers._windows(x, spec)).reshape(-1, 4096)
+    want = (cols @ dy.reshape(64, -1).T).T.reshape(w_shape)
+    del cols
+    monkeypatch.setattr(layers, "_BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        got = layers._weight_grad(dy, x, spec, w_shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    col_bytes = peak - 2 * 68 * 68 * 4 - 2 * got.nbytes  # the padded x, dw.T and dw
+    assert col_bytes <= rows * 5 * 4096 * 4 + 4096, f"columns took {col_bytes} bytes"
+
+
 class TestMaxPool:
     def test_constant_routes_to_first(self):
         x = np.ones((1, 1, 4, 4))

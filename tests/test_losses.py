@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,47 @@ class TestTotalLoss:
         _, da1, ds1 = total_loss(at, st, ap, sp, mask, LossConfig(0.5, True))
         assert np.array_equal(ds0, ds1)
         assert not np.array_equal(da0, da1)
+
+    def test_peak_under_seven_maps(self):
+        """float32 at 64x64 with the gradient term: the two returned
+        gradients and at most about four more full-size maps, 6.35 maps in
+        all.  A gradient loss that kept its residual and each difference
+        until the end, and negated and masked out of place, peaked at 9.36."""
+        shape = (1, 3, 64, 64)
+        at, st, ap, sp = (Rng(50 + i).normal(shape).astype(np.float32) for i in range(4))
+        mask = (Rng(54).uniform((1, 1, 64, 64)) > 0.2).astype(np.float32)
+        tracemalloc.start()
+        try:
+            total_loss(at, st, ap, sp, mask, LossConfig(0.5, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * at.nbytes, f"total_loss peaks at {peak / at.nbytes:.2f} maps"
+
+    def test_in_place_gradient_is_the_out_of_place_bytes(self):
+        """float32 maps with holes in the mask: the gradients are the bytes
+        of the loss's out-of-place formulas."""
+        shape = (1, 3, 9, 11)
+        at, st, ap, sp = (Rng(60 + i).normal(shape).astype(np.float32) for i in range(4))
+        mask = (Rng(64).uniform((1, 1, 9, 11)) > 0.3).astype(np.float32)
+        _, da, ds = total_loss(at, st, ap, sp, mask, LossConfig(0.5, True))
+        inv_n = (1.0 / (mask.sum(dtype=np.float64) * 3)).astype(np.float32)
+
+        def sil2(t, p):
+            y = (t - p) * mask
+            return -2.0 * inv_n * (y - 0.5 * inv_n * y.sum() * mask) * mask
+        y = (at - ap) * mask
+        di = (y[:, :, 1:] - y[:, :, :-1]) * (mask[:, :, 1:] * mask[:, :, :-1])
+        dj = (y[..., 1:] - y[..., :-1]) * (mask[..., 1:] * mask[..., :-1])
+        di *= 2.0 * inv_n
+        dj *= 2.0 * inv_n
+        dy = np.zeros_like(y)
+        dy[:, :, 1:] += di
+        dy[:, :, :-1] -= di
+        dy[..., 1:] += dj
+        dy[..., :-1] -= dj
+        assert da.tobytes() == (sil2(at, ap) + -dy * mask).tobytes()
+        assert ds.tobytes() == sil2(st, sp).tobytes()
 
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ValueError):

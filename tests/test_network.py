@@ -321,10 +321,11 @@ class TestBackward:
 class TestTape:
     def test_tape_holds_under_40_mb_per_sample(self):
         """What one full-topology 416x416 train-mode forward leaves on the
-        tape: conv inputs, bool dropout masks and uint8 pool winners, about
-        31.5 MB.  A tape that kept every PReLU and pool input and conv6's x8
-        upsampled input held about 112 MB.  The test holds the returned tape
-        while it measures; dropping it would read 0 MB."""
+        tape: conv inputs, bit-packed dropout masks and uint8 pool winners,
+        about 27.0 MB (31.5 MB with bool masks).  A tape that kept every
+        PReLU and pool input and conv6's x8 upsampled input held about
+        112 MB.  The test holds the returned tape while it measures;
+        dropping it would read 0 MB."""
         net = build_network(NetworkConfig(dropout_prob=0.5), Rng(0))
         x = Rng(1).uniform((1, 3, 416, 416)).astype(np.float32)
         tracemalloc.start()
@@ -336,6 +337,28 @@ class TestTape:
         finally:
             tracemalloc.stop()
         assert held < 40e6, f"the tape holds {held / 1e6:.1f} MB"
+
+    def test_tape_holds_an_eighth_byte_per_dropout_cell(self):
+        """A training forward at dropout 0.5 holds its masks as bits: at 1/4
+        width and 128x128, 120 dropout channels of 32x32 cells (s1.conv6,
+        s2.conv1-4 and the heads' conv) add at most about cells / 8 bytes to
+        the tape held at dropout 0.  Bool masks added one byte per cell."""
+        held = []
+        for p in (0.0, 0.5):
+            net = build_network(NetworkConfig(channel_scale=0.25, dropout_prob=p), Rng(0))
+            x = Rng(1).uniform((1, 3, 128, 128)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                *outs, tape = net.forward(x, rng=Rng(2))
+                del outs
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        w = net.widths
+        cells = (w["c6"] + w["s2c1"] + 3 * w["mid"] + 2 * w["head"]) * 32 * 32
+        assert cells == 120 * 32 * 32
+        masks = held[1] - held[0]
+        assert masks < cells / 8 + 2048, f"the masks take {masks} bytes for {cells} cells"
 
     def test_backward_peaks_under_36_mb_above_the_tape(self):
         """What a full-topology 416x416 train step's backward allocates on

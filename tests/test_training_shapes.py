@@ -8,10 +8,11 @@ reference formulas:
 - PReLU: np.where(x < 0, a * dy, dy) and the sum of np.where(x < 0,
   x * dy, 0) per channel;
 - max pool: the window-by-window oracle of the `max-pool-oracle` suite;
-- conv and deconv weight gradients: dy(O, Ho*Wo) @ columns.T over the
-  same channel blocks, the transpose of what `_weight_grad` computes.  Each
-  entry is one dot over Ho*Wo either way; that the two GEMM orientations
-  round alike is a property of the BLAS, checked here on OpenBLAS.
+- conv and deconv weight gradients: one GEMM dy(O, Ho*Wo) @ columns.T
+  over every column at once, the transpose of what `_weight_grad` computes
+  block by block.  Each entry is one dot over Ho*Wo either way; that the
+  two GEMM orientations and any split of the other axes round alike is a
+  property of the BLAS, checked here on OpenBLAS.
 """
 
 import numpy as np
@@ -32,16 +33,8 @@ def f32(seed, shape):
 
 def weight_grad_dy_cols(dy, x, spec, w_shape):
     win = layers._windows(x, spec)
-    c, kh, kw, ho, wo = win.shape
-    dy_rows = dy.reshape(dy.shape[1], -1)
-    taps, p = kh * kw, ho * wo
-    dw = np.empty((dy_rows.shape[0], c * taps), dtype=np.float32)
-    chans = layers._block(taps * p * x.itemsize, c, layers._BLOCK_BYTES)
-    for c0 in range(0, c, chans):
-        c1 = min(c0 + chans, c)
-        cols = np.ascontiguousarray(win[c0:c1])
-        np.matmul(dy_rows, cols.reshape(-1, p).T, out=dw[:, c0 * taps:c1 * taps])
-    return dw.reshape(w_shape)
+    cols = np.ascontiguousarray(win).reshape(-1, win.shape[3] * win.shape[4])
+    return (dy.reshape(dy.shape[1], -1) @ cols.T).reshape(w_shape)
 
 
 # the 14 weight gradients of the step come in these 10 (input, spec) shapes
