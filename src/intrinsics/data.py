@@ -86,8 +86,12 @@ class Manifest:
 def parse_manifest(path) -> Manifest:
     entries = []
     first_line: dict[str, int] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = list(f)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

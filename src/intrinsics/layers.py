@@ -8,10 +8,12 @@ batch size; a batch is train_loop's, one image per forward and backward.
 conv_forward and _weight_grad build im2col columns in blocks of at most
 _BLOCK_BYTES: whole output rows for the forward; for the weight gradient
 whole input channels, or kernel rows of one channel where a channel's
-columns exceed the budget.  No block cuts a GEMM's reduction axis, so each
-result element sums in the same order as one GEMM over the whole call
-would.  Every other convolution runs through
-conv_forward, the transposed ones as one conv over stride phases.
+columns exceed the budget.  No block cuts a GEMM's reduction axis.  On
+OpenBLAS the float32 bytes matched one GEMM per call at the full-topology
+shapes, and across budgets at 6-96 output channels, but not at 2-3: a
+model at channel_scale <= about 1/48 on large crops can change bytes when
+_BLOCK_BYTES changes.  Every other convolution runs through conv_forward,
+the transposed ones as one conv over stride phases.
 Max pooling uses ceil-mode output extents with windows clipped to the
 input, which is what makes a stack of stride-2 pools halve extents exactly
 without pool padding.  Its forward keeps a running maximum over strided

@@ -170,7 +170,10 @@ def _read_tensor_section(r: ByteReader, where: str) -> list:
     tensors = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).tobytes().decode("utf-8")
+        try:
+            name = r.take(name_len).tobytes().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{where} tensor name is not UTF-8 ({e.reason})") from None
         (rank,) = r.unpack("<B")
         dims = r.unpack(f"<{rank}I")
         # math.prod is exact, so an oversized tensor reads past the end

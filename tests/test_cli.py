@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="base_lrr"):
             load_run_config(cfg)
 
+    def test_non_utf8_config_names_itself(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[train]\nbase_lr = 0.1 # \xff\n")
+        with pytest.raises(ValueError) as e:
+            load_run_config(cfg)
+        assert str(e.value) == f"config: {cfg} is not UTF-8 text (invalid start byte)"
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[trainer]\nbase_lr = 0.1\n")

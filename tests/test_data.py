@@ -251,6 +251,13 @@ class TestManifest:
         with pytest.raises(ValueError, match="5 or 6"):
             parse_manifest(mf)
 
+    def test_non_utf8_manifest_names_itself(self, tmp_path):
+        mf = tmp_path / "m.tsv"
+        mf.write_bytes(b"a\ti\ta\ts\tscene\xff\n")
+        with pytest.raises(ValueError) as e:
+            parse_manifest(mf)
+        assert str(e.value) == f"{mf}: not UTF-8 text (invalid start byte)"
+
     def test_duplicate_id_rejected(self, tmp_path):
         # synth would write both samples to one set of PNGs, eval would
         # score both against one prediction

@@ -6,8 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from intrinsics.metrics import (dssim, evaluate_report, lmse, lmse_window_sums,
-                                mit_total_lmse, si_mse)
+from intrinsics.metrics import dssim, evaluate_report, lmse, mit_total_lmse, si_mse
 from intrinsics.rng import Rng
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -66,33 +65,29 @@ class TestMitTotal:
     def test_perfect_is_zero(self):
         t = Rng(7).uniform((1, 3, 40, 40))
         m = full_mask(t.shape)
-        sums = lmse_window_sums(t, t, m)
-        assert mit_total_lmse(sums, sums) == 0.0
+        assert mit_total_lmse(t, t, t, t, m) == 0.0
 
     def test_zero_prediction_is_one(self):
         t = Rng(8).uniform((1, 3, 40, 40)) + 0.1
         m = full_mask(t.shape)
-        sums = lmse_window_sums(t, np.zeros_like(t), m)
-        assert abs(mit_total_lmse(sums, sums) - 1.0) < 1e-12
+        z = np.zeros_like(t)
+        assert abs(mit_total_lmse(t, z, t, z, m) - 1.0) < 1e-12
 
     def test_monotone_in_albedo_error(self):
         rng = Rng(9)
         t = rng.uniform((1, 3, 40, 40)) + 0.1
         m = full_mask(t.shape)
         noise = rng.normal(t.shape)
-        sums_s = lmse_window_sums(t, t + 0.05 * noise, m)
         prev = -1.0
         for scale in (0.02, 0.05, 0.1, 0.2):
-            sums_a = lmse_window_sums(t, t + scale * noise, m)
-            total = mit_total_lmse(sums_a, sums_s)
+            total = mit_total_lmse(t, t + scale * noise, t, t + 0.05 * noise, m)
             assert total > prev
             prev = total
 
     def test_zero_normalizer_rejected(self):
         z = np.zeros((1, 3, 40, 40))
-        sums = lmse_window_sums(z, z, full_mask(z.shape))
         with pytest.raises(ValueError, match="normalizer"):
-            mit_total_lmse(sums, sums)
+            mit_total_lmse(z, z, z, z, full_mask(z.shape))
 
 
 # -- DSSIM ----------------------------------------------------------------------
@@ -230,13 +225,12 @@ class TestEvaluateReport:
         good = [self._record(11), self._record(12)]
         sid, (at, st, ap, sp, mask) = self._record(13)
         mask[..., 5:-5, 5:-5] = 0.0
-        mit_total_lmse(lmse_window_sums(at, ap, mask), lmse_window_sums(st, sp, mask))
+        mit_total_lmse(at, ap, st, sp, mask)
         bad = sid, (at, st, ap, sp, mask)
         report = report_of(dict([good[0], bad, good[1]]), include_mit_total=True)
         [err] = report["errors"]
         assert err["id"] == "r13" and "valid centre" in err["error"]
-        want = [mit_total_lmse(lmse_window_sums(at, ap, mask),
-                               lmse_window_sums(st, sp, mask))
+        want = [mit_total_lmse(at, ap, st, sp, mask)
                 for _, (at, st, ap, sp, mask) in good]
         assert report["mit_total_lmse"] == float(np.mean(want))
 

@@ -188,6 +188,14 @@ class TestCheckpointIO:
                                              "truncated$"):
             load_checkpoint(path)
 
+    def test_non_utf8_tensor_name_names_the_checkpoint(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(b"DINT" + struct.pack("<HIH", 1, 1, 1) + b"\xff")
+        with pytest.raises(ValueError) as e:
+            load_checkpoint(path)
+        assert str(e.value) == (f"checkpoint {path}: params tensor name is not "
+                                "UTF-8 (invalid start byte)")
+
     def test_tensors_are_views_of_one_file_buffer(self, tmp_path):
         net = build_network(tiny_cfg(), Rng(3))
         saved = Checkpoint.from_network(net, 12, (3, 4, 0, 0), b"\x07" * 32)

@@ -1,17 +1,25 @@
-"""Meta-tests of the gate: a broken backward is caught and named, and the
-finite-difference checker itself tells right gradients from wrong ones.
+"""Meta-tests of the gate: a broken backward is caught and named, the
+finite-difference checker itself tells right gradients from wrong ones, and
+no command but ``intrinsics verify`` loads the gate.
 
 ``break_backward`` scales one layer's input gradient by 1.01.  ``network``
 binds the layer functions at import, so the broken function replaces both
 its ``layers`` and its ``network`` binding.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from intrinsics import check_gradient, layers, network, verify
+from intrinsics import layers, network, verify
 from intrinsics.network import NetworkConfig, build_network
 from intrinsics.rng import Rng
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # layer -> its backward function in ``layers``
 BACKWARDS = {
@@ -79,7 +87,7 @@ class TestCheckGradient:
         def f(v):
             return float((v * v).sum()), 2 * v
 
-        assert check_gradient(f, x, h=1e-3) < 1e-8
+        assert verify.check_gradient(f, x, h=1e-3) < 1e-8
 
     def test_linear(self):
         x = Rng(4).normal((5,))
@@ -87,7 +95,7 @@ class TestCheckGradient:
         def f(v):
             return float(v.sum()), np.ones_like(v)
 
-        assert check_gradient(f, x, h=1e-3) < 1e-10
+        assert verify.check_gradient(f, x, h=1e-3) < 1e-10
 
     def test_wrong_gradient_detected(self):
         x = np.array([1.0, 2.0])
@@ -95,7 +103,7 @@ class TestCheckGradient:
         def f(v):
             return float((v * v).sum()), 3 * v
 
-        assert check_gradient(f, x, h=1e-3) > 0.1
+        assert verify.check_gradient(f, x, h=1e-3) > 0.1
 
     def test_nonfinite_reported(self):
         x = np.array([0.0])
@@ -105,4 +113,14 @@ class TestCheckGradient:
             return val, np.zeros_like(v)
 
         with pytest.raises(ValueError, match="non-finite"):
-            check_gradient(f, x, h=1e-3)
+            verify.check_gradient(f, x, h=1e-3)
+
+
+def test_the_command_line_loads_no_gate():
+    """Every command imports ``intrinsics.cli``; only ``cmd_verify`` imports
+    the gate, so a fresh process that imports the CLI holds no verify module."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, intrinsics.cli; print('intrinsics.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"
