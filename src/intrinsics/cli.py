@@ -136,9 +136,17 @@ def cmd_train(args) -> int:
     # Checkpoint while training runs: train_loop frees it once installed
     path, rows, iteration = args.resume, ["iteration,loss\n"], None
     trace_path = os.path.join(run.out_dir, "loss_trace.csv")
+    # a resume in place keeps the trace's rows from before its resume point
+    earlier = []
+    if path and os.path.exists(trace_path):
+        with open(trace_path, encoding="utf-8", newline="") as f:
+            earlier = f.readlines()[1:]
     while iteration != run.train.max_iterations:
         ck, trace = train_loop(net, samples, run.train,
                                resume=load_checkpoint(path) if path else None)
+        if iteration is None:  # the first interval: it started at the resume point
+            start = ck.iteration - len(trace)
+            rows += [r for r in earlier if int(r.split(",", 1)[0]) < start]
         iteration = ck.iteration
         path = os.path.join(run.out_dir, f"checkpoint_{iteration:06d}.ckpt")
         trainer.save_checkpoint(ck, path)  # the benchmark's tracer wraps it there

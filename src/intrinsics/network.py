@@ -22,7 +22,8 @@ downstream of conv6 is identical across variants.
 
 Images of any extents go in: ``Network.forward`` edge-pads the bottom and
 right to a multiple of ``input_multiple`` (of the total stride 32) and crops
-the outputs back, and ``Network.backward`` applies the pad's adjoint.
+the outputs back, and ``Network.backward`` zero-pads the output gradients.
+Training regresses the weights only, so no gradient reaches the image.
 
 Widths scale with ``channel_scale`` (rounded up) so that shape contracts
 and gradient checks can run on tiny instances; channel_scale 1 is the full
@@ -340,24 +341,16 @@ class Network:
         m = self.cfg.input_multiple
         ph, pw = -h % m, -w % m
         pad = ((0, 0), (0, 0), (0, ph), (0, pw))
-        unpad = None
         if ph or pw:  # one padded array: cast into, then edge-filled in place
             x = np.empty((1, 3, h + ph, w + pw), self.dtype)
             x[:, :, :h, :w] = image
             x[:, :, :h, w:] = x[:, :, :h, w - 1:w]
             x[:, :, h:] = x[:, :, h - 1:h]
-
-            def unpad(dx):  # the pad's adjoint: copies fold onto the edge
-                if ph:
-                    dx[:, :, h - 1] += dx[:, :, h:].sum(axis=2)
-                if pw:
-                    dx[:, :, :h, w - 1] += dx[:, :, :h, w:].sum(axis=3)
-                return dx[:, :, :h, :w]
         else:
             x = np.ascontiguousarray(image, dtype=self.dtype)
 
-        # position 0: the padded image, with the pad's adjoint if any
-        tape = [(unpad, ())] if rng is not None else None
+        # position 0: the padded image, which no gradient reaches
+        tape = [(None, ())] if rng is not None else None
         x = _Var(x, tape, 0)
         block = self._block
 
@@ -394,22 +387,21 @@ class Network:
             if any(g.shape != (1, 3, h, w) for g in d):
                 raise ValueError(f"backward: output gradients {[g.shape for g in d]} "
                                  f"do not match the outputs' {(1, 3, h, w)}")
-            return [pad_constant(g.astype(self.dtype, copy=False), pad) if unpad
+            return [pad_constant(g.astype(self.dtype, copy=False), pad) if ph or pw
                     else g.astype(self.dtype, copy=False) for g in d]
         _record(None, seed, *outs)
         return la, ls, tape
 
-    def backward(self, d_log_albedo: np.ndarray, d_log_shading: np.ndarray, tape: list,
-                 image_grad: bool = True):
+    def backward(self, d_log_albedo: np.ndarray, d_log_shading: np.ndarray, tape: list):
         """Accumulate parameter gradients from output gradients at the
-        input's extents through ``tape``, which a training forward returned;
-        returns the input-image gradient, or None with ``image_grad=False``,
-        which skips computing it.
+        input's extents through ``tape``, which a training forward returned.
 
         Replays the tape in reverse and empties it, freeing each step's
         activations as it goes: a tape is replayed once.  A step's output
-        gradient is the sum of what its consumers returned.  Gradients of
-        another shape raise before any parameter gradient moves.
+        gradient is the sum of what its consumers returned.  The two convs
+        that read the image, ``s1.conv1`` and ``s2.conv1``, compute no input
+        gradient.  Gradients of another shape raise before any parameter
+        gradient moves.
         """
         if not tape:
             raise ValueError("backward: the tape is empty (a tape is replayed once, "
@@ -418,14 +410,13 @@ class Network:
         while len(tape) > 1:
             step, inputs = tape[-1]
             dy = grads.pop()
-            # the image (slot 0) feeds convs only, which can decline its gradient
-            outs = step(dy) if image_grad or inputs != (0,) else step(dy, input_grad=False)
+            # the image (position 0) feeds convs only
+            outs = step(dy, input_grad=False) if inputs == (0,) else step(dy)
             tape.pop()  # only now: a rejected seed leaves the tape whole
             for slot, g in zip(inputs, outs):
                 if g is not None:
                     grads[slot] = g if grads[slot] is None else grads[slot] + g
-        unpad, _ = tape.pop()
-        return grads[0] if unpad is None or grads[0] is None else unpad(grads[0])
+        tape.pop()
 
 
 def build_network(cfg: NetworkConfig, rng: Rng, dtype=np.float32) -> Network:

@@ -318,7 +318,7 @@ def train_loop(net: Network, samples: list[Sample], cfg: TrainConfig,
             if not np.isfinite(loss):
                 raise ValueError(f"train_loop: non-finite loss at iteration {it} "
                                  f"(batch samples: {ids})")
-            net.backward(d_la, d_ls, tape, image_grad=False)
+            net.backward(d_la, d_ls, tape)
             del d_la, d_ls
             loss_sum += loss
         if k == 0:

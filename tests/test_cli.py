@@ -276,6 +276,22 @@ class TestTrainCommand:
         resumed = (runs["resumed"] / "loss_trace.csv").read_text().splitlines()
         assert resumed == full[:1] + full[4:]
 
+    def test_resume_in_place_keeps_the_earlier_trace_rows(self, tmp_path):
+        """A 4-iteration run at checkpoint_every = 2, resumed into its own
+        out_dir from iteration 2, leaves the uninterrupted run's trace byte
+        for byte; resuming the finished run from iteration 4 leaves it as
+        it was."""
+        manifest = write_dataset(tmp_path / "data")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", manifest, out, max_iterations=4,
+                           dropout=0.5, checkpoint_every=2)
+        assert run_cli("train", "--config", cfg) == 0
+        full = (out / "loss_trace.csv").read_bytes()
+        for it in (2, 4):
+            assert run_cli("train", "--config", cfg, "--resume",
+                           out / f"checkpoint_{it:06d}.ckpt") == 0
+            assert (out / "loss_trace.csv").read_bytes() == full, it
+
     def test_resumed_checkpoint_released_before_training(self, tmp_path, monkeypatch):
         """Once installed, the resumed ``Checkpoint``'s parameter and momentum
         copies are not held through the iterations: a weakref taken through

@@ -143,9 +143,9 @@ class TestForward:
         assert len(widths) == 5 + 2 * deconv
 
 
-def grad_bytes(net, d_image):
-    """The image gradient and every parameter gradient, as bytes."""
-    return [d_image.tobytes()] + [p.grad.tobytes() for p in net.params.values()]
+def grad_bytes(net):
+    """Every parameter gradient, as bytes."""
+    return [p.grad.tobytes() for p in net.params.values()]
 
 
 class TestBackward:
@@ -173,7 +173,8 @@ class TestBackward:
             if interleave:
                 outs = net.forward(Rng(14).uniform((1, 3, 40, 37)))
                 assert [o.shape for o in outs] == [(1, 3, 40, 37)] * 2
-            runs.append(grad_bytes(net, net.backward(da, ds, tape)))
+            net.backward(da, ds, tape)
+            runs.append(grad_bytes(net))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("hc", [False, True], ids=["plain", "hypercolumn"])
@@ -194,11 +195,13 @@ class TestBackward:
         for i, x in enumerate(xs):
             net.zero_grads()
             _, _, tape = net.forward(x, rng=Rng(40 + i))
-            alone.append(grad_bytes(net, net.backward(*dys[i], tape)))
+            net.backward(*dys[i], tape)
+            alone.append(grad_bytes(net))
         tapes = [net.forward(x, rng=Rng(40 + i))[2] for i, x in enumerate(xs)]
         for i in (1, 0):
             net.zero_grads()
-            assert grad_bytes(net, net.backward(*dys[i], tapes[i])) == alone[i], i
+            net.backward(*dys[i], tapes[i])
+            assert grad_bytes(net) == alone[i], i
         assert {k: id(v) for k, v in vars(net).items()} == state
 
     # (input extents, a wrong output-gradient shape)
@@ -218,7 +221,8 @@ class TestBackward:
         x = Rng(10).uniform((1, 3, *hw))
         good = Rng(11).normal((1, 3, *hw))
         _, _, tape = net.forward(x, rng=Rng(12))
-        want = grad_bytes(net, net.backward(good, good, tape))
+        net.backward(good, good, tape)
+        want = grad_bytes(net)
         before = [p.grad.tobytes() for p in net.params.values()]
         _, _, tape = net.forward(x, rng=Rng(12))
         for da, ds in [(np.zeros(bad), good), (good, np.zeros(bad))]:
@@ -228,7 +232,8 @@ class TestBackward:
                 net.backward(da, ds, tape)
             assert [p.grad.tobytes() for p in net.params.values()] == before
         net.zero_grads()
-        assert grad_bytes(net, net.backward(good, good, tape)) == want
+        net.backward(good, good, tape)
+        assert grad_bytes(net) == want
 
     def test_rng_only_draws_masks_at_zero_dropout(self):
         """At dropout_prob 0, training forwards given different rngs record
@@ -241,15 +246,15 @@ class TestBackward:
         for seed in (13, 14):
             net.zero_grads()
             _, _, tape = net.forward(x, rng=Rng(seed))
-            grads.append(grad_bytes(net, net.backward(da, ds, tape)))
+            net.backward(da, ds, tape)
+            grads.append(grad_bytes(net))
         assert grads[0] == grads[1]
 
     def test_zero_upstream_zero_grads(self):
         net = tiny_net(seed=9)
         x = Rng(10).uniform((1, 3, 32, 32))
         _, _, tape = net.forward(x, rng=Rng(11))
-        di = net.backward(np.zeros((1, 3, 32, 32)), np.zeros((1, 3, 32, 32)), tape)
-        assert np.all(di == 0.0)
+        assert net.backward(np.zeros((1, 3, 32, 32)), np.zeros((1, 3, 32, 32)), tape) is None
         for p in net.params.values():
             assert np.all(p.grad == 0.0)
 
@@ -270,30 +275,37 @@ class TestBackward:
 
     @pytest.mark.parametrize("hc", [False, True])
     @pytest.mark.parametrize("deconv", [False, True])
-    def test_declining_image_grad_changes_nothing_else(self, hc, deconv):
+    def test_convs_on_the_image_compute_no_input_gradient(self, hc, deconv, monkeypatch):
+        """One training forward and backward: the two convs that read the
+        image, s1.conv1 and s2.conv1, run their backward with
+        input_grad=False, and every other conv returns an input gradient."""
         net = tiny_net(seed=9, dtype=np.float32, use_hypercolumn=hc,
                        use_deconv_head=deconv, dropout_prob=0.5)
-        x = Rng(10).uniform((1, 3, 32, 32))
-        da = Rng(11).normal((1, 3, 32, 32))
-        ds = Rng(12).normal((1, 3, 32, 32))
-        grads = []
-        for image_grad in (True, False):
-            net.zero_grads()
-            _, _, tape = net.forward(x, rng=Rng(13))
-            di = net.backward(da, ds, tape, image_grad=image_grad)
-            assert (di is None) == (not image_grad)
-            grads.append({n: p.grad.copy() for n, p in net.params.items()})
-        for n, g in grads[0].items():
-            assert g.tobytes() == grads[1][n].tobytes(), n
+        calls = []  # (spec id, input_grad, an input gradient returned)
+        orig = network.conv_backward
 
+        def spy(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            calls.append((id(args[3]), kwargs.get("input_grad", True), out[0] is not None))
+            return out
+
+        monkeypatch.setattr(network, "conv_backward", spy)
+        x = Rng(10).uniform((1, 3, 32, 32))
+        _, _, tape = net.forward(x, rng=Rng(13))
+        net.backward(Rng(11).normal(x.shape), Rng(12).normal(x.shape), tape)
+        image = sorted(id(net.specs[name]) for name in ("s1.conv1", "s2.conv1"))
+        assert sorted(spec for spec, asked, _ in calls if not asked) == image
+        assert all(asked == returned for _, asked, returned in calls)
+        assert len(calls) == 12 + 2 * hc  # conv6 runs once per hypercolumn group
 
     @pytest.mark.parametrize("hc", [False, True], ids=["plain", "hypercolumn"])
     @pytest.mark.parametrize("deconv", [False, True], ids=["bilinear", "deconv"])
-    def test_image_gradient_through_the_pad(self, hc, deconv):
-        """At 40x37, which forward pads to 64x64, the image gradient matches
-        central differences of the total loss at the last row, the last
-        column, the corner and an interior pixel, float64.  Every forward
-        draws the same dropout masks from one fixed-seed rng."""
+    def test_parameter_gradients_through_the_pad(self, hc, deconv):
+        """At 40x37, which forward pads to 64x64, the weight gradients of
+        s1.conv1, s2.conv1, s2.conv4 and each head's last layer match
+        central differences of the total loss at their first, middle and
+        last entry, float64.  Every forward draws the same dropout masks
+        from one fixed-seed rng."""
         net = tiny_net(seed=21, use_hypercolumn=hc, use_deconv_head=deconv)
         rng = Rng(22)
         x = rng.uniform((1, 3, 40, 37))
@@ -301,21 +313,25 @@ class TestBackward:
         mask = np.ones((1, 1, 40, 37))
         cfg = LossConfig(lam=0.5, use_gradient_loss=True)
 
-        def loss(v):
-            return total_loss(ta, ts, *net.forward(v, rng=Rng(23))[:2], mask, cfg)[0]
+        def loss():
+            return total_loss(ta, ts, *net.forward(x, rng=Rng(23))[:2], mask, cfg)[0]
 
         la, ls, tape = net.forward(x, rng=Rng(23))
         _, da, ds = total_loss(ta, ts, la, ls, mask, cfg)
-        grad = net.backward(da, ds, tape)
-        assert grad.shape == x.shape
-        for c, i, j in [(0, 39, 5), (1, 17, 36), (2, 39, 36), (0, 20, 20)]:
-            v = x.copy()
-            v[0, c, i, j] += NETWORK_H
-            fp = loss(v)
-            v[0, c, i, j] -= 2 * NETWORK_H
-            numeric = (fp - loss(v)) / (2 * NETWORK_H)
-            err = abs(grad[0, c, i, j] - numeric) / max(abs(numeric), 1e-8)
-            assert err < GRAD_TOL, (c, i, j, grad[0, c, i, j], numeric)
+        net.backward(da, ds, tape)
+        last = "deconv" if deconv else "conv"
+        for name in ("s1.conv1", "s2.conv1", "s2.conv4", f"albedo.{last}", f"shading.{last}"):
+            p = net.params[f"{name}.weight"]
+            v, grad = p.value.reshape(-1), p.grad.reshape(-1)
+            for k in (0, v.size // 2, v.size - 1):
+                saved = v[k]
+                v[k] = saved + NETWORK_H
+                fp = loss()
+                v[k] = saved - NETWORK_H
+                numeric = (fp - loss()) / (2 * NETWORK_H)
+                v[k] = saved
+                err = abs(grad[k] - numeric) / max(abs(numeric), 1e-8)
+                assert err < GRAD_TOL, (name, k, grad[k], numeric)
 
 
 class TestTape:
@@ -367,8 +383,8 @@ class TestTape:
 
     def test_backward_peaks_under_36_mb_above_the_tape(self):
         """What a full-topology 416x416 train step's backward allocates on
-        top of the tape and its own output gradients, image gradient
-        declined: about 29 MB, set in the shading head's conv backward.
+        top of the tape and its own output gradients: about 29 MB, set in
+        the shading head's conv backward.
         Unpooling the pool's output for a full-size PReLU backward made
         s2.conv1's backward the peak, at about 44 MB."""
         net = build_network(NetworkConfig(dropout_prob=0.5), Rng(0))
@@ -380,14 +396,14 @@ class TestTape:
             del outs
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            net.backward(*dys, tape, image_grad=False)
+            net.backward(*dys, tape)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert peak < 36e6, f"backward peaks {peak / 1e6:.1f} MB above the tape"
 
     def test_pooled_block_backward_copies_no_gradient(self):
-        """Full-width s2.conv1 at 1x3x64x64, image gradient declined: its
+        """Full-width s2.conv1 at 1x3x64x64, input gradient declined: its
         step's backward peaks at about 1.64 MB, which is the conv output
         gradient (0.39 MB), the column buffer of 81 taps of the 3 image
         channels (1.0 MB), the padded image (0.06 MB) and small

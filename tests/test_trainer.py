@@ -447,7 +447,7 @@ def iteration_0_by_hand(net, samples, cfg):
         _, da, ds = total_loss(log_guarded(s.albedo).astype(f32),
                                log_guarded(s.shading).astype(f32), la, ls,
                                s.mask.astype(f32), cfg.loss)
-        net.backward(da, ds, tape, image_grad=False)
+        net.backward(da, ds, tape)
     return {n: p.grad * f32(1 / k) for n, p in net.params.items()}
 
 
